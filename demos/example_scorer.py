@@ -6,11 +6,15 @@ Usage: rankpipe rerank --scorer cmd:"python3 demos/example_scorer.py" ...
 Reads requests from stdin, answers on stdout. Swap `score()` for a real
 model and keep everything else.
 """
+import re
 import sys
+
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
 def unescape(text: str) -> str:
-    return text.replace("\\n", "\n").replace("\\t", "\t").replace("\\\\", "\\")
+    # one left-to-right pass, so an escaped backslash before "n" stays two characters
+    return _ESCAPED.sub(lambda m: {"t": "\t", "n": "\n"}.get(m[1], m[1]), text)
 
 
 def score(text: str) -> float:
@@ -20,8 +24,15 @@ def score(text: str) -> float:
     return hits / len(words) if words else 0.0
 
 
-assert sys.stdin.readline().strip() == "HELLO 1"
-print("READY 1", flush=True)
-for line in sys.stdin:
-    _, qid, docid, text = line.rstrip("\n").split("\t")
-    print(f"{qid}\t{docid}\t{score(text)}", flush=True)
+def main() -> int:
+    if sys.stdin.readline().strip() != "HELLO 1":
+        return 1
+    print("READY 1", flush=True)
+    for line in sys.stdin:
+        _, qid, docid, text = line.rstrip("\n").split("\t")
+        print(f"{qid}\t{docid}\t{score(text)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,98 +1,45 @@
 """rankpipe: hybrid sparse+dense retrieval, ranking data engineering, and
-correlation-aware run ensembling, with an nDCG/recall evaluation harness."""
+correlation-aware run ensembling, with an nDCG/recall evaluation harness.
+
+The public names below are imported from their submodules on first use
+(PEP 562), so ``import rankpipe`` stays cheap: a CLI call loads only the
+modules its subcommand needs, and numpy only when one of them uses it.
+"""
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    Document,
-    JudgmentSet,
-    Query,
-    StatsRow,
-    corpus_stats,
-    load_corpus,
-    load_qrels,
-    load_topics,
-    write_qrels,
-)
-from .dense import EmbeddingStore, dense_search, load_embeddings, write_embeddings
-from .ensemble import EnsembleConfig, adjust_weights, correlation_matrix, ensemble_runs
-from .errors import DataError, FormatError, ProtocolError
-from .forge import (
-    AugmentationParams,
-    TrainingPair,
-    pseudo_label,
-    q2q2d_augment,
-    read_pairs,
-    sample_negatives,
-    sample_negatives_corpus,
-    write_pairs,
-)
-from .fusion import CandidatePool, cut_pool, fuse, normalize_run
-from .metrics import MetricReport, macro_average, ndcg_at_k, recall_at_k
-from .rerank import (
-    PairInput,
-    ScorerHandle,
-    build_pairs,
-    lexical_score,
-    score_pairs,
-    truncate_pair_text,
-)
-from .runs import Run, read_run, write_run
-from .sparse import Bm25Params, InvertedIndex, bm25_search, build_index, load_index, save_index
-from .tokenization import detect_policy, tokenize
+# submodule -> the public names it defines
+_SUBMODULE_EXPORTS = {
+    "corpus": ("Document", "JudgmentSet", "Query", "StatsRow", "corpus_stats", "load_corpus", "load_qrels",
+               "load_topics", "write_qrels"),
+    "dense": ("EmbeddingStore", "dense_search", "load_embeddings", "write_embeddings"),
+    "ensemble": ("EnsembleConfig", "adjust_weights", "correlation_matrix", "ensemble_runs"),
+    "errors": ("DataError", "FormatError", "ProtocolError"),
+    "forge": ("AugmentationParams", "TrainingPair", "pseudo_label", "q2q2d_augment", "read_pairs",
+              "sample_negatives", "sample_negatives_corpus", "write_pairs"),
+    "fusion": ("CandidatePool", "cut_pool", "fuse", "normalize_run"),
+    "metrics": ("MetricReport", "macro_average", "ndcg_at_k", "recall_at_k"),
+    "rerank": ("PairInput", "ScorerHandle", "build_pairs", "lexical_score", "score_pairs", "truncate_pair_text"),
+    "runs": ("Run", "read_run", "write_run"),
+    "sparse": ("Bm25Params", "InvertedIndex", "bm25_search", "build_index", "load_index", "save_index"),
+    "tokenization": ("detect_policy", "tokenize"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 
-__all__ = [
-    "AugmentationParams",
-    "Bm25Params",
-    "CandidatePool",
-    "DataError",
-    "Document",
-    "EmbeddingStore",
-    "EnsembleConfig",
-    "FormatError",
-    "InvertedIndex",
-    "JudgmentSet",
-    "MetricReport",
-    "PairInput",
-    "ProtocolError",
-    "Query",
-    "Run",
-    "ScorerHandle",
-    "StatsRow",
-    "TrainingPair",
-    "adjust_weights",
-    "bm25_search",
-    "build_index",
-    "build_pairs",
-    "correlation_matrix",
-    "corpus_stats",
-    "cut_pool",
-    "dense_search",
-    "detect_policy",
-    "ensemble_runs",
-    "fuse",
-    "lexical_score",
-    "load_corpus",
-    "load_embeddings",
-    "load_index",
-    "load_qrels",
-    "load_topics",
-    "macro_average",
-    "ndcg_at_k",
-    "normalize_run",
-    "pseudo_label",
-    "q2q2d_augment",
-    "read_pairs",
-    "read_run",
-    "recall_at_k",
-    "sample_negatives",
-    "sample_negatives_corpus",
-    "save_index",
-    "score_pairs",
-    "tokenize",
-    "truncate_pair_text",
-    "write_embeddings",
-    "write_pairs",
-    "write_qrels",
-    "write_run",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -7,19 +7,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, dense, ensemble, fusion, metrics, rerank, sparse
+# dense, forge, ensemble and pipeline load numpy: they are imported inside the
+# subcommands that use them, so the other subcommands start without it
+from . import __version__, fusion, metrics, rerank, sparse
 from .corpus import corpus_stats, load_corpus, load_qrels, load_topics
 from .errors import DataError, ProtocolError
 from .expconfig import load_config
-from .forge import (
-    AugmentationParams,
-    pseudo_label,
-    q2q2d_augment,
-    sample_negatives,
-    sample_negatives_corpus,
-    write_pairs,
-)
-from .pipeline import run_pipeline
 from .runs import Run, read_run, write_run
 from .validate import KINDS, validate_artifacts
 
@@ -70,6 +63,8 @@ def _cmd_retrieve_bm25(args) -> int:
 
 
 def _cmd_retrieve_dense(args) -> int:
+    from . import dense
+
     queries = dense.load_embeddings(args.queries, args.metric)
     docs = dense.load_embeddings(args.docs, args.metric)
     run = Run(
@@ -95,6 +90,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_forge_negatives(args) -> int:
+    from .forge import sample_negatives, sample_negatives_corpus, write_pairs
+
     pool = fusion.cut_pool(read_run(args.pool), args.pool_k)
     qrels = load_qrels(args.qrels)
     texts = _topics_lookup(args.topics)
@@ -109,6 +106,9 @@ def _cmd_forge_negatives(args) -> int:
 
 
 def _cmd_forge_q2q2d(args) -> int:
+    from . import dense
+    from .forge import AugmentationParams, q2q2d_augment, write_pairs
+
     params = AugmentationParams(alpha=args.alpha, top_m=args.top_m, tau=args.tau, seed=args.seed)
     test_queries = load_topics(args.test_topics)
     train_queries = load_topics(args.train_topics)
@@ -121,6 +121,8 @@ def _cmd_forge_q2q2d(args) -> int:
 
 
 def _cmd_forge_pseudo(args) -> int:
+    from .forge import AugmentationParams, pseudo_label, write_pairs
+
     params = AugmentationParams(
         pseudo_fraction=args.fraction, pseudo_scale=args.scale, seed=args.seed
     )
@@ -139,13 +141,15 @@ def _cmd_rerank(args) -> int:
     pairs = rerank.build_pairs(
         pool, topics, corpus_lookup, budget=args.budget, script_policy=args.script_policy
     )
-    run = rerank.score_pairs(pairs, scorer)
+    run = rerank.score_pairs(pairs, scorer, script_policy=args.script_policy)
     write_run(run, args.out)
     print(f"reranked {len(run)} pairs with {scorer.kind} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_ensemble(args) -> int:
+    from . import ensemble
+
     runs = [read_run(path) for path in args.runs]
     config = ensemble.EnsembleConfig(base_weights=args.base_weights, lam=args.lam)
     if len(runs) > 1:
@@ -222,6 +226,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from .pipeline import run_pipeline
+
     config = load_config(args.config)
     reports = run_pipeline(config, threads=args.threads)
     for language in config.languages:

@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .fusion import fuse, normalize_run
@@ -34,11 +33,23 @@ class EnsembleConfig:
             raise ValueError("lambda must be in [0, 1]")
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span,
+    which is always a half-integer, so the result is exact."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _spearman(x: np.ndarray, y: np.ndarray) -> float | None:
     """Spearman rho with average ranks for ties; None when undefined
     (either side constant)."""
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     sx = rx.std()
     sy = ry.std()
     if sx == 0.0 or sy == 0.0:

@@ -31,10 +31,9 @@ from .dense import EmbeddingStore
 from .errors import DataError, FormatError
 from .fusion import CandidatePool
 from .runs import Run
+from .validate import SOURCES
 
 logger = logging.getLogger(__name__)
-
-SOURCES = ("annotation", "negative", "q2q2d", "pseudo")
 
 
 @dataclass(frozen=True)

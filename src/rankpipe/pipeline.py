@@ -112,14 +112,15 @@ def _stage_rerank(config: ExperimentConfig, language: str) -> None:
     topics = load_topics(str(config.lang_path("topics", language)), language=language)
     corpus_lookup = {doc.docid: doc for doc in load_corpus(str(config.lang_path("corpus", language)))}
     scorer = rerank.ScorerHandle.parse(config.get("rerank.scorer", "lexical"))
+    policy = config.get("script_policy", "auto")
     pairs = rerank.build_pairs(
         pool,
         topics,
         corpus_lookup,
         budget=config.get_int("rerank.budget", rerank.DEFAULT_BUDGET),
-        script_policy=config.get("script_policy", "auto"),
+        script_policy=policy,
     )
-    run = rerank.score_pairs(pairs, scorer)
+    run = rerank.score_pairs(pairs, scorer, script_policy=policy)
     write_run(run, str(config.out_path(language, RUN_FILES["rerank"])), header=_header(config, "rerank"))
 
 

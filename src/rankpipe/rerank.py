@@ -267,15 +267,16 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
             proc.wait()
 
 
-def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle) -> Run:
+def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle, script_policy: str = AUTO) -> Run:
     """Score every pair and assemble a reranked run.
 
     The output contains exactly the input (qid, docid) pairs: no drops, no
-    inventions. Raises ProtocolError when a scorer misbehaves.
+    inventions. ``script_policy`` is the segmentation the lexical baseline
+    scores with. Raises ProtocolError when a scorer misbehaves.
     """
     pair_list = list(pairs)
     if scorer.kind == LEXICAL_BASELINE:
-        scores = [lexical_score(pair) for pair in pair_list]
+        scores = [lexical_score(pair, script_policy) for pair in pair_list]
     elif scorer.kind == SCORE_FILE:
         table = _read_score_file(scorer.location)
         scores = []

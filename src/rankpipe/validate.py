@@ -10,8 +10,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .forge import SOURCES
-
 RUN = "run"
 QRELS = "qrels"
 PAIRS = "pairs"
@@ -20,6 +18,9 @@ CORPUS = "corpus"
 TOPICS = "topics"
 
 KINDS = (RUN, QRELS, PAIRS, VECTORS, CORPUS, TOPICS)
+
+# the provenance labels a training pair may carry (checked here and by forge.TrainingPair)
+SOURCES = ("annotation", "negative", "q2q2d", "pseudo")
 
 _SUFFIXES = {
     ".trec": RUN,

@@ -117,24 +117,25 @@ def oracle_recall(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
     return per_query
 
 
+def oracle_ranks(values: list[float]) -> list[float]:
+    """1-based average ranks: tied values share the mean of their positions."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    out = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2 + 1
+        for pos in range(i, j + 1):
+            out[order[pos]] = avg
+        i = j + 1
+    return out
+
+
 def oracle_spearman(x: list[float], y: list[float]) -> float:
     """Textbook Spearman: Pearson correlation of average ranks."""
-
-    def ranks(values: list[float]) -> list[float]:
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        out = [0.0] * len(values)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            avg = (i + j) / 2 + 1
-            for pos in range(i, j + 1):
-                out[order[pos]] = avg
-            i = j + 1
-        return out
-
-    rx, ry = ranks(x), ranks(y)
+    rx, ry = oracle_ranks(x), oracle_ranks(y)
     mx = sum(rx) / len(rx)
     my = sum(ry) / len(ry)
     cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))

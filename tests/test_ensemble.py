@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import oracle_spearman, random_run
-from rankpipe.ensemble import EnsembleConfig, adjust_weights, correlation_matrix, ensemble_runs
+from helpers import oracle_ranks, oracle_spearman, random_run
+from rankpipe.ensemble import (
+    EnsembleConfig,
+    _average_ranks,
+    adjust_weights,
+    correlation_matrix,
+    ensemble_runs,
+)
 from rankpipe.errors import DataError
 from rankpipe.runs import Run
 
@@ -12,6 +20,14 @@ def run_from_ranking(qid_docs, tag="r"):
     for qid, docs in qid_docs.items():
         entries[qid] = {d: float(len(docs) - i) for i, d in enumerate(docs)}
     return Run.from_scores(entries, tag=tag)
+
+
+class TestAverageRanks:
+    # small integers force ties; floats cover the untied case
+    @given(st.lists(st.integers(-3, 3) | st.floats(allow_nan=False), max_size=40))
+    def test_matches_oracle_ranks_with_ties(self, values):
+        ranks = _average_ranks(np.array(values, dtype=np.float64))
+        assert ranks.tolist() == oracle_ranks([float(v) for v in values])
 
 
 class TestCorrelationMatrix:

@@ -1,8 +1,10 @@
+import json
 import sys
 
 import numpy as np
 import pytest
 
+from rankpipe.cli import main
 from rankpipe.corpus import Document
 from rankpipe.errors import DataError, ProtocolError
 from rankpipe.fusion import cut_pool
@@ -17,7 +19,7 @@ from rankpipe.rerank import (
     truncate_pair_text,
     unescape_text,
 )
-from rankpipe.runs import Run
+from rankpipe.runs import Run, read_run, write_run
 from rankpipe.tokenization import tokenize
 
 
@@ -146,6 +148,28 @@ class TestLexicalScore:
             score = lexical_score(pair)
             assert 0.0 <= score <= 1.0
             assert (score == 1.0) == (q_terms <= d_terms)
+
+
+class TestLexicalScriptPolicy:
+    # a Latin-majority pair, so auto segmentation splits on words and the
+    # Han query only matches character by character under unigram
+    PAIR = PairInput("q1", "d1", compose_pair_text("北京", "", "北京大学 is a university in the capital"))
+
+    @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
+    def test_score_pairs_uses_the_configured_policy(self, policy, expected):
+        run = score_pairs([self.PAIR], ScorerHandle("lexical_baseline"), script_policy=policy)
+        assert run.scores("q1")["d1"] == expected == lexical_score(self.PAIR, policy)
+
+    @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
+    def test_cli_rerank_passes_the_policy(self, tmp_path, policy, expected):
+        query, title, body = self.PAIR.segments()
+        corpus, topics, pool, out = (tmp_path / n for n in ("c.jsonl", "t.tsv", "pool.trec", "rerank.trec"))
+        corpus.write_text(json.dumps({"docid": "d1", "title": title, "text": body}) + "\n", encoding="utf-8")
+        topics.write_text(f"q1\t{query}\n", encoding="utf-8")
+        write_run(Run.from_scores({"q1": {"d1": 1.0}}, tag="pool"), str(pool))
+        assert main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--script-policy", policy, "--out", str(out)]) == 0
+        assert read_run(str(out)).scores("q1")["d1"] == expected
 
 
 class TestScorerHandle:
