@@ -1,4 +1,5 @@
-"""Loading, validation, and statistics for line-based retrieval collections.
+"""Documents, queries and judgments: loading and statistics for line-based
+retrieval collections.
 
 Three on-disk formats live here:
 
@@ -7,16 +8,15 @@ Three on-disk formats live here:
 * topics: two-column TSV ``qid<TAB>query text``, no header;
 * qrels: whitespace-delimited ``qid Q0 docid grade``, no header.
 
-All files are strict UTF-8; lines starting with ``#`` and blank lines are
-skipped everywhere.
+The loaders build objects from the records of the shared line parsers in
+``validate``, which also define the UTF-8 and comment rules.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .validate import parse_corpus, parse_qrels, parse_topics
 
 SPLITS = ("train", "dev", "test-a", "test-b")
 
@@ -101,84 +101,26 @@ class StatsRow:
     articles: int | None = None
 
 
-def _data_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Yield (line number, decoded line) pairs, skipping blanks and comments.
-
-    Decoding is per line so UTF-8 errors can name the offending line.
-    """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"invalid UTF-8: {exc}", path=path, line=lineno) from None
-            stripped = line.rstrip("\n").rstrip("\r")
-            if not stripped.strip() or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
-
-
 def load_corpus(path: str) -> Iterator[Document]:
     """Stream documents from a JSON-lines corpus file.
 
     Yields in file order with constant per-record memory; duplicate docids
     and malformed records raise with the offending line number.
     """
-    seen: set[str] = set()
-    for lineno, line in _data_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed JSON: {exc.msg}", path=path, line=lineno) from None
-        if not isinstance(record, dict):
-            raise FormatError("record is not an object", path=path, line=lineno)
-        docid = record.get("docid")
-        text = record.get("text")
-        title = record.get("title", "")
-        if not isinstance(docid, str) or not docid:
-            raise FormatError("missing or empty 'docid'", path=path, line=lineno)
-        if not isinstance(title, str):
-            raise FormatError("'title' is not a string", path=path, line=lineno)
-        if not isinstance(text, str) or not text.strip():
-            raise FormatError(f"document {docid!r} has empty 'text'", path=path, line=lineno)
-        if docid in seen:
-            raise FormatError(f"duplicate docid {docid!r}", path=path, line=lineno)
-        seen.add(docid)
+    for _, (docid, title, text) in parse_corpus(path):
         yield Document(docid=docid, title=title, text=text)
 
 
 def load_topics(path: str, language: str = "", split: str = "train") -> list[Query]:
     """Load a two-column topics TSV; tabs after the first stay in the text."""
-    queries: list[Query] = []
-    seen: set[str] = set()
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t", 1)
-        if len(parts) != 2:
-            raise FormatError("expected 'qid<TAB>text'", path=path, line=lineno)
-        qid, text = parts
-        if qid in seen:
-            raise FormatError(f"duplicate qid {qid!r}", path=path, line=lineno)
-        seen.add(qid)
-        queries.append(Query(qid=qid, text=text, language=language, split=split))
-    return queries
+    return [Query(qid=qid, text=text, language=language, split=split) for _, (qid, text) in parse_topics(path)]
 
 
 def load_qrels(path: str) -> JudgmentSet:
     """Load whitespace-delimited qrels ``qid Q0 docid grade``."""
     judgments = JudgmentSet()
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"expected 4 columns, got {len(parts)}", path=path, line=lineno)
-        qid, _, docid, grade_str = parts
-        try:
-            grade = int(grade_str)
-        except ValueError:
-            raise FormatError(f"non-integer grade {grade_str!r}", path=path, line=lineno) from None
-        try:
-            judgments.add(qid, docid, grade)
-        except ValueError as exc:
-            raise FormatError(str(exc), path=path, line=lineno) from None
+    for _, (qid, docid, grade) in parse_qrels(path):
+        judgments.add(qid, docid, grade)
     return judgments
 
 
@@ -189,21 +131,6 @@ def write_qrels(judgments: JudgmentSet, path: str, header: str | None = None) ->
             fh.write(f"# {header}\n")
         for qid, docid, grade in sorted(judgments.items()):
             fh.write(f"{qid} Q0 {docid} {grade}\n")
-
-
-def write_corpus(documents: Iterable[Document], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in documents:
-            record = {"docid": doc.docid, "title": doc.title, "text": doc.text}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def write_topics(queries: Iterable[Query], path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for query in queries:
-            fh.write(f"{query.qid}\t{query.text}\n")
 
 
 def corpus_stats(

@@ -10,7 +10,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError
+from .validate import parse_vectors
 
 DOT = "dot"
 COSINE = "cosine"
@@ -60,53 +61,19 @@ class EmbeddingStore:
     @classmethod
     def from_items(cls, items: Iterable[tuple[str, Iterable[float]]], metric: str = DOT) -> "EmbeddingStore":
         ids: list[str] = []
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for vid, values in items:
             ids.append(vid)
-            rows.append([float(v) for v in values])
+            rows.append(np.fromiter(values, dtype=np.float64))
         if not ids:
             raise DataError("no vectors")
-        return cls(ids, np.array(rows, dtype=np.float64), metric)
+        return cls(ids, np.vstack(rows), metric)
 
 
 def load_embeddings(path: str, metric: str = DOT) -> EmbeddingStore:
     """Load a vector TSV; every record must share the first record's
     dimension, and the error for a mismatch names the id and line."""
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows: list[np.ndarray] = []
-    dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected 'id<TAB>v1,v2,...'", path=path, line=lineno)
-            vid, payload = parts
-            try:
-                values = np.array([float(v) for v in payload.split(",")], dtype=np.float64)
-            except ValueError:
-                raise FormatError(f"non-numeric component for id {vid!r}", path=path, line=lineno) from None
-            if not np.isfinite(values).all():
-                raise FormatError(f"non-finite component for id {vid!r}", path=path, line=lineno)
-            if dim is None:
-                dim = values.size
-            elif values.size != dim:
-                raise FormatError(
-                    f"vector {vid!r} has {values.size} components, expected {dim}",
-                    path=path,
-                    line=lineno,
-                )
-            if vid in seen:
-                raise FormatError(f"duplicate vector id {vid!r}", path=path, line=lineno)
-            seen.add(vid)
-            ids.append(vid)
-            rows.append(values)
-    if not ids:
-        raise DataError(f"{path}: no vectors")
-    return EmbeddingStore(ids, np.vstack(rows), metric)
+    return EmbeddingStore.from_items((record for _, record in parse_vectors(path)), metric)
 
 
 def write_embeddings(store: EmbeddingStore, path: str, header: str | None = None) -> None:

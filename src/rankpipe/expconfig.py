@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, FormatError
+from .validate import data_lines
 
 SCHEMA = "rankpipe-exp-1"
 
@@ -50,21 +51,16 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise FormatError("expected 'key = value'", path=path, line=lineno)
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise FormatError("empty key", path=path, line=lineno)
-            if key in values:
-                raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
-            values[key] = value
+    for lineno, line in data_lines(path):
+        key, equals, value = line.partition("=")
+        key = key.strip()
+        if not equals:
+            raise FormatError("expected 'key = value'", path=path, line=lineno)
+        if not key:
+            raise FormatError("empty key", path=path, line=lineno)
+        if key in values:
+            raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
+        values[key] = value.strip()
     if values.get("schema") != SCHEMA:
         raise DataError(f"{path}: config schema must be {SCHEMA!r}, got {values.get('schema')!r}")
     for key in ("seed", "languages", "stages", "output_dir"):

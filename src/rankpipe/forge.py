@@ -28,10 +28,10 @@ import numpy as np
 
 from .corpus import JudgmentSet, Query
 from .dense import EmbeddingStore
-from .errors import DataError, FormatError
+from .errors import DataError
 from .fusion import CandidatePool
 from .runs import Run
-from .validate import SOURCES
+from .validate import check_pair_label, parse_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -45,14 +45,7 @@ class TrainingPair:
     source: str
 
     def __post_init__(self) -> None:
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown pair source {self.source!r}")
-        if not 0.0 <= self.label <= 1.0:
-            raise ValueError(f"label {self.label} outside [0, 1]")
-        if self.source == "negative" and self.label != 0.0:
-            raise ValueError("negative pairs must carry label 0")
-        if self.source == "annotation" and self.label not in (0.0, 1.0):
-            raise ValueError("annotation pairs must carry label 0 or 1")
+        check_pair_label(self.label, self.source)
 
 
 @dataclass(frozen=True)
@@ -271,22 +264,7 @@ def write_pairs(pairs: Iterable[TrainingPair], path: str, header: str | None = N
 
 
 def read_pairs(path: str) -> list[TrainingPair]:
-    pairs: list[TrainingPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t", 4)
-            if len(parts) != 5:
-                raise FormatError(f"expected 5 columns, got {len(parts)}", path=path, line=lineno)
-            qid, docid, label_str, source, text = parts
-            try:
-                label = float(label_str)
-            except ValueError:
-                raise FormatError(f"non-numeric label {label_str!r}", path=path, line=lineno) from None
-            try:
-                pairs.append(TrainingPair(qid=qid, query_text=text, docid=docid, label=label, source=source))
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line=lineno) from None
-    return pairs
+    return [
+        TrainingPair(qid=qid, query_text=text, docid=docid, label=label, source=source)
+        for _, (qid, docid, label, source, text) in parse_pairs(path)
+    ]

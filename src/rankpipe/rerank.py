@@ -27,6 +27,7 @@ from .errors import DataError, FormatError, ProtocolError
 from .fusion import CandidatePool
 from .runs import Run
 from .tokenization import AUTO, detect_policy, tokenize
+from .validate import data_lines
 
 SEPARATOR = "[SEP]"
 
@@ -190,15 +191,8 @@ def unescape_text(text: str) -> str:
 def _read_score_file(path: str) -> dict[tuple[str, str], float]:
     scores: dict[tuple[str, str], float] = {}
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ProtocolError(f"cannot open score file {path!r}: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
+        for lineno, line in data_lines(path):
+            parts = line.split()
             if len(parts) != 3:
                 raise FormatError(f"expected 'qid docid score', got {len(parts)} columns", path=path, line=lineno)
             qid, docid, score_str = parts
@@ -206,6 +200,8 @@ def _read_score_file(path: str) -> dict[tuple[str, str], float]:
                 scores[(qid, docid)] = float(score_str)
             except ValueError:
                 raise FormatError(f"non-numeric score {score_str!r}", path=path, line=lineno) from None
+    except OSError as exc:
+        raise ProtocolError(f"cannot open score file {path!r}: {exc}") from None
     return scores
 
 
@@ -254,9 +250,9 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
             scores.append(_check_score(qid, docid, score))
         return scores
     finally:
-        if proc.stdin is not None:
+        for stream in (proc.stdin, proc.stdout):
             try:
-                proc.stdin.close()
+                stream.close()
             except OSError:
                 pass
         proc.terminate()

@@ -7,11 +7,10 @@ ranks starting at 1 and scores written at full precision.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .errors import FormatError
+from .validate import parse_run
 
 
 def rank_sorted(pairs: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -53,29 +52,10 @@ def read_run(path: str) -> Run:
     """
     per_query: dict[str, dict[str, float]] = {}
     tag: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 6:
-                raise FormatError(f"expected 6 columns, got {len(parts)}", path=path, line=lineno)
-            qid, _, docid, _, score_str, line_tag = parts
-            try:
-                score = float(score_str)
-            except ValueError:
-                raise FormatError(f"non-numeric score {score_str!r}", path=path, line=lineno) from None
-            if not math.isfinite(score):
-                raise FormatError(f"non-finite score {score_str!r}", path=path, line=lineno)
-            docs = per_query.setdefault(qid, {})
-            if docid in docs:
-                raise FormatError(f"duplicate document {docid!r} for query {qid!r}", path=path, line=lineno)
-            docs[docid] = score
-            if tag is None:
-                tag = line_tag
-    run = Run.from_scores(per_query, tag=tag if tag is not None else "run")
-    return run
+    for _, (_, _, _, _, line_tag) in parse_run(path, scores=per_query):
+        if tag is None:
+            tag = line_tag
+    return Run.from_scores(per_query, tag=tag or "run")
 
 
 def write_run(run: Run, path: str, header: str | None = None) -> None:
