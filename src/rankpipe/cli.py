@@ -36,6 +36,12 @@ def _weights(raw: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad weight list {raw!r}") from None
 
 
+def _tag(raw: str) -> str:
+    if raw.split() != [raw]:
+        raise argparse.ArgumentTypeError(f"tag {raw!r} must be one token without whitespace")
+    return raw
+
+
 def _topics_lookup(path: str | None) -> dict[str, str] | None:
     if path is None:
         return None
@@ -258,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm25.add_argument("-k", type=int, default=1000)
     p_bm25.add_argument("--k1", type=float, default=0.9)
     p_bm25.add_argument("--b", type=float, default=0.4)
-    p_bm25.add_argument("--tag", default="bm25")
+    p_bm25.add_argument("--tag", type=_tag, default="bm25")
     p_bm25.add_argument("--out", required=True)
     p_bm25.set_defaults(func=_cmd_retrieve_bm25)
     p_dense = retrieve_sub.add_parser("dense", help="exact top-k similarity search")
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dense.add_argument("--docs", required=True, help="document vector TSV")
     p_dense.add_argument("--metric", default="dot", choices=["dot", "cosine"])
     p_dense.add_argument("-k", type=int, default=1000)
-    p_dense.add_argument("--tag", default="dense")
+    p_dense.add_argument("--tag", type=_tag, default="dense")
     p_dense.add_argument("--out", required=True)
     p_dense.set_defaults(func=_cmd_retrieve_dense)
 
@@ -368,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # names the path: a missing, unreadable or wrong-type file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -37,7 +37,8 @@ class EmbeddingStore:
         if bad.size:
             raise DataError(f"non-finite components in vector {self.ids[int(bad[0])]!r}")
         if metric == COSINE:
-            norms = np.linalg.norm(self.matrix, axis=1)
+            with np.errstate(over="ignore"):  # an overflow is caught by dense_search
+                norms = np.linalg.norm(self.matrix, axis=1)
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise DataError(f"zero vector {self.ids[int(zero[0])]!r} not allowed under cosine")
@@ -104,14 +105,18 @@ def dense_search(
     if queries.dim != docs.dim:
         raise DataError(f"query dim {queries.dim} != doc dim {docs.dim}")
     qvec = queries.vector(query_id)
-    if docs.metric == COSINE:
-        qnorm = np.linalg.norm(qvec)
-        if qnorm == 0.0:
-            raise DataError(f"zero query vector {query_id!r} under cosine")
-        dnorms = np.linalg.norm(docs.matrix, axis=1)
-        scores = (docs.matrix @ qvec) / (dnorms * qnorm)
-    else:
-        scores = docs.matrix @ qvec
+    # finite components can still overflow a dot product or a norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        if docs.metric == COSINE:
+            qnorm = np.linalg.norm(qvec)
+            if qnorm == 0.0:
+                raise DataError(f"zero query vector {query_id!r} under cosine")
+            dnorms = np.linalg.norm(docs.matrix, axis=1)
+            scores = (docs.matrix @ qvec) / (dnorms * qnorm)
+        else:
+            scores = docs.matrix @ qvec
+    if not np.isfinite(scores).all():
+        raise DataError(f"similarity overflow for query {query_id!r}: scores are not finite")
     # primary key score descending, secondary key docid ascending
     order = np.lexsort((docs._ids_array, -scores))
     return [(docs.ids[i], float(scores[i])) for i in order[: min(k, len(docs))]]

@@ -54,6 +54,8 @@ def normalize_run(run: Run, method: str = MINMAX) -> Run:
             entries[qid] = [(docid, 1.0) for docid, _ in ranked]
         else:
             span = hi - lo
+            if not math.isfinite(span):
+                raise DataError(f"scores of query {qid!r} span more than the float range; cannot min-max normalize")
             entries[qid] = [(docid, (s - lo) / span) for docid, s in ranked]
     return Run(entries=entries, tag=run.tag)
 

@@ -3,7 +3,9 @@
 Requested stages run in canonical dependency order per language; every
 intermediate is written in the documented formats with a provenance header
 (config schema + seed, never timestamps), so rerunning the same config is
-byte-identical. A missing upstream artifact names the stage to run first.
+byte-identical. Within one call a stage hands the run it wrote to the later
+stages of its language in memory; a stage whose upstream ran in an earlier
+call reads the artifact, and a missing one names the stage to run first.
 """
 from __future__ import annotations
 
@@ -56,17 +58,28 @@ def _require_artifact(path: Path) -> Path:
     return path
 
 
-def _load_run(path: Path) -> Run:
-    return read_run(str(_require_artifact(path)))
+# runs written so far for one language, keyed by artifact filename
+Runs = dict[str, Run]
 
 
-def _stage_index(config: ExperimentConfig, language: str) -> None:
+def _load_run(config: ExperimentConfig, language: str, name: str, runs: Runs) -> Run:
+    if name in runs:
+        return runs[name]
+    return read_run(str(_require_artifact(config.out_path(language, name))))
+
+
+def _save_run(config: ExperimentConfig, language: str, stage: str, run: Run, runs: Runs) -> None:
+    name = RUN_FILES[stage]
+    runs[name] = write_run(run, str(config.out_path(language, name)), header=_header(config, stage))
+
+
+def _stage_index(config: ExperimentConfig, language: str, runs: Runs) -> None:
     policy = config.get("script_policy", "auto")
     index = sparse.build_index(load_corpus(str(config.lang_path("corpus", language))), policy)
     sparse.save_index(index, str(config.out_path(language, INDEX_FILE)))
 
 
-def _stage_bm25(config: ExperimentConfig, language: str) -> None:
+def _stage_bm25(config: ExperimentConfig, language: str, runs: Runs) -> None:
     index = sparse.load_index(str(_require_artifact(config.out_path(language, INDEX_FILE))))
     params = sparse.Bm25Params(k1=config.get_float("bm25.k1", 0.9), b=config.get_float("bm25.b", 0.4))
     k = config.get_int("retrieve.k", 1000)
@@ -75,10 +88,10 @@ def _stage_bm25(config: ExperimentConfig, language: str) -> None:
         entries={q.qid: sparse.bm25_search(index, q.text, k, params) for q in topics},
         tag="bm25",
     )
-    write_run(run, str(config.out_path(language, RUN_FILES["bm25"])), header=_header(config, "bm25"))
+    _save_run(config, language, "bm25", run, runs)
 
 
-def _stage_dense(config: ExperimentConfig, language: str) -> None:
+def _stage_dense(config: ExperimentConfig, language: str, runs: Runs) -> None:
     metric = config.get("dense.metric", "dot")
     queries = dense.load_embeddings(str(config.lang_path("query_vectors", language)), metric)
     docs = dense.load_embeddings(str(config.lang_path("doc_vectors", language)), metric)
@@ -87,27 +100,24 @@ def _stage_dense(config: ExperimentConfig, language: str) -> None:
         entries={qid: dense.dense_search(queries, docs, qid, k) for qid in queries.ids},
         tag="dense",
     )
-    write_run(run, str(config.out_path(language, RUN_FILES["dense"])), header=_header(config, "dense"))
+    _save_run(config, language, "dense", run, runs)
 
 
-def _stage_fuse(config: ExperimentConfig, language: str) -> None:
+def _stage_fuse(config: ExperimentConfig, language: str, runs: Runs) -> None:
     weights = [float(w) for w in config.get("fuse.weights", "0.5,0.5").split(",")]
-    legs = [
-        _load_run(config.out_path(language, RUN_FILES["bm25"])),
-        _load_run(config.out_path(language, RUN_FILES["dense"])),
-    ]
+    legs = [_load_run(config, language, RUN_FILES[leg], runs) for leg in ("bm25", "dense")]
     fused = fusion.fuse([fusion.normalize_run(leg) for leg in legs], weights)
-    write_run(fused, str(config.out_path(language, RUN_FILES["fuse"])), header=_header(config, "fuse"))
+    _save_run(config, language, "fuse", fused, runs)
 
 
-def _stage_pool(config: ExperimentConfig, language: str) -> None:
-    hybrid = _load_run(config.out_path(language, RUN_FILES["fuse"]))
+def _stage_pool(config: ExperimentConfig, language: str, runs: Runs) -> None:
+    hybrid = _load_run(config, language, RUN_FILES["fuse"], runs)
     pool = fusion.cut_pool(hybrid, config.get_int("pool.k", fusion.DEFAULT_POOL_K))
-    write_run(pool.to_run(), str(config.out_path(language, RUN_FILES["pool"])), header=_header(config, "pool"))
+    _save_run(config, language, "pool", pool.to_run(), runs)
 
 
-def _stage_rerank(config: ExperimentConfig, language: str) -> None:
-    pool_run = _load_run(config.out_path(language, RUN_FILES["pool"]))
+def _stage_rerank(config: ExperimentConfig, language: str, runs: Runs) -> None:
+    pool_run = _load_run(config, language, RUN_FILES["pool"], runs)
     pool = fusion.cut_pool(pool_run, config.get_int("pool.k", fusion.DEFAULT_POOL_K))
     topics = load_topics(str(config.lang_path("topics", language)), language=language)
     corpus_lookup = {doc.docid: doc for doc in load_corpus(str(config.lang_path("corpus", language)))}
@@ -121,19 +131,19 @@ def _stage_rerank(config: ExperimentConfig, language: str) -> None:
         script_policy=policy,
     )
     run = rerank.score_pairs(pairs, scorer, script_policy=policy)
-    write_run(run, str(config.out_path(language, RUN_FILES["rerank"])), header=_header(config, "rerank"))
+    _save_run(config, language, "rerank", run, runs)
 
 
-def _eval_targets(config: ExperimentConfig, language: str) -> list[tuple[str, Path]]:
+def _eval_targets(config: ExperimentConfig, language: str) -> list[tuple[str, str]]:
     raw = config.get("eval.targets")
     if raw:
         names = [t.strip() for t in raw.split(",") if t.strip()]
         for name in names:
             if name not in EVAL_RUNS:
                 raise DataError(f"unknown eval target {name!r} (known: {', '.join(EVAL_RUNS)})")
-        return [(name, _require_artifact(config.out_path(language, EVAL_RUNS[name]))) for name in names]
+        return [(name, EVAL_RUNS[name]) for name in names]
     found = [
-        (name, config.out_path(language, filename))
+        (name, filename)
         for name, filename in EVAL_RUNS.items()
         if config.out_path(language, filename).exists()
     ]
@@ -142,13 +152,15 @@ def _eval_targets(config: ExperimentConfig, language: str) -> list[tuple[str, Pa
     return found
 
 
-def _stage_eval(config: ExperimentConfig, language: str) -> dict[tuple[str, str, int], metrics.MetricReport]:
+def _stage_eval(
+    config: ExperimentConfig, language: str, runs: Runs
+) -> dict[tuple[str, str, int], metrics.MetricReport]:
     qrels = load_qrels(str(config.lang_path("qrels", language)))
     ndcg_k = config.get_int("eval.k", 10)
     recall_k = config.get_int("eval.recall_k", config.get_int("pool.k", fusion.DEFAULT_POOL_K))
     reports: dict[tuple[str, str, int], metrics.MetricReport] = {}
-    for name, path in _eval_targets(config, language):
-        run = read_run(str(path))
+    for name, filename in _eval_targets(config, language):
+        run = _load_run(config, language, filename, runs)
         reports[(name, metrics.NDCG, ndcg_k)] = metrics.ndcg_at_k(run, qrels, ndcg_k)
         reports[(name, metrics.RECALL, recall_k)] = metrics.recall_at_k(run, qrels, recall_k)
     out = config.out_path(language, METRICS_FILE)
@@ -182,12 +194,13 @@ def run_pipeline(config: ExperimentConfig, threads: int = 1) -> dict[str, dict]:
 
     def run_language(language: str) -> dict:
         config.out_path(language, "x").parent.mkdir(parents=True, exist_ok=True)
+        runs: Runs = {}
         reports: dict = {}
         for stage in stages:
             if stage == "eval":
-                reports = _stage_eval(config, language)
+                reports = _stage_eval(config, language, runs)
             else:
-                _STAGE_FUNCS[stage](config, language)
+                _STAGE_FUNCS[stage](config, language, runs)
         return reports
 
     if threads > 1 and len(config.languages) > 1:

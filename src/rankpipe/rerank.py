@@ -219,6 +219,7 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
         )
     except OSError as exc:
         raise ProtocolError(f"cannot launch scorer {command!r}: {exc}") from None
+    scores: list[float] = []
     try:
         assert proc.stdin is not None and proc.stdout is not None
         proc.stdin.write("HELLO 1\n")
@@ -226,7 +227,6 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
         ready = proc.stdout.readline()
         if ready.strip() != "READY 1":
             raise ProtocolError(f"bad handshake from scorer: {ready.strip()!r}")
-        scores: list[float] = []
         for pair in pairs:
             proc.stdin.write(f"SCORE\t{pair.qid}\t{pair.docid}\t{escape_text(pair.text)}\n")
             proc.stdin.flush()
@@ -249,6 +249,8 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
                 raise ProtocolError(f"non-numeric score in response {reply.strip()!r}") from None
             scores.append(_check_score(qid, docid, score))
         return scores
+    except BrokenPipeError:
+        raise ProtocolError(f"scorer closed its input after {len(scores)} of {len(pairs)} responses") from None
     finally:
         for stream in (proc.stdin, proc.stdout):
             try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
+from .errors import DataError
 from .validate import parse_run
 
 
@@ -58,11 +59,27 @@ def read_run(path: str) -> Run:
     return Run.from_scores(per_query, tag=tag or "run")
 
 
-def write_run(run: Run, path: str, header: str | None = None) -> None:
-    """Write a run file with queries in sorted order for stable bytes."""
+def write_run(run: Run, path: str, header: str | None = None) -> Run:
+    """Write a run file with queries in sorted order for stable bytes.
+
+    Returns the run that ``read_run`` gives back from the file: queries in
+    sorted qid order without the empty ones, entries re-sorted, scores as
+    floats, and tag "run" when no line was written. That holds for runs
+    whose ids are single whitespace-free tokens and whose scores are finite,
+    which the loaders enforce where ids and scores enter. A docid listed
+    twice for one query is a DataError, as it is on read.
+    """
+    per_query: dict[str, dict[str, float]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for qid in sorted(run.entries):
-            for rank, (docid, score) in enumerate(run.entries[qid], 1):
+            ranked = run.entries[qid]
+            if not ranked:
+                continue
+            for rank, (docid, score) in enumerate(ranked, 1):
                 fh.write(f"{qid} Q0 {docid} {rank} {score!r} {run.tag}\n")
+            docs = per_query[qid] = dict(ranked)
+            if len(docs) != len(ranked):
+                raise DataError(f"{path}: duplicate document for query {qid!r}")
+    return Run.from_scores(per_query, tag=run.tag if per_query else "run")

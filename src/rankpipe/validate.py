@@ -107,6 +107,13 @@ def _number(convert: Callable[[str], T], text: str, rule: str, what: str) -> T:
         raise RecordError(rule, f"{what} {text!r}") from None
 
 
+def _run_id(value: str, rule: str, what: str) -> None:
+    """Ids become columns of a TREC run line, so they are one token: not
+    empty and without whitespace as ``str.split`` defines it."""
+    if value.split() != [value]:
+        raise RecordError(rule, f"{what} {value!r} is empty or contains whitespace")
+
+
 def _first_use(seen: set, key: object, rule: str, message: str) -> None:
     if key in seen:
         raise RecordError(rule, message)
@@ -141,6 +148,7 @@ def parse_corpus(path: str, report: Report = raise_diagnostic) -> Records:
         text = record.get("text")
         if not isinstance(docid, str) or not docid:
             raise RecordError("corpus.docid", "missing or empty 'docid'")
+        _run_id(docid, "corpus.docid", "docid")
         if not isinstance(title, str):
             raise RecordError("corpus.title", f"document {docid!r}: 'title' is not a string")
         if not isinstance(text, str) or not text.strip():
@@ -159,6 +167,7 @@ def parse_topics(path: str, report: Report = raise_diagnostic) -> Records:
         qid, tab, text = line.partition("\t")
         if not tab:
             raise RecordError("topics.columns", "expected 'qid<TAB>text'")
+        _run_id(qid, "topics.qid", "qid")
         _first_use(seen, qid, "topics.duplicate", f"duplicate qid {qid!r}")
         return qid, text
 
@@ -239,6 +248,7 @@ def parse_vectors(path: str, report: Report = raise_diagnostic) -> Records:
         if len(parts) != 2:
             raise RecordError("vectors.columns", "expected 'id<TAB>v1,v2,...'")
         vid, payload = parts
+        _run_id(vid, "vectors.id", "vector id")
         try:
             values = [float(v) for v in payload.split(",")]
         except ValueError:

@@ -1,9 +1,13 @@
+import errno
 import hashlib
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
+from rankpipe import validate
 from rankpipe.cli import main
 from rankpipe.errors import DataError
 from rankpipe.expconfig import load_config
@@ -207,6 +211,46 @@ class TestExitCodes:
     def test_data_error_is_two(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "missing.trec"), "--qrels", str(tmp_path / "missing.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["retrieve", "bm25", "--index", "i.rpidx", "--topics", "t.tsv"],
+            ["retrieve", "dense", "--queries", "q.vec.tsv", "--docs", "d.vec.tsv"],
+        ],
+    )
+    def test_tag_with_whitespace_is_a_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tag", "my run", "--out", str(tmp_path / "r.trec")])
+        assert exc.value.code == 1
+
+    def test_directory_as_input_is_a_data_error(self, tmp_path, capsys):
+        write_tiny_project(tmp_path)
+        assert main(["eval", "--run", str(tmp_path), "--qrels", str(tmp_path / "qrels.txt")]) == 2
+        assert f"{tmp_path}'" in capsys.readouterr().err
+
+    def test_path_through_a_file_is_a_data_error(self, tmp_path, capsys):
+        write_tiny_project(tmp_path)
+        run = tmp_path / "qrels.txt" / "run.trec"
+        assert main(["eval", "--run", str(run), "--qrels", str(tmp_path / "qrels.txt")]) == 2
+        assert str(run) in capsys.readouterr().err
+
+    def test_unreadable_input_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        write_tiny_project(tmp_path)
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d1 1 0.9 t\n")
+        run.chmod(0)
+        if os.access(run, os.R_OK):  # a privileged user reads it anyway: deny it as the OS would
+            real_open = open
+
+            def denying_open(file, *args, **kwargs):
+                if file == str(run):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr(validate, "open", denying_open, raising=False)
+        assert main(["eval", "--run", str(run), "--qrels", str(tmp_path / "qrels.txt")]) == 2
+        assert str(run) in capsys.readouterr().err
+
     def test_protocol_error_is_three(self, tmp_path):
         write_tiny_project(tmp_path)
         pool_path = tmp_path / "pool.trec"
@@ -276,6 +320,15 @@ class TestPipeline:
         with pytest.raises(DataError, match="bm25"):
             run_pipeline(load_config(str(cfg_path)))
 
+    def test_docid_with_whitespace_is_blamed_on_the_corpus(self, tmp_path, capsys):
+        desk = tmp_path / "desk"
+        shutil.copytree(DESK, desk)
+        corpus = desk / "en" / "corpus.jsonl"
+        corpus.write_text(corpus.read_text(encoding="utf-8").replace('"en-dl0"', '"en dl0"'), encoding="utf-8")
+        assert main(["pipeline", "--config", str(desk / "desk.cfg")]) == 2
+        assert f"{corpus}:1: docid 'en dl0'" in capsys.readouterr().err
+        assert not (desk / "out" / "en" / "bm25.trec").exists()
+
     def test_partial_stages_then_eval(self, tmp_path):
         cfg_path = write_tiny_project(tmp_path)
         text = cfg_path.read_text().replace(
@@ -287,8 +340,6 @@ class TestPipeline:
         assert ("hybrid", "ndcg", 3) not in reports["xx"]
 
     def test_threads_flag_gives_same_bytes(self, tmp_path):
-        import shutil
-
         desk_copy = tmp_path / "desk"
         shutil.copytree(DESK, desk_copy)
         config = load_config(str(desk_copy / "desk.cfg"))

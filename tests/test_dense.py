@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,13 @@ class TestDenseSearch:
     def test_tie_break_ascending_docid(self):
         queries, docs = make_stores({"q": [1, 0]}, {"d2": [0, 1], "d1": [0, 2]})
         assert [d for d, _ in dense_search(queries, docs, "q", 2)] == ["d1", "d2"]
+
+
+@pytest.mark.parametrize("metric", ["dot", "cosine"])
+def test_overflowing_similarity_is_a_data_error(metric):
+    # every component is finite, but the dot product is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = EmbeddingStore(["q1", "d1"], np.full((2, 2), 1e200), metric)
+        with pytest.raises(DataError, match="'q1'"):
+            dense_search(store, store, "q1", 5)

@@ -228,6 +228,28 @@ class TestOneDiagnosticPerLine:
         assert read_run(str(path)).docids("q1") == ["d3", "d2", "d1"]
 
 
+# line 2 of a file of each kind, with an id that no TREC run line can carry
+BAD_IDS = [
+    ("corpus", "c.jsonl", '{"docid": "d 2", "text": "b"}', "corpus.docid"),
+    ("corpus", "c.jsonl", '{"docid": "d\\u30002", "text": "b"}', "corpus.docid"),
+    ("topics", "t.topics.tsv", "q 2\tgamma", "topics.qid"),
+    ("topics", "t.topics.tsv", "\tgamma", "topics.qid"),
+    ("vectors", "v.vec.tsv", "b b\t0.0,1.0,0.25", "vectors.id"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name, line, rule", BAD_IDS, ids=["docid", "docid-ideographic", "qid", "qid-empty", "vector-id"]
+)
+def test_id_that_a_run_cannot_carry_is_a_data_error(tmp_path, kind, name, line, rule):
+    path = tmp_path / name
+    path.write_text(VALID[kind][0] + "\n" + line + "\n", encoding="utf-8")
+    assert [(d.line, d.rule) for d in validate_artifacts([str(path)])] == [(2, rule)]
+    with pytest.raises(FormatError, match="whitespace") as exc:
+        LOADERS[kind](str(path))
+    assert exc.value.line == 2
+
+
 def _utf8_case(root: Path, case: str) -> tuple[list[str], Path]:
     """argv for one subcommand and the file in it that gets a bad byte."""
     write_tiny_project(root)

@@ -1,11 +1,46 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_qrels, random_run
 from rankpipe.errors import DataError, FormatError
 from rankpipe.fusion import cut_pool, fuse, normalize_run
 from rankpipe.metrics import recall_at_k
 from rankpipe.runs import Run, read_run, write_run
+
+
+# ids a run line can carry: one token, no whitespace; a qid is the first
+# column, so it cannot start a comment either
+_ID = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6).filter(
+    lambda s: s.split() == [s]
+)
+_QID = _ID.filter(lambda s: not s.startswith("#"))
+_SCORE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -1.7976931348623157e308]),
+)
+# hypothesis draws dict keys in no particular order, so qids and docids come unsorted
+_RUNS = st.builds(
+    lambda entries, tag: Run(entries={q: list(docs.items()) for q, docs in entries.items()}, tag=tag),
+    st.dictionaries(_QID, st.dictionaries(_ID, _SCORE, max_size=6), max_size=5),
+    _ID,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_RUNS)
+def test_write_run_returns_what_read_run_reads_back(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "r.trec")
+        written = write_run(run, path, header="h")
+        back = read_run(path)
+    # repr tells -0.0 from 0.0 and shows the dict order
+    assert repr(written.entries) == repr(back.entries)
+    assert written.tag == back.tag
 
 
 class TestRunIO:
@@ -70,6 +105,11 @@ class TestNormalizeRun:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             normalize_run(Run(), method="zscore")
+
+    def test_span_beyond_float_range_is_a_data_error(self):
+        run = Run.from_scores({"q1": {"a": 1.7e308, "b": 0.0, "c": -1.7e308}})
+        with pytest.raises(DataError, match="'q1'"):
+            normalize_run(run)
 
 
 class TestFuse:

@@ -263,6 +263,14 @@ for line in sys.stdin:
     print(f"{parts[1]}\\tWRONG\\t0.5", flush=True)
 """
 
+CLOSED_INPUT_SCORER = """\
+import os, sys, time
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+os.close(0)
+time.sleep(60)
+"""
+
 
 def scorer_handle(tmp_path, source, name="scorer.py"):
     path = tmp_path / name
@@ -300,6 +308,11 @@ class TestExternalScorer:
         pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
         with pytest.raises(ProtocolError, match="match"):
             score_pairs(pairs, scorer_handle(tmp_path, WRONG_ID_SCORER))
+
+    def test_scorer_that_closes_its_input(self, tmp_path):
+        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        with pytest.raises(ProtocolError, match="closed its input after 0 of 1"):
+            score_pairs(pairs, scorer_handle(tmp_path, CLOSED_INPUT_SCORER))
 
     def test_unlaunchable_command(self):
         pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
