@@ -40,4 +40,4 @@ print("hybrid:", [(d, round(s, 3)) for d, s in hybrid.entries["q1"]])
 
 # --- candidate pools feed sampling and reranking ----------------------------
 pool = cut_pool(hybrid, k=3)
-print(f"pool (k={pool.k}, from {pool.provenance!r}):", pool.docids("q1"))
+print(f"pool (top 3 of {pool.tag!r}):", pool.docids("q1"))

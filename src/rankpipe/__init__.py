@@ -20,7 +20,7 @@ _SUBMODULE_EXPORTS = {
     "errors": ("DataError", "FormatError", "ProtocolError"),
     "forge": ("AugmentationParams", "TrainingPair", "pseudo_label", "q2q2d_augment", "read_pairs",
               "sample_negatives", "sample_negatives_corpus", "write_pairs"),
-    "fusion": ("CandidatePool", "cut_pool", "fuse", "normalize_run"),
+    "fusion": ("cut_pool", "fuse", "normalize_run"),
     "metrics": ("MetricReport", "macro_average", "ndcg_at_k", "recall_at_k"),
     "rerank": ("PairInput", "ScorerHandle", "build_pairs", "lexical_score", "score_pairs", "truncate_pair_text"),
     "runs": ("Run", "read_run", "write_run"),

@@ -13,8 +13,9 @@ from . import __version__, fusion, metrics, rerank, sparse
 from .corpus import corpus_stats, load_corpus, load_qrels, load_topics
 from .errors import DataError, ProtocolError
 from .expconfig import load_config
-from .runs import Run, read_run, write_run
-from .validate import KINDS, validate_artifacts
+from .runs import DEFAULT_K, read_run, write_run
+from .tokenization import AUTO, POLICIES
+from .validate import DOT, KINDS, METRICS, validate_artifacts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,36 +50,25 @@ def _topics_lookup(path: str | None) -> dict[str, str] | None:
 
 
 def _cmd_index(args) -> int:
-    index = sparse.build_index(load_corpus(args.corpus), args.script_policy)
-    sparse.save_index(index, args.out)
+    index = sparse.index_corpus(args.corpus, args.out, args.script_policy)
     print(f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_retrieve_bm25(args) -> int:
-    index = sparse.load_index(args.index)
     params = sparse.Bm25Params(k1=args.k1, b=args.b)
-    topics = load_topics(args.topics)
-    run = Run(
-        entries={q.qid: sparse.bm25_search(index, q.text, args.k, params) for q in topics},
-        tag=args.tag,
-    )
+    run = sparse.retrieve_bm25(args.index, args.topics, args.k, params, args.tag)
     write_run(run, args.out)
-    print(f"wrote {len(run)} results for {len(topics)} queries -> {args.out}")
+    print(f"wrote {len(run)} results for {len(run.entries)} queries -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_retrieve_dense(args) -> int:
     from . import dense
 
-    queries = dense.load_embeddings(args.queries, args.metric)
-    docs = dense.load_embeddings(args.docs, args.metric)
-    run = Run(
-        entries={qid: dense.dense_search(queries, docs, qid, args.k) for qid in queries.ids},
-        tag=args.tag,
-    )
+    run = dense.retrieve_dense(args.queries, args.docs, args.k, args.metric, args.tag)
     write_run(run, args.out)
-    print(f"wrote {len(run)} results for {len(queries)} queries -> {args.out}")
+    print(f"wrote {len(run)} results for {len(run.entries)} queries -> {args.out}")
     return EXIT_OK
 
 
@@ -89,7 +79,7 @@ def _cmd_fuse(args) -> int:
     weights = args.weights if args.weights is not None else [1.0 / len(runs)] * len(runs)
     fused = fusion.fuse(runs, weights)
     if args.k is not None:
-        fused = fusion.cut_pool(fused, args.k).to_run()
+        fused = fusion.cut_pool(fused, args.k)
     write_run(fused, args.out)
     print(f"fused {len(args.runs)} runs -> {args.out}")
     return EXIT_OK
@@ -140,16 +130,11 @@ def _cmd_forge_pseudo(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
-    pool = fusion.cut_pool(read_run(args.pool), args.pool_k)
-    topics = load_topics(args.topics)
-    corpus_lookup = {doc.docid: doc for doc in load_corpus(args.corpus)}
-    scorer = rerank.ScorerHandle.parse(args.scorer)
-    pairs = rerank.build_pairs(
-        pool, topics, corpus_lookup, budget=args.budget, script_policy=args.script_policy
+    run = rerank.rerank_pool(
+        read_run(args.pool), args.topics, args.corpus, args.scorer, args.pool_k, args.budget, args.script_policy
     )
-    run = rerank.score_pairs(pairs, scorer, script_policy=args.script_policy)
     write_run(run, args.out)
-    print(f"reranked {len(run)} pairs with {scorer.kind} -> {args.out}")
+    print(f"reranked {len(run)} pairs with {args.scorer.kind} -> {args.out}")
     return EXIT_OK
 
 
@@ -235,7 +220,7 @@ def _cmd_pipeline(args) -> int:
     from .pipeline import run_pipeline
 
     config = load_config(args.config)
-    reports = run_pipeline(config, threads=args.threads)
+    reports = run_pipeline(config)
     for language in config.languages:
         for (name, metric, k), report in sorted(reports.get(language, {}).items()):
             print(f"{language}\t{name}\t{metric}@{k}\t{report.mean:.4f}")
@@ -253,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = index_sub.add_parser("build", help="build an inverted index from a corpus")
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--script-policy", default="auto", choices=["auto", "whitespace", "unigram"])
+    p_build.add_argument("--script-policy", default=AUTO, choices=POLICIES)
     p_build.set_defaults(func=_cmd_index)
 
     p_retrieve = sub.add_parser("retrieve", help="run sparse or dense retrieval")
@@ -261,17 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm25 = retrieve_sub.add_parser("bm25", help="BM25 top-k search over an index")
     p_bm25.add_argument("--index", required=True)
     p_bm25.add_argument("--topics", required=True)
-    p_bm25.add_argument("-k", type=int, default=1000)
-    p_bm25.add_argument("--k1", type=float, default=0.9)
-    p_bm25.add_argument("--b", type=float, default=0.4)
+    p_bm25.add_argument("-k", type=int, default=DEFAULT_K)
+    p_bm25.add_argument("--k1", type=float, default=sparse.Bm25Params.k1)
+    p_bm25.add_argument("--b", type=float, default=sparse.Bm25Params.b)
     p_bm25.add_argument("--tag", type=_tag, default="bm25")
     p_bm25.add_argument("--out", required=True)
     p_bm25.set_defaults(func=_cmd_retrieve_bm25)
     p_dense = retrieve_sub.add_parser("dense", help="exact top-k similarity search")
     p_dense.add_argument("--queries", required=True, help="query vector TSV")
     p_dense.add_argument("--docs", required=True, help="document vector TSV")
-    p_dense.add_argument("--metric", default="dot", choices=["dot", "cosine"])
-    p_dense.add_argument("-k", type=int, default=1000)
+    p_dense.add_argument("--metric", default=DOT, choices=METRICS)
+    p_dense.add_argument("-k", type=int, default=DEFAULT_K)
     p_dense.add_argument("--tag", type=_tag, default="dense")
     p_dense.add_argument("--out", required=True)
     p_dense.set_defaults(func=_cmd_retrieve_dense)
@@ -320,10 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--pool", required=True)
     p_rerank.add_argument("--topics", required=True)
     p_rerank.add_argument("--corpus", required=True)
-    p_rerank.add_argument("--scorer", default="lexical", help='lexical | file:scores.tsv | cmd:"..."')
+    p_rerank.add_argument("--scorer", type=rerank.ScorerHandle.parse, default=rerank.ScorerHandle(),
+                          help='lexical (default) | file:scores.tsv | cmd:"..."')
     p_rerank.add_argument("--budget", type=int, default=rerank.DEFAULT_BUDGET)
     p_rerank.add_argument("--pool-k", type=int, default=fusion.DEFAULT_POOL_K)
-    p_rerank.add_argument("--script-policy", default="auto", choices=["auto", "whitespace", "unigram"])
+    p_rerank.add_argument("--script-policy", default=AUTO, choices=POLICIES)
     p_rerank.add_argument("--out", required=True)
     p_rerank.set_defaults(func=_cmd_rerank)
 
@@ -357,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="run configured stages end to end")
     p_pipe.add_argument("--config", required=True)
-    p_pipe.add_argument("--threads", type=int, default=1)
     p_pipe.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -371,10 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:  # names the path: a missing, unreadable or wrong-type file
+    except (DataError, OSError) as exc:  # an OSError names the path: a missing, unreadable or wrong-type file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -11,11 +11,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import DataError
-from .validate import parse_vectors
-
-DOT = "dot"
-COSINE = "cosine"
-METRICS = (DOT, COSINE)
+from .runs import DEFAULT_K, Run
+from .validate import COSINE, DOT, METRICS, parse_vectors
 
 
 class EmbeddingStore:
@@ -120,3 +117,10 @@ def dense_search(
     # primary key score descending, secondary key docid ascending
     order = np.lexsort((docs._ids_array, -scores))
     return [(docs.ids[i], float(scores[i])) for i in order[: min(k, len(docs))]]
+
+
+def retrieve_dense(queries_path: str, docs_path: str, k: int = DEFAULT_K, metric: str = DOT, tag: str = "dense") -> Run:
+    """The dense stage: the top-k documents of every query vector."""
+    queries = load_embeddings(queries_path, metric)
+    docs = load_embeddings(docs_path, metric)
+    return Run(entries={qid: dense_search(queries, docs, qid, k) for qid in queries.ids}, tag=tag)

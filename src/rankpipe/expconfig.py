@@ -6,8 +6,10 @@ resolved against the config file's directory so experiments stay portable.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from .errors import DataError, FormatError
 from .validate import data_lines
@@ -25,22 +27,26 @@ class ExperimentConfig:
     stages: list[str]
     output_dir: Path
     values: dict[str, str] = field(default_factory=dict)
+    path: str | None = None
+    lines: dict[str, int] = field(default_factory=dict)  # key -> line it is set on
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
+    def get(self, key: str, default: Any = None, parse: Callable[[str], Any] = str, choices: tuple = ()) -> Any:
+        """The value of ``key`` through ``parse``, ``default`` when unset; a value outside
+        ``choices`` (when given) or that ``parse`` rejects is a FormatError at its line."""
+        raw = self.values.get(key)
+        if raw is None:
+            return default
+        try:
+            if choices and raw not in choices:
+                raise ValueError(f"expected one of {', '.join(choices)}")
+            return parse(raw)
+        except ValueError as exc:
+            raise FormatError(f"bad value {raw!r} for {key!r}: {exc}", path=self.path, line=self.lines.get(key)) from None
 
     def require(self, key: str) -> str:
         if key not in self.values:
             raise DataError(f"config is missing required key {key!r}")
         return self.values[key]
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        return default if raw is None else float(raw)
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        return default if raw is None else int(raw)
 
     def lang_path(self, key: str, language: str) -> Path:
         return self.base_dir / self.require(f"{key}.{language}")
@@ -51,6 +57,7 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in data_lines(path):
         key, equals, value = line.partition("=")
         key = key.strip()
@@ -61,6 +68,7 @@ def load_config(path: str) -> ExperimentConfig:
         if key in values:
             raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
         values[key] = value.strip()
+        lines[key] = lineno
     if values.get("schema") != SCHEMA:
         raise DataError(f"{path}: config schema must be {SCHEMA!r}, got {values.get('schema')!r}")
     for key in ("seed", "languages", "stages", "output_dir"):
@@ -85,4 +93,6 @@ def load_config(path: str) -> ExperimentConfig:
         stages=stages,
         output_dir=base_dir / values["output_dir"],
         values=values,
+        path=path,
+        lines=lines,
     )

@@ -29,7 +29,6 @@ import numpy as np
 from .corpus import JudgmentSet, Query
 from .dense import EmbeddingStore
 from .errors import DataError
-from .fusion import CandidatePool
 from .runs import Run
 from .validate import check_pair_label, parse_pairs
 
@@ -55,7 +54,6 @@ class AugmentationParams:
     tau: float = 0.8
     pseudo_scale: float = 0.9
     pseudo_fraction: float = 0.5
-    n_negatives: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -67,8 +65,6 @@ class AugmentationParams:
             raise ValueError("tau must be in [-1, 1]")
         if not 0.0 < self.pseudo_fraction <= 1.0:
             raise ValueError("pseudo_fraction must be in (0, 1]")
-        if self.n_negatives < 0:
-            raise ValueError("n_negatives must be >= 0")
 
 
 def derive_rng(seed: int, *scope: str) -> np.random.Generator:
@@ -106,7 +102,7 @@ def _sample_for_query(
 
 
 def sample_negatives(
-    pool: CandidatePool,
+    pool: Run,
     qrels: JudgmentSet,
     n: int,
     seed: int,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import DataError
 from .runs import Run, rank_sorted
@@ -17,25 +16,6 @@ from .runs import Run, rank_sorted
 MINMAX = "minmax"
 
 DEFAULT_POOL_K = 200
-
-
-@dataclass
-class CandidatePool:
-    """Per-query top-K candidates, in source-run order."""
-
-    entries: dict[str, list[tuple[str, float]]]
-    k: int
-    provenance: str
-
-    def docids(self, qid: str) -> list[str]:
-        return [docid for docid, _ in self.entries.get(qid, [])]
-
-    @property
-    def qids(self) -> list[str]:
-        return list(self.entries)
-
-    def to_run(self) -> Run:
-        return Run(entries={q: list(v) for q, v in self.entries.items()}, tag=self.provenance)
 
 
 def normalize_run(run: Run, method: str = MINMAX) -> Run:
@@ -78,18 +58,22 @@ def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
             acc = contributions.setdefault(qid, {})
             for docid, score in ranked:
                 acc.setdefault(docid, []).append(weight * score)
-    # fsum is exactly rounded, so the output is identical under any
-    # permutation of the (run, weight) pairs
-    entries = {
-        qid: rank_sorted((docid, math.fsum(parts)) for docid, parts in acc.items())
-        for qid, acc in contributions.items()
-    }
+    entries: dict[str, list[tuple[str, float]]] = {}
+    for qid, acc in contributions.items():
+        # fsum is exactly rounded, so the output is identical under any
+        # permutation of the (run, weight) pairs
+        try:
+            fused = [(docid, math.fsum(parts)) for docid, parts in acc.items()]
+        except (OverflowError, ValueError):  # a partial sum overflows, or inf meets -inf
+            fused = None
+        if fused is None or not all(math.isfinite(score) for _, score in fused):
+            raise DataError(f"weighted scores of query {qid!r} overflow the float range")
+        entries[qid] = rank_sorted(fused)
     return Run(entries=entries, tag="hybrid")
 
 
-def cut_pool(run: Run, k: int = DEFAULT_POOL_K) -> CandidatePool:
-    """Keep the first min(k, len) entries per query, preserving run order."""
+def cut_pool(run: Run, k: int = DEFAULT_POOL_K) -> Run:
+    """Keep the first min(k, len) entries per query, preserving run order and tag."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    entries = {qid: list(ranked[:k]) for qid, ranked in run.entries.items()}
-    return CandidatePool(entries=entries, k=k, provenance=run.tag)
+    return Run(entries={qid: ranked[:k] for qid, ranked in run.entries.items()}, tag=run.tag)

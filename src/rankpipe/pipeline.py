@@ -9,14 +9,14 @@ call reads the artifact, and a missing one names the stage to run first.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dense, fusion, metrics, rerank, sparse
-from .corpus import load_corpus, load_qrels, load_topics
+from .corpus import load_qrels
 from .errors import DataError
 from .expconfig import SCHEMA, STAGES, ExperimentConfig
-from .runs import Run, read_run, write_run
+from .runs import DEFAULT_K, Run, read_run, write_run
+from .tokenization import AUTO, POLICIES
 
 # artifact filenames per language directory
 INDEX_FILE = "index.rpidx"
@@ -34,17 +34,12 @@ EVAL_RUNS = {
     "hybrid": RUN_FILES["fuse"],
     "rerank": RUN_FILES["rerank"],
 }
+# the runs the fuse stage combines, in the order of the fuse.weights values
+FUSE_LEGS = ("bm25", "dense")
 METRICS_FILE = "metrics.tsv"
 SUMMARY_FILE = "summary.tsv"
 
-_PRODUCER = {
-    INDEX_FILE: "index",
-    RUN_FILES["bm25"]: "bm25",
-    RUN_FILES["dense"]: "dense",
-    RUN_FILES["fuse"]: "fuse",
-    RUN_FILES["pool"]: "pool",
-    RUN_FILES["rerank"]: "rerank",
-}
+_PRODUCER = {name: stage for stage, name in {"index": INDEX_FILE, **RUN_FILES}.items()}
 
 
 def _header(config: ExperimentConfig, stage: str) -> str:
@@ -73,64 +68,63 @@ def _save_run(config: ExperimentConfig, language: str, stage: str, run: Run, run
     runs[name] = write_run(run, str(config.out_path(language, name)), header=_header(config, stage))
 
 
+def _fuse_weights(raw: str) -> list[float]:
+    weights = [float(w) for w in raw.split(",")]
+    if len(weights) != len(FUSE_LEGS):
+        raise ValueError(f"expected {len(FUSE_LEGS)} weights, one per leg: {', '.join(FUSE_LEGS)}")
+    return weights
+
+
 def _stage_index(config: ExperimentConfig, language: str, runs: Runs) -> None:
-    policy = config.get("script_policy", "auto")
-    index = sparse.build_index(load_corpus(str(config.lang_path("corpus", language))), policy)
-    sparse.save_index(index, str(config.out_path(language, INDEX_FILE)))
+    policy = config.get("script_policy", AUTO, choices=POLICIES)
+    sparse.index_corpus(str(config.lang_path("corpus", language)), str(config.out_path(language, INDEX_FILE)), policy)
 
 
 def _stage_bm25(config: ExperimentConfig, language: str, runs: Runs) -> None:
-    index = sparse.load_index(str(_require_artifact(config.out_path(language, INDEX_FILE))))
-    params = sparse.Bm25Params(k1=config.get_float("bm25.k1", 0.9), b=config.get_float("bm25.b", 0.4))
-    k = config.get_int("retrieve.k", 1000)
-    topics = load_topics(str(config.lang_path("topics", language)), language=language)
-    run = Run(
-        entries={q.qid: sparse.bm25_search(index, q.text, k, params) for q in topics},
-        tag="bm25",
+    k1 = config.get("bm25.k1", sparse.Bm25Params.k1, float)
+    params = sparse.Bm25Params(k1=k1, b=config.get("bm25.b", sparse.Bm25Params.b, float))
+    run = sparse.retrieve_bm25(
+        str(_require_artifact(config.out_path(language, INDEX_FILE))),
+        str(config.lang_path("topics", language)),
+        config.get("retrieve.k", DEFAULT_K, int),
+        params,
     )
     _save_run(config, language, "bm25", run, runs)
 
 
 def _stage_dense(config: ExperimentConfig, language: str, runs: Runs) -> None:
-    metric = config.get("dense.metric", "dot")
-    queries = dense.load_embeddings(str(config.lang_path("query_vectors", language)), metric)
-    docs = dense.load_embeddings(str(config.lang_path("doc_vectors", language)), metric)
-    k = config.get_int("retrieve.k", 1000)
-    run = Run(
-        entries={qid: dense.dense_search(queries, docs, qid, k) for qid in queries.ids},
-        tag="dense",
+    run = dense.retrieve_dense(
+        str(config.lang_path("query_vectors", language)),
+        str(config.lang_path("doc_vectors", language)),
+        config.get("retrieve.k", DEFAULT_K, int),
+        config.get("dense.metric", dense.DOT, choices=dense.METRICS),
     )
     _save_run(config, language, "dense", run, runs)
 
 
 def _stage_fuse(config: ExperimentConfig, language: str, runs: Runs) -> None:
-    weights = [float(w) for w in config.get("fuse.weights", "0.5,0.5").split(",")]
-    legs = [_load_run(config, language, RUN_FILES[leg], runs) for leg in ("bm25", "dense")]
+    weights = config.get("fuse.weights", [0.5, 0.5], _fuse_weights)
+    legs = [_load_run(config, language, RUN_FILES[leg], runs) for leg in FUSE_LEGS]
     fused = fusion.fuse([fusion.normalize_run(leg) for leg in legs], weights)
     _save_run(config, language, "fuse", fused, runs)
 
 
 def _stage_pool(config: ExperimentConfig, language: str, runs: Runs) -> None:
     hybrid = _load_run(config, language, RUN_FILES["fuse"], runs)
-    pool = fusion.cut_pool(hybrid, config.get_int("pool.k", fusion.DEFAULT_POOL_K))
-    _save_run(config, language, "pool", pool.to_run(), runs)
+    pool = fusion.cut_pool(hybrid, config.get("pool.k", fusion.DEFAULT_POOL_K, int))
+    _save_run(config, language, "pool", pool, runs)
 
 
 def _stage_rerank(config: ExperimentConfig, language: str, runs: Runs) -> None:
-    pool_run = _load_run(config, language, RUN_FILES["pool"], runs)
-    pool = fusion.cut_pool(pool_run, config.get_int("pool.k", fusion.DEFAULT_POOL_K))
-    topics = load_topics(str(config.lang_path("topics", language)), language=language)
-    corpus_lookup = {doc.docid: doc for doc in load_corpus(str(config.lang_path("corpus", language)))}
-    scorer = rerank.ScorerHandle.parse(config.get("rerank.scorer", "lexical"))
-    policy = config.get("script_policy", "auto")
-    pairs = rerank.build_pairs(
-        pool,
-        topics,
-        corpus_lookup,
-        budget=config.get_int("rerank.budget", rerank.DEFAULT_BUDGET),
-        script_policy=policy,
+    run = rerank.rerank_pool(
+        _load_run(config, language, RUN_FILES["pool"], runs),
+        str(config.lang_path("topics", language)),
+        str(config.lang_path("corpus", language)),
+        config.get("rerank.scorer", rerank.ScorerHandle(), rerank.ScorerHandle.parse),
+        config.get("pool.k", fusion.DEFAULT_POOL_K, int),
+        config.get("rerank.budget", rerank.DEFAULT_BUDGET, int),
+        config.get("script_policy", AUTO, choices=POLICIES),
     )
-    run = rerank.score_pairs(pairs, scorer, script_policy=policy)
     _save_run(config, language, "rerank", run, runs)
 
 
@@ -156,8 +150,8 @@ def _stage_eval(
     config: ExperimentConfig, language: str, runs: Runs
 ) -> dict[tuple[str, str, int], metrics.MetricReport]:
     qrels = load_qrels(str(config.lang_path("qrels", language)))
-    ndcg_k = config.get_int("eval.k", 10)
-    recall_k = config.get_int("eval.recall_k", config.get_int("pool.k", fusion.DEFAULT_POOL_K))
+    ndcg_k = config.get("eval.k", 10, int)
+    recall_k = config.get("eval.recall_k", config.get("pool.k", fusion.DEFAULT_POOL_K, int), int)
     reports: dict[tuple[str, str, int], metrics.MetricReport] = {}
     for name, filename in _eval_targets(config, language):
         run = _load_run(config, language, filename, runs)
@@ -184,31 +178,23 @@ _STAGE_FUNCS = {
 }
 
 
-def run_pipeline(config: ExperimentConfig, threads: int = 1) -> dict[str, dict]:
+def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
     """Run the configured stages for every language and write a summary.
 
     Returns {language: {(run, metric, k): MetricReport}} for languages where
     the eval stage ran, plus macro averages in the summary file.
     """
     stages = [s for s in STAGES if s in config.stages]
-
-    def run_language(language: str) -> dict:
+    all_reports: dict[str, dict] = {}
+    for language in config.languages:
         config.out_path(language, "x").parent.mkdir(parents=True, exist_ok=True)
         runs: Runs = {}
-        reports: dict = {}
+        all_reports[language] = {}
         for stage in stages:
             if stage == "eval":
-                reports = _stage_eval(config, language, runs)
+                all_reports[language] = _stage_eval(config, language, runs)
             else:
                 _STAGE_FUNCS[stage](config, language, runs)
-        return reports
-
-    if threads > 1 and len(config.languages) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_language, config.languages))
-        all_reports = dict(zip(config.languages, results))
-    else:
-        all_reports = {language: run_language(language) for language in config.languages}
 
     if "eval" in stages:
         keys = sorted({key for reports in all_reports.values() for key in reports})

@@ -22,9 +22,9 @@ import subprocess
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .corpus import Document, Query
+from .corpus import Document, Query, load_corpus, load_topics
 from .errors import DataError, FormatError, ProtocolError
-from .fusion import CandidatePool
+from .fusion import DEFAULT_POOL_K, cut_pool
 from .runs import Run
 from .tokenization import AUTO, detect_policy, tokenize
 from .validate import data_lines
@@ -69,7 +69,9 @@ class PairInput:
 
 @dataclass(frozen=True)
 class ScorerHandle:
-    kind: str
+    """A scorer kind and its location; the default is the lexical baseline."""
+
+    kind: str = LEXICAL_BASELINE
     location: str = ""
 
     def __post_init__(self) -> None:
@@ -119,7 +121,7 @@ def truncate_pair_text(text: str, budget: int, script_policy: str = AUTO) -> str
 
 
 def build_pairs(
-    pool: CandidatePool,
+    pool: Run,
     topics: Mapping[str, str] | Iterable[Query],
     corpus_lookup: Mapping[str, Document],
     budget: int = DEFAULT_BUDGET,
@@ -288,3 +290,19 @@ def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle, script_policy:
     for pair, score in zip(pair_list, scores):
         per_query.setdefault(pair.qid, {})[pair.docid] = score
     return Run.from_scores(per_query, tag=_RUN_TAGS[scorer.kind])
+
+
+def rerank_pool(
+    pool: Run,
+    topics_path: str,
+    corpus_path: str,
+    scorer: ScorerHandle = ScorerHandle(),
+    pool_k: int = DEFAULT_POOL_K,
+    budget: int = DEFAULT_BUDGET,
+    script_policy: str = AUTO,
+) -> Run:
+    """The rerank stage: score the first ``pool_k`` candidates of every pool query."""
+    topics = load_topics(topics_path)
+    corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
+    pairs = build_pairs(cut_pool(pool, pool_k), topics, corpus_lookup, budget=budget, script_policy=script_policy)
+    return score_pairs(pairs, scorer, script_policy=script_policy)

@@ -14,6 +14,9 @@ from .errors import DataError
 from .validate import parse_run
 
 
+DEFAULT_K = 1000  # results per query a retrieval run keeps
+
+
 def rank_sorted(pairs: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     return sorted(pairs, key=lambda p: (-p[1], p[0]))
 
@@ -60,26 +63,27 @@ def read_run(path: str) -> Run:
 
 
 def write_run(run: Run, path: str, header: str | None = None) -> Run:
-    """Write a run file with queries in sorted order for stable bytes.
+    """Write a run file with queries in sorted order and entries in
+    canonical order, so the bytes are stable and valid.
 
     Returns the run that ``read_run`` gives back from the file: queries in
-    sorted qid order without the empty ones, entries re-sorted, scores as
-    floats, and tag "run" when no line was written. That holds for runs
-    whose ids are single whitespace-free tokens and whose scores are finite,
-    which the loaders enforce where ids and scores enter. A docid listed
-    twice for one query is a DataError, as it is on read.
+    sorted qid order without the empty ones, scores as floats, and tag "run"
+    when no line was written. That holds for runs whose ids are single
+    whitespace-free tokens and whose scores are finite, which the loaders
+    enforce where ids and scores enter. A docid listed twice for one query is
+    a DataError, as it is on read.
     """
-    per_query: dict[str, dict[str, float]] = {}
+    entries: dict[str, list[tuple[str, float]]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for qid in sorted(run.entries):
-            ranked = run.entries[qid]
+            ranked = rank_sorted((docid, float(score)) for docid, score in run.entries[qid])
             if not ranked:
                 continue
+            if len({docid for docid, _ in ranked}) != len(ranked):
+                raise DataError(f"{path}: duplicate document for query {qid!r}")
             for rank, (docid, score) in enumerate(ranked, 1):
                 fh.write(f"{qid} Q0 {docid} {rank} {score!r} {run.tag}\n")
-            docs = per_query[qid] = dict(ranked)
-            if len(docs) != len(ranked):
-                raise DataError(f"{path}: duplicate document for query {qid!r}")
-    return Run.from_scores(per_query, tag=run.tag if per_query else "run")
+            entries[qid] = ranked
+    return Run(entries=entries, tag=run.tag if entries else "run")

@@ -18,8 +18,9 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .corpus import Document
+from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
+from .runs import DEFAULT_K, Run
 from .tokenization import AUTO, POLICIES, tokenize
 
 _MAGIC = b"RPIDX001"
@@ -55,22 +56,14 @@ class InvertedIndex:
         self.doc_lengths = doc_lengths
         self.docids = docids
         self.script_policy = script_policy
-        self._ordinal = {docid: i for i, docid in enumerate(docids)}
-        self._avgdl = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
+        self.avgdl = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
 
-    @property
-    def avgdl(self) -> float:
-        return self._avgdl
-
     def df(self, term: str) -> int:
         return len(self.postings.get(term, ()))
-
-    def ordinal(self, docid: str) -> int:
-        return self._ordinal[docid]
 
     def __contains__(self, term: str) -> bool:
         return term in self.postings
@@ -100,6 +93,13 @@ def build_index(documents: Iterable[Document], script_policy: str = AUTO) -> Inv
     if not docids:
         raise DataError("cannot build an index from an empty corpus")
     return InvertedIndex(postings, doc_lengths, docids, script_policy)
+
+
+def index_corpus(corpus_path: str, out: str, script_policy: str = AUTO) -> InvertedIndex:
+    """The index stage: index a corpus file and save the index to ``out``."""
+    index = build_index(load_corpus(corpus_path), script_policy)
+    save_index(index, out)
+    return index
 
 
 def idf(doc_count: int, df: int) -> float:
@@ -139,6 +139,14 @@ def bm25_search(
             scores[ordinal] = scores.get(ordinal, 0.0) + term_idf * tf / (tf + norm)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], index.docids[item[0]]))
     return [(index.docids[ordinal], score) for ordinal, score in ranked[:k]]
+
+
+def retrieve_bm25(
+    index_path: str, topics_path: str, k: int = DEFAULT_K, params: Bm25Params = Bm25Params(), tag: str = "bm25"
+) -> Run:
+    """The bm25 stage: the top-k BM25 results of every topic, [] where none match."""
+    index = load_index(index_path)
+    return Run(entries={q.qid: bm25_search(index, q.text, k, params) for q in load_topics(topics_path)}, tag=tag)
 
 
 def _write_u32(fh, value: int) -> None:

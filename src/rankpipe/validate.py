@@ -19,6 +19,10 @@ from .errors import FormatError
 
 # the provenance labels a training pair may carry (checked by check_pair_label)
 SOURCES = ("annotation", "negative", "q2q2d", "pseudo")
+# the similarity metrics of dense search; here so the CLI can offer them without numpy
+DOT = "dot"
+COSINE = "cosine"
+METRICS = (DOT, COSINE)
 
 _SUFFIXES = {
     ".trec": "run",

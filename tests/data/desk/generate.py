@@ -135,7 +135,7 @@ def verify(lang, docs, doc_vecs, query_vecs, topics, qrels) -> None:
         tag="dense",
     )
     hybrid = fuse([normalize_run(bm25), normalize_run(dense)], [0.5, 0.5])
-    pooled = cut_pool(hybrid, RETRIEVE_K).to_run()
+    pooled = cut_pool(hybrid, RETRIEVE_K)
 
     recall = recall_at_k(pooled, qrels, RETRIEVE_K).mean
     ndcg_hybrid = ndcg_at_k(hybrid, qrels, 10).mean

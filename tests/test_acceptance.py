@@ -271,7 +271,7 @@ def test_criterion_8_full_data_swahili_spot_checks():
     bm25 = read_run(str(base / "bm25.train.trec"))
     mdpr = read_run(str(base / "mdpr.train.trec"))
     hybrid = fuse([normalize_run(bm25), normalize_run(mdpr)], [0.5, 0.5])
-    pool = cut_pool(hybrid, 200).to_run()
+    pool = cut_pool(hybrid, 200)
     recall = recall_at_k(pool, qrels["train"], 200).mean
     assert abs(recall - 0.990) <= 0.005
 

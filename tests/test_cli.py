@@ -282,6 +282,25 @@ class TestConfig:
         with pytest.raises(DataError, match="output_dir"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pool.k = fifty",
+            "fuse.weights = 0.5,x",
+            "fuse.weights = 0.5",
+            "script_policy = klingon",
+            "dense.metric = l2",
+            "rerank.scorer = oracle",
+        ],
+    )
+    def test_value_that_does_not_parse_is_a_data_error_at_its_line(self, tmp_path, capsys, line):
+        cfg_path = write_tiny_project(tmp_path)
+        key = line.split()[0]
+        kept = [old for old in cfg_path.read_text(encoding="utf-8").splitlines(keepends=True) if old.split()[0] != key]
+        cfg_path.write_text("".join(kept) + line + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert f"{cfg_path}:{len(kept) + 1}: bad value" in capsys.readouterr().err
+
     def test_paths_resolve_relative_to_config(self, tmp_path):
         cfg_path = write_tiny_project(tmp_path)
         config = load_config(str(cfg_path))
@@ -339,16 +358,6 @@ class TestPipeline:
         assert ("bm25", "ndcg", 3) in reports["xx"]
         assert ("hybrid", "ndcg", 3) not in reports["xx"]
 
-    def test_threads_flag_gives_same_bytes(self, tmp_path):
-        desk_copy = tmp_path / "desk"
-        shutil.copytree(DESK, desk_copy)
-        config = load_config(str(desk_copy / "desk.cfg"))
-        run_pipeline(config, threads=1)
-        first = tree_digest(desk_copy / "out")
-        shutil.rmtree(desk_copy / "out")
-        run_pipeline(load_config(str(desk_copy / "desk.cfg")), threads=3)
-        assert tree_digest(desk_copy / "out") == first
-
     def test_composed_pipeline_equals_stage_by_stage_cli(self, tmp_path):
         cfg_path = write_tiny_project(tmp_path)
         run_pipeline(load_config(str(cfg_path)))
@@ -358,6 +367,7 @@ class TestPipeline:
         bm25_path = tmp_path / "manual.bm25.trec"
         dense_path = tmp_path / "manual.dense.trec"
         pool_path = tmp_path / "manual.pool.trec"
+        rerank_path = tmp_path / "manual.rerank.trec"
         assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(index_path)]) == 0
         assert main(["retrieve", "bm25", "--index", str(index_path), "--topics", str(tmp_path / "topics.tsv"),
                      "-k", "6", "--out", str(bm25_path)]) == 0
@@ -365,7 +375,11 @@ class TestPipeline:
                      "--docs", str(tmp_path / "docs.vec.tsv"), "-k", "6", "--out", str(dense_path)]) == 0
         assert main(["fuse", "--runs", str(bm25_path), str(dense_path), "--weights", "0.5,0.5",
                      "--normalize", "minmax", "-k", "4", "--out", str(pool_path)]) == 0
+        assert main(["rerank", "--pool", str(lang_dir / "pool.trec"), "--topics", str(tmp_path / "topics.tsv"),
+                     "--corpus", str(tmp_path / "corpus.jsonl"), "--pool-k", "4", "--out", str(rerank_path)]) == 0
 
+        assert index_path.read_bytes() == (lang_dir / "index.rpidx").read_bytes()
         assert read_run(str(bm25_path)).entries == read_run(str(lang_dir / "bm25.trec")).entries
         assert read_run(str(dense_path)).entries == read_run(str(lang_dir / "dense.trec")).entries
         assert read_run(str(pool_path)).entries == read_run(str(lang_dir / "pool.trec")).entries
+        assert read_run(str(rerank_path)).entries == read_run(str(lang_dir / "rerank.trec")).entries

@@ -17,7 +17,7 @@ from rankpipe.forge import (
     sample_negatives_corpus,
     write_pairs,
 )
-from rankpipe.fusion import CandidatePool, cut_pool
+from rankpipe.fusion import cut_pool
 from rankpipe.runs import Run
 
 
@@ -120,8 +120,8 @@ class TestSampleNegatives:
         entries_a = {"qa": [("d1", 2.0), ("d2", 1.0)], "qb": [("d3", 2.0), ("d4", 1.0)]}
         entries_b = {"qb": entries_a["qb"], "qa": entries_a["qa"]}
         qrels = JudgmentSet({("qa", "d1"): 1, ("qb", "d3"): 0})
-        pool_a = CandidatePool(entries=entries_a, k=5, provenance="hybrid")
-        pool_b = CandidatePool(entries=entries_b, k=5, provenance="hybrid")
+        pool_a = Run(entries=entries_a, tag="hybrid")
+        pool_b = Run(entries=entries_b, tag="hybrid")
         assert sample_negatives(pool_a, qrels, 2, seed=5) == sample_negatives(pool_b, qrels, 2, seed=5)
 
 

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_qrels, random_run
+from rankpipe.cli import main
 from rankpipe.errors import DataError, FormatError
 from rankpipe.fusion import cut_pool, fuse, normalize_run
 from rankpipe.metrics import recall_at_k
 from rankpipe.runs import Run, read_run, write_run
+from rankpipe.validate import validate_artifacts
 
 
 # ids a run line can carry: one token, no whitespace; a qid is the first
@@ -38,9 +40,11 @@ def test_write_run_returns_what_read_run_reads_back(run):
         path = str(Path(tmp) / "r.trec")
         written = write_run(run, path, header="h")
         back = read_run(path)
+        diagnostics = validate_artifacts([path])
     # repr tells -0.0 from 0.0 and shows the dict order
     assert repr(written.entries) == repr(back.entries)
     assert written.tag == back.tag
+    assert diagnostics == []
 
 
 class TestRunIO:
@@ -167,6 +171,22 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse([Run.from_scores({"q": {"d": 1.0}})], [0.5, 0.5])
 
+    @pytest.mark.parametrize("weight", ["1e10", "1e308"])
+    def test_overflowing_weighted_sum_is_a_data_error(self, tmp_path, capsys, weight):
+        # 1e10 * 1e300 overflows a product; 1e308 + 1e308 overflows fsum's partial sum
+        run = tmp_path / "a.trec"
+        run.write_text("q1 Q0 d1 1 1e300 s\nq1 Q0 d2 2 1.0 s\n")
+        out = tmp_path / "o.trec"
+        argv = ["fuse", "--runs", str(run), str(run), "--normalize", "none", "--weights", f"{weight},{weight}"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "query 'q1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_opposite_infinite_products_are_a_data_error(self):
+        runs = [Run(entries={"q": [("d", 1e300)]}), Run(entries={"q": [("d", -1e300)]})]
+        with pytest.raises(DataError, match="query 'q'"):
+            fuse(runs, [1e10, 1e10])
+
     def test_tag_is_hybrid(self):
         fused = fuse([Run.from_scores({"q": {"d": 1.0}})], [1.0])
         assert fused.tag == "hybrid"
@@ -197,7 +217,7 @@ class TestCutPool:
 
     def test_provenance_records_source_tag(self):
         run = Run.from_scores({"q": {"d": 1.0}}, tag="hybrid")
-        assert cut_pool(run, 10).provenance == "hybrid"
+        assert cut_pool(run, 10).tag == "hybrid"
 
     def test_pool_recall_monotone_in_k(self):
         rng = np.random.default_rng(9)
@@ -205,6 +225,6 @@ class TestCutPool:
         qrels = random_qrels(rng, run)
         previous = -1.0
         for k in (1, 2, 5, 10, 20):
-            recall = recall_at_k(cut_pool(run, k).to_run(), qrels, k).mean
+            recall = recall_at_k(cut_pool(run, k), qrels, k).mean
             assert recall >= previous
             previous = recall

@@ -10,8 +10,6 @@ import re
 import shutil
 from pathlib import Path
 
-import pytest
-
 from rankpipe import pipeline
 from rankpipe.cli import main
 from rankpipe.expconfig import STAGES, load_config
@@ -37,14 +35,13 @@ def _desk_with_unmatched_topic(root: Path) -> Path:
     return desk / "desk.cfg"
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_one_call_equals_one_stage_per_call(tmp_path, threads):
+def test_one_call_equals_one_stage_per_call(tmp_path):
     whole = _desk_with_unmatched_topic(tmp_path / "whole")
-    pipeline.run_pipeline(load_config(str(whole)), threads=threads)
+    pipeline.run_pipeline(load_config(str(whole)))
 
     staged = _desk_with_unmatched_topic(tmp_path / "staged")
     for stage in STAGES:
-        pipeline.run_pipeline(load_config(str(_set_stages(staged, stage))), threads=threads)
+        pipeline.run_pipeline(load_config(str(_set_stages(staged, stage))))
 
     out = whole.parent / "out"
     assert tree_digest(out) == tree_digest(staged.parent / "out")
