@@ -6,8 +6,9 @@ from rankpipe import Bm25Params, Document, bm25_search, build_index, load_index,
 
 # --- tokenization picks a segmentation per script -------------------------
 print(tokenize("The Quick, quick fox"))        # whitespace scripts: fold + split
-print(tokenize("多语言检索系统"))                # Han majority: one token per character
+print(tokenize("多语言检索系统"))                # unsegmented scripts: one token per character
 print(tokenize("nDCG@10 is rank-sensitive"))   # punctuation separates, digits survive
+print(tokenize("Flights to 北京 in 2023年"))    # mixed text: Han per character, words whole
 
 # --- build an index over title + body --------------------------------------
 docs = [

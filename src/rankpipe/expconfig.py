@@ -30,16 +30,27 @@ class ExperimentConfig:
     path: str | None = None
     lines: dict[str, int] = field(default_factory=dict)  # key -> line it is set on
 
-    def get(self, key: str, default: Any = None, parse: Callable[[str], Any] = str, choices: tuple = ()) -> Any:
+    def get(
+        self,
+        key: str,
+        default: Any = None,
+        parse: Callable[[str], Any] = str,
+        choices: tuple = (),
+        minimum: float | None = None,
+    ) -> Any:
         """The value of ``key`` through ``parse``, ``default`` when unset; a value outside
-        ``choices`` (when given) or that ``parse`` rejects is a FormatError at its line."""
+        ``choices`` (when given), one that ``parse`` rejects with a ValueError, or one below
+        ``minimum`` (when given) is a FormatError at its line."""
         raw = self.values.get(key)
         if raw is None:
             return default
         try:
             if choices and raw not in choices:
                 raise ValueError(f"expected one of {', '.join(choices)}")
-            return parse(raw)
+            value = parse(raw)
+            if minimum is not None and value < minimum:
+                raise ValueError(f"must be >= {minimum}")
+            return value
         except ValueError as exc:
             raise FormatError(f"bad value {raw!r} for {key!r}: {exc}", path=self.path, line=self.lines.get(key)) from None
 

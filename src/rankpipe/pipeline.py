@@ -81,12 +81,14 @@ def _stage_index(config: ExperimentConfig, language: str, runs: Runs) -> None:
 
 
 def _stage_bm25(config: ExperimentConfig, language: str, runs: Runs) -> None:
-    k1 = config.get("bm25.k1", sparse.Bm25Params.k1, float)
-    params = sparse.Bm25Params(k1=k1, b=config.get("bm25.b", sparse.Bm25Params.b, float))
+    params = sparse.Bm25Params(  # each value is checked alone, so that an error names its line
+        k1=config.get("bm25.k1", sparse.Bm25Params.k1, lambda raw: sparse.Bm25Params(k1=float(raw)).k1),
+        b=config.get("bm25.b", sparse.Bm25Params.b, lambda raw: sparse.Bm25Params(b=float(raw)).b),
+    )
     run = sparse.retrieve_bm25(
         str(_require_artifact(config.out_path(language, INDEX_FILE))),
         str(config.lang_path("topics", language)),
-        config.get("retrieve.k", DEFAULT_K, int),
+        config.get("retrieve.k", DEFAULT_K, int, minimum=1),
         params,
     )
     _save_run(config, language, "bm25", run, runs)
@@ -96,7 +98,7 @@ def _stage_dense(config: ExperimentConfig, language: str, runs: Runs) -> None:
     run = dense.retrieve_dense(
         str(config.lang_path("query_vectors", language)),
         str(config.lang_path("doc_vectors", language)),
-        config.get("retrieve.k", DEFAULT_K, int),
+        config.get("retrieve.k", DEFAULT_K, int, minimum=1),
         config.get("dense.metric", dense.DOT, choices=dense.METRICS),
     )
     _save_run(config, language, "dense", run, runs)
@@ -111,7 +113,7 @@ def _stage_fuse(config: ExperimentConfig, language: str, runs: Runs) -> None:
 
 def _stage_pool(config: ExperimentConfig, language: str, runs: Runs) -> None:
     hybrid = _load_run(config, language, RUN_FILES["fuse"], runs)
-    pool = fusion.cut_pool(hybrid, config.get("pool.k", fusion.DEFAULT_POOL_K, int))
+    pool = fusion.cut_pool(hybrid, config.get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1))
     _save_run(config, language, "pool", pool, runs)
 
 
@@ -121,8 +123,8 @@ def _stage_rerank(config: ExperimentConfig, language: str, runs: Runs) -> None:
         str(config.lang_path("topics", language)),
         str(config.lang_path("corpus", language)),
         config.get("rerank.scorer", rerank.ScorerHandle(), rerank.ScorerHandle.parse),
-        config.get("pool.k", fusion.DEFAULT_POOL_K, int),
-        config.get("rerank.budget", rerank.DEFAULT_BUDGET, int),
+        config.get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1),
+        config.get("rerank.budget", rerank.DEFAULT_BUDGET, int, minimum=1),
         config.get("script_policy", AUTO, choices=POLICIES),
     )
     _save_run(config, language, "rerank", run, runs)
@@ -150,8 +152,8 @@ def _stage_eval(
     config: ExperimentConfig, language: str, runs: Runs
 ) -> dict[tuple[str, str, int], metrics.MetricReport]:
     qrels = load_qrels(str(config.lang_path("qrels", language)))
-    ndcg_k = config.get("eval.k", 10, int)
-    recall_k = config.get("eval.recall_k", config.get("pool.k", fusion.DEFAULT_POOL_K, int), int)
+    ndcg_k = config.get("eval.k", 10, int, minimum=1)
+    recall_k = config.get("eval.recall_k", config.get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1), int, minimum=0)
     reports: dict[tuple[str, str, int], metrics.MetricReport] = {}
     for name, filename in _eval_targets(config, language):
         run = _load_run(config, language, filename, runs)

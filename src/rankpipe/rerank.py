@@ -17,6 +17,7 @@ request order.
 """
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 from collections.abc import Iterable, Iterator, Mapping
@@ -26,7 +27,7 @@ from .corpus import Document, Query, load_corpus, load_topics
 from .errors import DataError, FormatError, ProtocolError
 from .fusion import DEFAULT_POOL_K, cut_pool
 from .runs import Run
-from .tokenization import AUTO, detect_policy, tokenize
+from .tokenization import AUTO, tokenize
 from .validate import data_lines
 
 SEPARATOR = "[SEP]"
@@ -42,6 +43,9 @@ _RUN_TAGS = {
 }
 
 DEFAULT_BUDGET = 256
+
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it escapes
+_UNESCAPE = {"t": "\t", "n": "\n"}  # any other escaped character stands for itself
 
 
 def split_segments(text: str) -> tuple[str, str, str]:
@@ -108,15 +112,14 @@ def truncate_pair_text(text: str, budget: int, script_policy: str = AUTO) -> str
     Title tokens are kept before body tokens; truncated segments are
     rejoined with single spaces, which re-tokenizes to the same tokens.
     """
-    policy = detect_policy(text) if script_policy == AUTO else script_policy
-    if len(tokenize(text, policy)) <= budget:
+    if len(tokenize(text, script_policy)) <= budget:
         return text
     query, title, body = split_segments(text)
-    room = budget - len(tokenize(query, policy)) - 2 * len(tokenize(SEPARATOR, policy))
+    room = budget - len(tokenize(query, script_policy)) - 2 * len(tokenize(SEPARATOR, script_policy))
     room = max(room, 0)
-    title_tokens = tokenize(title, policy)[:room]
+    title_tokens = tokenize(title, script_policy)[:room]
     room -= len(title_tokens)
-    body_tokens = tokenize(body, policy)[:room]
+    body_tokens = tokenize(body, script_policy)[:room]
     return f"{query} {SEPARATOR} {' '.join(title_tokens)} {SEPARATOR} {' '.join(body_tokens)}"
 
 
@@ -169,25 +172,7 @@ def escape_text(text: str) -> str:
 
 
 def unescape_text(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "\\":
-                out.append("\\")
-            else:
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPED.sub(lambda m: _UNESCAPE.get(m.group(1), m.group(1)), text)
 
 
 def _read_score_file(path: str) -> dict[tuple[str, str], float]:

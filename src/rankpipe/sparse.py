@@ -23,7 +23,8 @@ from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run
 from .tokenization import AUTO, POLICIES, tokenize
 
-_MAGIC = b"RPIDX001"
+_MAGIC = b"RPIDX002"
+_OLD_MAGIC = b"RPIDX001"  # auto segmented by majority script, not by script run
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,9 @@ def save_index(index: InvertedIndex, path: str) -> None:
 def load_index(path: str) -> InvertedIndex:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
+        if magic == _OLD_MAGIC:
+            raise FormatError(f"{_OLD_MAGIC.decode()} index from an older auto tokenization; "
+                              "rebuild it with `rankpipe index build`", path=path)
         if magic != _MAGIC:
             raise FormatError(f"not a {_MAGIC.decode()} index file", path=path)
         script_policy = _read_str(fh, path)

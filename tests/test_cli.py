@@ -86,6 +86,19 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "ndcg@3" in out
 
+    def test_index_from_older_tokenization_asks_for_a_rebuild(self, tmp_path, capsys):
+        write_tiny_project(tmp_path)
+        index_path = tmp_path / "idx.rpidx"
+        assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(index_path)]) == 0
+        index_path.write_bytes(b"RPIDX001" + index_path.read_bytes()[8:])
+        assert main(
+            ["retrieve", "bm25", "--index", str(index_path), "--topics", str(tmp_path / "topics.tsv"),
+             "--out", str(tmp_path / "bm25.trec")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(index_path) in err and "rebuild it with `rankpipe index build`" in err
+        assert not (tmp_path / "bm25.trec").exists()
+
     def test_retrieve_dense_and_fuse(self, tmp_path):
         write_tiny_project(tmp_path)
         dense_path = tmp_path / "dense.trec"
@@ -294,6 +307,26 @@ class TestConfig:
         ],
     )
     def test_value_that_does_not_parse_is_a_data_error_at_its_line(self, tmp_path, capsys, line):
+        cfg_path = write_tiny_project(tmp_path)
+        key = line.split()[0]
+        kept = [old for old in cfg_path.read_text(encoding="utf-8").splitlines(keepends=True) if old.split()[0] != key]
+        cfg_path.write_text("".join(kept) + line + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert f"{cfg_path}:{len(kept) + 1}: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pool.k = 0",
+            "retrieve.k = 0",
+            "eval.k = 0",
+            "eval.recall_k = -3",
+            "bm25.k1 = -1",
+            "bm25.b = 2",
+            "rerank.budget = 0",
+        ],
+    )
+    def test_value_out_of_range_is_a_data_error_at_its_line(self, tmp_path, capsys, line):
         cfg_path = write_tiny_project(tmp_path)
         key = line.split()[0]
         kept = [old for old in cfg_path.read_text(encoding="utf-8").splitlines(keepends=True) if old.split()[0] != key]

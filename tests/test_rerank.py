@@ -151,8 +151,8 @@ class TestLexicalScore:
 
 
 class TestLexicalScriptPolicy:
-    # a Latin-majority pair, so auto segmentation splits on words and the
-    # Han query only matches character by character under unigram
+    # whitespace segmentation keeps "北京大学" one word, so the Han query
+    # only matches character by character under unigram
     PAIR = PairInput("q1", "d1", compose_pair_text("北京", "", "北京大学 is a university in the capital"))
 
     @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
