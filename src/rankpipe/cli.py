@@ -7,8 +7,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-# dense, forge, ensemble and pipeline load numpy: they are imported inside the
-# subcommands that use them, so the other subcommands start without it
+# dense, forge, ensemble and pipeline are imported inside the subcommands that
+# use them; numpy comes in only with dense, pipeline and forge's q2q2d, so the
+# other subcommands start without it
 from . import __version__, fusion, metrics, rerank, sparse
 from .corpus import corpus_stats, load_corpus, load_qrels, load_topics
 from .errors import DataError, ProtocolError

@@ -6,13 +6,18 @@ damped so the ensemble stays diverse: w_i = max(0, base_i * (1 - lambda *
 mean_corr_i)), renormalized to sum 1. Correlation is Spearman's rank
 correlation averaged over shared queries, since reranker score scales are
 not comparable.
+
+The arithmetic is plain Python that reproduces the numpy formulas it
+replaced bit for bit, so ``ensemble`` starts without numpy: the Spearman sums
+over half-integer ranks are exact, and the means over queries and runs add
+in numpy's pairwise order (``_pairwise_sum``).
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import groupby
 
 from .errors import DataError
 from .fusion import fuse, normalize_run
@@ -33,31 +38,65 @@ class EnsembleConfig:
             raise ValueError("lambda must be in [0, 1]")
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum ``values`` exactly as numpy's float64 ``add.reduce`` does, bit for
+    bit: sequential below 8 values, 8 interleaved accumulators up to 128,
+    else a split at ``n // 2`` rounded down to a multiple of 8, all added to
+    the identity 0.0. ``math.fsum`` and a plain loop round differently."""
+
+    def block(lo: int, n: int) -> float:
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return block(lo, half) + block(lo + half, n - half)
+        if n < 8:
+            total, rest = 0.0, lo
+        else:
+            acc = list(values[lo:lo + 8])
+            rest = lo + n - n % 8
+            for i in range(lo + 8, rest, 8):
+                for j in range(8):
+                    acc[j] += values[i + j]
+            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(rest, lo + n):
+            total += values[i]
+        return total
+
+    return 0.0 + block(0, len(values))
+
+
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; tied values share the mean of the ranks they span,
     which is always a half-integer, so the result is exact."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__), key=values.__getitem__):
+        members = list(tied)
+        end = start + len(members)
+        for i in members:
+            ranks[i] = (start + end + 1) / 2
+        start = end
     return ranks
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float | None:
+def _spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
     """Spearman rho with average ranks for ties; None when undefined
-    (either side constant)."""
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    sx = rx.std()
-    sy = ry.std()
+    (either side constant).
+
+    Average ranks sum to n(n+1)/2, so their mean is a half-integer and every
+    deviation, product and sum below is exact: only the divisions and the
+    square roots round, in the same order as numpy's ``std`` and ``mean``.
+    """
+    n = len(x)
+    dx = [r - (n + 1) / 2 for r in _average_ranks(x)]
+    dy = [r - (n + 1) / 2 for r in _average_ranks(y)]
+    sx = math.sqrt(sum(d * d for d in dx) / n)
+    sy = math.sqrt(sum(d * d for d in dy) / n)
     if sx == 0.0 or sy == 0.0:
         return None
-    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+    return sum(a * b for a, b in zip(dx, dy)) / n / (sx * sy)
 
 
-def correlation_matrix(runs: Sequence[Run]) -> np.ndarray:
+def correlation_matrix(runs: Sequence[Run]) -> list[list[float]]:
     """Pairwise mean Spearman correlation over shared queries.
 
     For each query both runs rank, correlation is computed on the
@@ -68,7 +107,7 @@ def correlation_matrix(runs: Sequence[Run]) -> np.ndarray:
     if len(runs) < 2:
         raise ValueError("need at least 2 runs")
     n = len(runs)
-    corr = np.eye(n)
+    corr = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rhos: list[float] = []
@@ -79,40 +118,41 @@ def correlation_matrix(runs: Sequence[Run]) -> np.ndarray:
                 common = sorted(set(scores_i) & set(scores_j))
                 if len(common) < 2:
                     continue
-                rho = _spearman(
-                    np.array([scores_i[d] for d in common]),
-                    np.array([scores_j[d] for d in common]),
-                )
+                rho = _spearman([scores_i[d] for d in common], [scores_j[d] for d in common])
                 if rho is not None:
                     rhos.append(rho)
             if not rhos:
                 raise DataError(f"runs {i} and {j} share no queries with comparable candidates")
-            corr[i, j] = corr[j, i] = float(np.clip(np.mean(rhos), -1.0, 1.0))
+            corr[i][j] = corr[j][i] = min(max(_pairwise_sum(rhos) / len(rhos), -1.0), 1.0)
     return corr
 
 
-def adjust_weights(config: EnsembleConfig, corr: np.ndarray) -> list[float]:
+def adjust_weights(config: EnsembleConfig, corr: Sequence[Sequence[float]]) -> list[float]:
     """Damp base weights by mean off-diagonal correlation and renormalize.
 
-    Negative mean correlations are clamped to 0 (never boosted); if every
-    weight damps to 0 the normalized base weights are returned.
+    ``corr`` is any n x n nested sequence, such as ``correlation_matrix``'s
+    result. Negative mean correlations are clamped to 0 (never boosted); if
+    every weight damps to 0 the normalized base weights are returned.
     """
-    n = corr.shape[0]
+    n = len(corr)
     if len(config.base_weights) != n:
         raise ValueError(f"{len(config.base_weights)} base weights for {n} runs")
-    base = np.asarray(config.base_weights, dtype=np.float64)
-    if base.sum() <= 0:
+    base = [float(w) for w in config.base_weights]
+    if _pairwise_sum(base) <= 0:
         raise DataError("base weights sum to zero")
     if n == 1:
         return [1.0]
-    off_diag_mean = (corr.sum(axis=1) - np.diag(corr)) / (n - 1)
-    rho_bar = np.clip(off_diag_mean, 0.0, 1.0)
-    weights = np.maximum(0.0, base * (1.0 - config.lam * rho_bar))
-    total = weights.sum()
+    weights = []
+    for i, row in enumerate(corr):
+        row = [float(v) for v in row]
+        rho_bar = min(max((_pairwise_sum(row) - row[i]) / (n - 1), 0.0), 1.0)
+        weight = base[i] * (1.0 - config.lam * rho_bar)
+        weights.append(0.0 if weight <= 0.0 else weight)  # as np.maximum: NaN stays NaN
+    total = _pairwise_sum(weights)
     if total <= 0:
         weights = base
-        total = base.sum()
-    return (weights / total).tolist()
+        total = _pairwise_sum(base)
+    return [w / total for w in weights]
 
 
 def ensemble_runs(runs: Sequence[Run], weights: Sequence[float]) -> Run:

@@ -10,11 +10,14 @@ Three sources of pairs are produced here:
 * pseudo labels: a sampled portion of model-scored pairs reused as soft
   labels scaled by 0.9.
 
-All sampling is a pure function of (inputs, seed): per-query randomness is
-derived from a stable hash of (seed, stage, qid), so queries can be
-processed in any order, or in parallel, with identical output. Negative
-samples are the prefix of a fixed per-query permutation, so growing n only
-extends each query's sample.
+All sampling is a pure function of (inputs, seed): every draw is a partial
+Fisher-Yates shuffle whose i-th swap comes from blake2b of (seed, stage,
+qid, i), so queries can be processed in any order, or in parallel, with
+identical output. Negative samples are the prefix of a fixed per-query
+permutation, so growing n only extends each query's sample, and n draws cost
+n hashes whatever the universe size. The draws use hashlib, not numpy's
+``Generator``: NumPy does not promise that its streams stay the same across
+releases (NEP 19), and the sampled pairs must not depend on the install.
 """
 from __future__ import annotations
 
@@ -23,14 +26,17 @@ import logging
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import JudgmentSet, Query
-from .dense import EmbeddingStore
 from .errors import DataError
 from .runs import Run
 from .validate import check_pair_label, parse_pairs
+
+if TYPE_CHECKING:  # numpy is only needed by q2q2d, which imports it when it runs
+    import numpy as np
+
+    from .dense import EmbeddingStore
 
 logger = logging.getLogger(__name__)
 
@@ -67,12 +73,25 @@ class AugmentationParams:
             raise ValueError("pseudo_fraction must be in (0, 1]")
 
 
-def derive_rng(seed: int, *scope: str) -> np.random.Generator:
-    """Stable RNG for (seed, stage, qid, ...); independent of process hash
-    randomization and of the order queries are visited in."""
-    key = "\x1f".join([str(seed), *scope]).encode("utf-8")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+def draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
+    """The first ``min(count, m)`` positions of a fixed permutation of
+    ``range(m)`` for (seed, *scope); independent of process hash
+    randomization and of the order queries are visited in.
+
+    Step i of a Fisher-Yates shuffle swaps position i with
+    ``i + u_i % (m - i)``, u_i being the big-endian 8-byte blake2b digest of
+    seed, scope and i joined by U+001F. Only moved positions are stored, so
+    the cost is O(count), not O(m).
+    """
+    prefix = "\x1f".join([str(seed), *scope, ""])
+    moved: dict[int, int] = {}
+    out: list[int] = []
+    for i in range(min(count, m)):
+        digest = hashlib.blake2b(f"{prefix}{i}".encode("utf-8"), digest_size=8).digest()
+        j = i + int.from_bytes(digest, "big") % (m - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return out
 
 
 def _query_text(query_texts: Mapping[str, str] | None, qid: str) -> str:
@@ -91,13 +110,10 @@ def _sample_for_query(
 ) -> list[TrainingPair]:
     positives = qrels.positives(qid)
     eligible = [docid for docid in universe if docid not in positives]
-    if not eligible:
-        return []
-    order = derive_rng(seed, "negatives", qid).permutation(len(eligible))
     text = _query_text(query_texts, qid)
     return [
         TrainingPair(qid=qid, query_text=text, docid=eligible[i], label=0.0, source="negative")
-        for i in order[: min(n, len(eligible))]
+        for i in draw(len(eligible), n, seed, "negatives", qid)
     ]
 
 
@@ -144,6 +160,8 @@ def sample_negatives_corpus(
 
 
 def _cosine(a: np.ndarray, b_matrix: np.ndarray, a_id: str, b_ids: Sequence[str]) -> np.ndarray:
+    import numpy as np
+
     a_norm = float(np.linalg.norm(a))
     if a_norm == 0.0:
         raise DataError(f"zero vector for query {a_id!r}")
@@ -168,6 +186,8 @@ def q2q2d_augment(
     at or above ``tau`` contribute every judged document with label
     sim * label * alpha; zero-grade judgments are emitted with label 0.
     """
+    import numpy as np
+
     for query in list(test_queries) + list(train_queries):
         if query.qid not in query_vectors:
             raise DataError(f"no vector for query {query.qid!r}")
@@ -213,8 +233,7 @@ def pseudo_label(
     count = math.floor(params.pseudo_fraction * len(triples))
     if count == 0:
         return []
-    rng = derive_rng(params.seed, "pseudo")
-    chosen = sorted(rng.choice(len(triples), size=count, replace=False).tolist())
+    chosen = sorted(draw(len(triples), count, params.seed, "pseudo"))
     pairs: list[TrainingPair] = []
     for i in chosen:
         qid, docid, score = triples[i]

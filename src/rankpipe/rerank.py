@@ -13,13 +13,14 @@ Protocol: the parent sends ``HELLO 1``, the scorer answers ``READY 1``.
 Each request is ``SCORE<TAB>qid<TAB>docid<TAB>text`` with backslash, tab,
 and newline in the text escaped as ``\\\\``, ``\\t``, ``\\n``; each response
 is ``qid<TAB>docid<TAB>score`` with the score in [0, 1], answered in
-request order.
+request order. A scorer that sends no line, READY included, for
+``RESPONSE_DEADLINE_S`` seconds is a protocol error naming the pending pair.
 """
 from __future__ import annotations
 
+import os
 import re
-import shlex
-import subprocess
+import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -43,6 +44,9 @@ _RUN_TAGS = {
 }
 
 DEFAULT_BUDGET = 256
+
+# the longest wait for any one line from an external scorer, READY included
+RESPONSE_DEADLINE_S = 60.0
 
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it escapes
 _UNESCAPE = {"t": "\t", "n": "\n"}  # any other escaped character stands for itself
@@ -115,12 +119,23 @@ def truncate_pair_text(text: str, budget: int, script_policy: str = AUTO) -> str
     if len(tokenize(text, script_policy)) <= budget:
         return text
     query, title, body = split_segments(text)
-    room = budget - len(tokenize(query, script_policy)) - 2 * len(tokenize(SEPARATOR, script_policy))
-    room = max(room, 0)
-    title_tokens = tokenize(title, script_policy)[:room]
-    room -= len(title_tokens)
-    body_tokens = tokenize(body, script_policy)[:room]
+    title_tokens, body_tokens = _kept_tokens(
+        tokenize(query, script_policy), tokenize(title, script_policy), tokenize(body, script_policy),
+        budget, script_policy,
+    )
     return f"{query} {SEPARATOR} {' '.join(title_tokens)} {SEPARATOR} {' '.join(body_tokens)}"
+
+
+def _kept_tokens(
+    query: list[str], title: list[str], body: list[str], budget: int, script_policy: str
+) -> tuple[list[str], list[str]]:
+    """The title and body tokens that fit in ``budget`` once the query and
+    both separators are counted, title tokens first; all of them when the
+    pair fits. The pair text tokenizes to query, separator, title, separator
+    and body tokens in turn, since no token spans the separating spaces."""
+    room = max(budget - len(query) - 2 * len(tokenize(SEPARATOR, script_policy)), 0)
+    title = title[:room]
+    return title, body[: room - len(title)]
 
 
 def build_pairs(
@@ -156,15 +171,16 @@ def lexical_score(pair: PairInput, script_policy: str = AUTO) -> float:
     """Unique-query-token overlap in [0, 1]: |q ∩ doc| / |q|.
 
     Applies the pair's truncation budget before scoring; 1.0 exactly when
-    every query token appears in the (truncated) document text.
+    every query token appears in the (truncated) document text. Each segment
+    is tokenized once and the budget cuts the token lists, which scores the
+    same as tokenizing ``truncate_pair_text``'s output again.
     """
-    text = truncate_pair_text(pair.text, pair.truncation_budget, script_policy)
-    query, title, body = split_segments(text)
-    query_tokens = set(tokenize(query, script_policy))
+    query, title, body = (tokenize(segment, script_policy) for segment in pair.segments())
+    query_tokens = set(query)
     if not query_tokens:
         return 0.0
-    doc_tokens = set(tokenize(f"{title} {body}", script_policy))
-    return len(query_tokens & doc_tokens) / len(query_tokens)
+    title, body = _kept_tokens(query, title, body, pair.truncation_budget, script_policy)
+    return len(query_tokens & {*title, *body}) / len(query_tokens)
 
 
 def escape_text(text: str) -> str:
@@ -199,6 +215,11 @@ def _check_score(qid: str, docid: str, score: float) -> float:
 
 
 def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
+    # imported here: every CLI call imports this module, few start a scorer
+    import select
+    import shlex
+    import subprocess
+
     argv = shlex.split(command)
     try:
         proc = subprocess.Popen(
@@ -207,17 +228,45 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
     except OSError as exc:
         raise ProtocolError(f"cannot launch scorer {command!r}: {exc}") from None
     scores: list[float] = []
+    received = bytearray()
+
+    def receive(pending: str) -> str:
+        """The scorer's next line, '' at end of stream; a ProtocolError when it
+        does not arrive within RESPONSE_DEADLINE_S."""
+        deadline = time.monotonic() + RESPONSE_DEADLINE_S
+        while b"\n" not in received:
+            events = dict(poller.poll(max(deadline - time.monotonic(), 0.0) * 1000))
+            if out_fd in events:
+                chunk = os.read(out_fd, 65536)
+                if not chunk:  # end of stream: what is left, maybe a line without its newline
+                    break
+                received.extend(chunk)
+            elif events:  # POLLERR on stdin alone: the scorer closed its input
+                raise BrokenPipeError
+            else:
+                raise ProtocolError(f"no line from the scorer within {RESPONSE_DEADLINE_S:g} s, waiting for {pending}")
+        end = received.find(b"\n") + 1 or len(received)
+        line = received[:end].decode("utf-8")
+        del received[:end]
+        return line
+
     try:
         assert proc.stdin is not None and proc.stdout is not None
+        # stdout is read with os.read, never through proc.stdout's buffer, so no
+        # complete line can wait in a buffer while poll reports the pipe idle
+        out_fd = proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(out_fd, select.POLLIN)
+        poller.register(proc.stdin.fileno(), 0)  # POLLERR once the scorer closes its input
         proc.stdin.write("HELLO 1\n")
         proc.stdin.flush()
-        ready = proc.stdout.readline()
+        ready = receive("READY 1")
         if ready.strip() != "READY 1":
             raise ProtocolError(f"bad handshake from scorer: {ready.strip()!r}")
         for pair in pairs:
             proc.stdin.write(f"SCORE\t{pair.qid}\t{pair.docid}\t{escape_text(pair.text)}\n")
             proc.stdin.flush()
-            reply = proc.stdout.readline()
+            reply = receive(f"the response to ({pair.qid}, {pair.docid})")
             if not reply:
                 raise ProtocolError(
                     f"scorer closed the stream after {len(scores)} of {len(pairs)} responses"

@@ -6,6 +6,7 @@ package's implementations against them.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -142,3 +143,91 @@ def oracle_spearman(x: list[float], y: list[float]) -> float:
     vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
     vy = math.sqrt(sum((b - my) ** 2 for b in ry))
     return cov / (vx * vy)
+
+
+def numpy_average_ranks(values: np.ndarray) -> np.ndarray:
+    """The ensemble's former numpy average ranks, kept as a bit-exact oracle."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def numpy_spearman(x: np.ndarray, y: np.ndarray) -> float | None:
+    rx = numpy_average_ranks(x)
+    ry = numpy_average_ranks(y)
+    sx = rx.std()
+    sy = ry.std()
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+
+
+def numpy_correlation_matrix(runs: list[Run]) -> np.ndarray:
+    """The ensemble's former numpy ``correlation_matrix`` (errors omitted)."""
+    n = len(runs)
+    corr = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rhos: list[float] = []
+            for qid in sorted(set(runs[i].entries) & set(runs[j].entries)):
+                scores_i = runs[i].scores(qid)
+                scores_j = runs[j].scores(qid)
+                common = sorted(set(scores_i) & set(scores_j))
+                if len(common) < 2:
+                    continue
+                rho = numpy_spearman(
+                    np.array([scores_i[d] for d in common]), np.array([scores_j[d] for d in common])
+                )
+                if rho is not None:
+                    rhos.append(rho)
+            corr[i, j] = corr[j, i] = float(np.clip(np.mean(rhos), -1.0, 1.0))
+    return corr
+
+
+def numpy_adjust_weights(base_weights: list[float], lam: float, corr: np.ndarray) -> list[float]:
+    """The ensemble's former numpy ``adjust_weights`` (errors omitted)."""
+    n = corr.shape[0]
+    base = np.asarray(base_weights, dtype=np.float64)
+    if n == 1:
+        return [1.0]
+    off_diag_mean = (corr.sum(axis=1) - np.diag(corr)) / (n - 1)
+    rho_bar = np.clip(off_diag_mean, 0.0, 1.0)
+    weights = np.maximum(0.0, base * (1.0 - lam * rho_bar))
+    total = weights.sum()
+    if total <= 0:
+        weights = base
+        total = base.sum()
+    return (weights / total).tolist()
+
+
+def oracle_draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
+    """The forge draw spec transcribed on a full list: step i of a Fisher-Yates
+    shuffle of range(m) swaps i with i + u_i % (m - i), u_i the big-endian
+    8-byte blake2b of seed, scope and i joined by U+001F."""
+    perm = list(range(m))
+    for i in range(min(count, m)):
+        key = "\x1f".join([str(seed), *scope, str(i)]).encode("utf-8")
+        u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+        j = i + u % (m - i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm[: min(count, m)]
+
+
+def oracle_lexical_score(text: str, budget: int, script_policy: str) -> float:
+    """The lexical baseline as first written: truncate the whole pair text,
+    split it at the separators, then tokenize query and title + body again."""
+    if len(tokenize(text, script_policy)) > budget:
+        query, title, body = text.split(" [SEP] ")
+        room = max(budget - len(tokenize(query, script_policy)) - 2 * len(tokenize("[SEP]", script_policy)), 0)
+        title_tokens = tokenize(title, script_policy)[:room]
+        body_tokens = tokenize(body, script_policy)[: room - len(title_tokens)]
+        text = f"{query} [SEP] {' '.join(title_tokens)} [SEP] {' '.join(body_tokens)}"
+    query, title, body = text.split(" [SEP] ")
+    query_tokens = set(tokenize(query, script_policy))
+    if not query_tokens:
+        return 0.0
+    return len(query_tokens & set(tokenize(f"{title} {body}", script_policy))) / len(query_tokens)

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_ranks, oracle_spearman, random_run
+from helpers import (
+    numpy_adjust_weights,
+    numpy_correlation_matrix,
+    oracle_ranks,
+    oracle_spearman,
+    random_run,
+)
 from rankpipe.ensemble import (
     EnsembleConfig,
     _average_ranks,
+    _pairwise_sum,
     adjust_weights,
     correlation_matrix,
     ensemble_runs,
@@ -26,11 +33,41 @@ class TestAverageRanks:
     # small integers force ties; floats cover the untied case
     @given(st.lists(st.integers(-3, 3) | st.floats(allow_nan=False), max_size=40))
     def test_matches_oracle_ranks_with_ties(self, values):
-        ranks = _average_ranks(np.array(values, dtype=np.float64))
-        assert ranks.tolist() == oracle_ranks([float(v) for v in values])
+        ranks = _average_ranks([float(v) for v in values])
+        assert ranks == oracle_ranks([float(v) for v in values])
+
+
+class TestPairwiseSum:
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=300))
+    def test_equals_numpy_sum_and_mean(self, values):
+        assert repr(_pairwise_sum(values)) == repr(float(np.sum(np.array(values, dtype=np.float64))))
+        if values:
+            assert repr(_pairwise_sum(values) / len(values)) == repr(float(np.mean(values)))
+
+    @given(st.integers(0, 4097), st.integers(-12, 12), st.integers(0, 2**32))
+    def test_equals_numpy_sum_past_every_split(self, n, exponent, seed):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n) * 10.0**exponent
+        assert repr(_pairwise_sum(values.tolist())) == repr(float(np.sum(values)))
+
+
+# scores with ties (small integers) and without (floats) over a small doc universe
+_scores = st.dictionaries(
+    st.sampled_from([f"d{i}" for i in range(6)]), st.integers(0, 3) | st.floats(0.0, 1.0), min_size=3, max_size=6
+)
+_runs = st.lists(st.fixed_dictionaries({"q1": _scores, "q2": _scores}), min_size=2, max_size=4)
 
 
 class TestCorrelationMatrix:
+    @settings(max_examples=50, deadline=None)
+    @given(_runs)
+    def test_equals_the_numpy_formula_bit_for_bit(self, raw_runs):
+        runs = [Run.from_scores({q: {d: float(v) for d, v in docs.items()} for q, docs in r.items()}) for r in raw_runs]
+        try:
+            corr = correlation_matrix(runs)
+        except DataError:  # some pair shares no comparable candidates: nothing to compare
+            return
+        assert repr(corr) == repr(numpy_correlation_matrix(runs).tolist())
+
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
         run = random_run(rng, n_queries=4, max_docs=8)
@@ -42,7 +79,7 @@ class TestCorrelationMatrix:
         a = run_from_ranking({"q1": docs, "q2": docs})
         b = run_from_ranking({"q1": docs[::-1], "q2": docs[::-1]})
         corr = correlation_matrix([a, b])
-        assert corr[0, 1] == pytest.approx(-1.0)
+        assert corr[0][1] == pytest.approx(-1.0)
 
     def test_matches_textbook_oracle(self):
         rng = np.random.default_rng(42)
@@ -61,7 +98,7 @@ class TestCorrelationMatrix:
                     x = [runs[i].scores(f"q{qi}")[d] for d in sorted(docs)]
                     y = [runs[j].scores(f"q{qi}")[d] for d in sorted(docs)]
                     rhos.append(oracle_spearman(x, y))
-                assert corr[i, j] == pytest.approx(np.mean(rhos), abs=1e-12)
+                assert corr[i][j] == pytest.approx(np.mean(rhos), abs=1e-12)
 
     def test_no_shared_queries_is_an_error(self):
         a = Run.from_scores({"q1": {"d1": 1.0, "d2": 0.5}})
@@ -86,13 +123,24 @@ class TestCorrelationMatrix:
             random_run(rng, n_queries=3, max_docs=universe, universe_size=universe, tag=f"r{i}")
             for i in range(4)
         ]
-        corr = correlation_matrix(runs)
+        corr = np.array(correlation_matrix(runs))
         assert np.allclose(corr, corr.T)
         assert np.all(corr >= -1.0) and np.all(corr <= 1.0)
         assert np.allclose(np.diag(corr), 1.0)
 
 
 class TestAdjustWeights:
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_equals_the_numpy_formula_bit_for_bit(self, n, lam, rnd):
+        base = [rnd.choice([0.0, rnd.uniform(0.0, 5.0)]) for _ in range(n - 1)] + [rnd.uniform(0.1, 5.0)]
+        m = np.array([[rnd.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
+        corr = (m + m.T) / 2
+        np.fill_diagonal(corr, 1.0)
+        want = repr(numpy_adjust_weights(base, lam, corr))
+        config = EnsembleConfig(base_weights=base, lam=lam)
+        assert repr(adjust_weights(config, corr)) == want
+        assert repr(adjust_weights(config, corr.tolist())) == want
+
     def test_lambda_zero_returns_normalized_bases(self):
         config = EnsembleConfig(base_weights=[2.0, 1.0, 1.0], lam=0.0)
         corr = np.eye(3)

@@ -2,7 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import oracle_draw
 from rankpipe.corpus import JudgmentSet, Query
 from rankpipe.dense import EmbeddingStore
 from rankpipe.errors import DataError, FormatError
@@ -10,6 +13,7 @@ from rankpipe.forge import (
     AugmentationParams,
     TrainingPair,
     annotation_pairs,
+    draw,
     pseudo_label,
     q2q2d_augment,
     read_pairs,
@@ -43,6 +47,29 @@ class TestTrainingPair:
     def test_unknown_source(self):
         with pytest.raises(ValueError):
             TrainingPair("q", "t", "d", 0.0, "mystery")
+
+
+class TestDraw:
+    @given(st.integers(0, 300), st.integers(0, 320), st.integers(-(2**40), 2**40), st.text(max_size=8))
+    def test_prefix_of_a_permutation_matching_the_spec(self, m, count, seed, qid):
+        drawn = draw(m, count, seed, "negatives", qid)
+        assert len(drawn) == min(count, m)
+        assert len(set(drawn)) == len(drawn)
+        assert all(0 <= i < m for i in drawn)
+        assert drawn == oracle_draw(m, count, seed, "negatives", qid)
+
+    @given(st.integers(1, 200), st.integers(0, 200), st.integers(0, 200), st.integers(0, 2**31))
+    def test_fewer_draws_are_a_prefix_of_more(self, m, a, b, seed):
+        small, large = sorted((a, b))
+        assert draw(m, large, seed, "pseudo")[:small] == draw(m, small, seed, "pseudo")
+
+    def test_pinned_negatives_stream(self):
+        # a change to this list changes every negatives.pairs.tsv: make it on purpose
+        pool = make_pool(n=200)
+        qrels = JudgmentSet({("q1", "d000"): 1, ("q1", "d050"): 1})
+        assert [p.docid for p in sample_negatives(pool, qrels, 12, seed=7)] == [
+            "d031", "d126", "d043", "d161", "d105", "d005", "d070", "d129", "d191", "d131", "d085", "d063",
+        ]
 
 
 class TestSampleNegatives:

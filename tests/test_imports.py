@@ -77,6 +77,14 @@ def test_cli_loads_numpy_only_where_a_subcommand_needs_it(tmp_path):
         "stats": ["stats", "--corpus", DESK / "corpus.jsonl", "--topics", f"dev={DESK / 'topics.tsv'}",
                   "--qrels", f"dev={DESK / 'qrels.txt'}"],
         "validate": ["validate", "bm25.trec", DESK / "qrels.txt", DESK / "corpus.jsonl"],
+        "forge negatives": ["forge", "negatives", "--pool", "fused.trec", "--qrels", DESK / "qrels.txt",
+                            "--topics", DESK / "topics.tsv", "-n", "3", "--out", "neg.pairs.tsv"],
+        "forge negatives --from-corpus": ["forge", "negatives", "--pool", "fused.trec", "--qrels", DESK / "qrels.txt",
+                                          "--from-corpus", DESK / "corpus.jsonl", "-n", "3", "--out", "cneg.pairs.tsv"],
+        "forge pseudo": ["forge", "pseudo", "--run", "rerank.trec", "--topics", DESK / "topics.tsv",
+                         "--out", "pseudo.pairs.tsv"],
+        "ensemble": ["ensemble", "--runs", "rerank.trec", "fused.trec", "--base-weights", "0.6,0.4",
+                     "--out", "ensemble.trec"],
     }
     heavy = {}
     for label, argv in calls.items():
@@ -87,3 +95,6 @@ def test_cli_loads_numpy_only_where_a_subcommand_needs_it(tmp_path):
     dense = ["retrieve", "dense", "--queries", DESK / "queries.vec.tsv", "--docs", DESK / "docs.vec.tsv",
              "--out", "dense.trec"]
     assert "numpy" in _top_level_imports(["-m", "rankpipe.cli", *map(str, dense)], tmp_path)
+    q2q2d = ["forge", "q2q2d", "--test-topics", DESK / "topics.tsv", "--train-topics", DESK / "topics.tsv",
+             "--train-qrels", DESK / "qrels.txt", "--query-vectors", DESK / "queries.vec.tsv", "--out", "q2q.pairs.tsv"]
+    assert "numpy" in _top_level_imports(["-m", "rankpipe.cli", *map(str, q2q2d)], tmp_path)

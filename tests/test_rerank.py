@@ -1,9 +1,14 @@
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_lexical_score
+from rankpipe import rerank
 from rankpipe.cli import main
 from rankpipe.corpus import Document
 from rankpipe.errors import DataError, ProtocolError
@@ -20,7 +25,7 @@ from rankpipe.rerank import (
     unescape_text,
 )
 from rankpipe.runs import Run, read_run, write_run
-from rankpipe.tokenization import tokenize
+from rankpipe.tokenization import POLICIES, tokenize
 
 
 def simple_pool(docids, qid="q1"):
@@ -150,6 +155,21 @@ class TestLexicalScore:
             assert (score == 1.0) == (q_terms <= d_terms)
 
 
+# Latin, Han, kana, Hangul and Thai letters, case pairs whose folding grows or
+# decomposes (ß, ǰ, İ, Σ), a combining mark, digits, punctuation and the
+# separator's own characters
+_SEGMENT = st.text(st.sampled_from("aAbZ9 ._-[]SEP北京タ한กßǰİΣς\u0301\t"), max_size=30) | st.text(max_size=12)
+
+
+class TestLexicalScoreOnTokenLists:
+    @settings(max_examples=400, deadline=None)
+    @given(_SEGMENT, _SEGMENT, _SEGMENT, st.integers(1, 30), st.sampled_from(POLICIES))
+    def test_scores_as_the_truncate_and_split_path(self, query, title, body, budget, policy):
+        text = compose_pair_text(query, title, body)
+        pair = PairInput("q", "d", text, truncation_budget=budget)
+        assert lexical_score(pair, policy) == oracle_lexical_score(text, budget, policy)
+
+
 class TestLexicalScriptPolicy:
     # whitespace segmentation keeps "北京大学" one word, so the Han query
     # only matches character by character under unigram
@@ -271,6 +291,28 @@ os.close(0)
 time.sleep(60)
 """
 
+SILENT_AFTER_READY_SCORER = """\
+import sys, time
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+sys.stdin.readline()
+time.sleep(60)
+"""
+
+SILENT_BEFORE_READY_SCORER = "import time\ntime.sleep(60)\n"
+
+# every response in two writes with a pause between them
+SPLIT_LINE_SCORER = """\
+import sys, time
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+for line in sys.stdin:
+    parts = line.rstrip("\\n").split("\\t")
+    print(f"{parts[1]}\\t{parts[2]}", end="", flush=True)
+    time.sleep(0.05)
+    print("\\t0.25", flush=True)
+"""
+
 
 def scorer_handle(tmp_path, source, name="scorer.py"):
     path = tmp_path / name
@@ -313,6 +355,31 @@ class TestExternalScorer:
         pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
         with pytest.raises(ProtocolError, match="closed its input after 0 of 1"):
             score_pairs(pairs, scorer_handle(tmp_path, CLOSED_INPUT_SCORER))
+
+    def test_silent_scorer_is_a_protocol_error_naming_the_pending_pair(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(rerank, "RESPONSE_DEADLINE_S", 0.5)
+        corpus, topics, pool = (tmp_path / n for n in ("c.jsonl", "t.tsv", "pool.trec"))
+        corpus.write_text(json.dumps({"docid": "d1", "title": "", "text": "b"}) + "\n", encoding="utf-8")
+        topics.write_text("q1\ta\n", encoding="utf-8")
+        write_run(Run.from_scores({"q1": {"d1": 1.0}}, tag="pool"), str(pool))
+        command = scorer_handle(tmp_path, SILENT_AFTER_READY_SCORER).location
+        started = time.monotonic()
+        code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--scorer", f"cmd:{command}", "--out", str(tmp_path / "r.trec")])
+        assert code == 3
+        assert "within 0.5 s, waiting for the response to (q1, d1)" in capsys.readouterr().err
+        assert time.monotonic() - started < 10
+
+    def test_deadline_covers_the_handshake(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rerank, "RESPONSE_DEADLINE_S", 0.5)
+        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        with pytest.raises(ProtocolError, match="waiting for READY 1"):
+            score_pairs(pairs, scorer_handle(tmp_path, SILENT_BEFORE_READY_SCORER))
+
+    def test_a_response_written_in_pieces_is_one_line(self, tmp_path):
+        pairs = [PairInput("q1", f"d{i}", compose_pair_text("a", "", "b")) for i in range(3)]
+        run = score_pairs(pairs, scorer_handle(tmp_path, SPLIT_LINE_SCORER))
+        assert run.scores("q1") == {"d0": 0.25, "d1": 0.25, "d2": 0.25}
 
     def test_unlaunchable_command(self):
         pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
