@@ -1,9 +1,10 @@
 """Building query-document pairs and scoring them with pluggable scorers.
 
-The pair text is ``query [SEP] title [SEP] body``, token-capped at a budget
-(256 by default, query always kept whole). Scores can come from the built-in
-lexical baseline, a precomputed score file, or any external process speaking
-the line protocol (see example_scorer.py).
+A pair carries its query, title and body; an external scorer receives them
+in full as ``query [SEP] title [SEP] body``. The built-in lexical baseline
+caps the pair at a token budget (256 by default, query always kept whole).
+Scores can also come from a precomputed score file or any external process
+speaking the line protocol (see example_scorer.py).
 """
 import sys
 import tempfile
@@ -11,15 +12,14 @@ from pathlib import Path
 
 from rankpipe import (
     Document,
+    PairInput,
     Run,
     ScorerHandle,
     build_pairs,
     cut_pool,
     lexical_score,
     score_pairs,
-    truncate_pair_text,
 )
-from rankpipe.tokenization import tokenize
 
 HERE = Path(__file__).resolve().parent
 
@@ -35,10 +35,13 @@ topics = {"q1": "negative sampling from the pool"}
 pairs = list(build_pairs(pool, topics, corpus, budget=256))
 print(pairs[0].text)
 
-# truncation keeps the query intact and counts every token of the final text
-long_text = pairs[0].text + " padding" * 400
-capped = truncate_pair_text(long_text, budget=40)
-print(f"capped to {len(tokenize(capped))} tokens")
+# the lexical baseline keeps the query whole and counts both separators:
+# with a 40-token budget, 3 query + 2 separator tokens leave 35 body tokens,
+# w0 to w34, so the query term w35 no longer counts
+body = " ".join(f"w{i}" for i in range(100))
+for term in ("w34", "w35"):
+    capped = PairInput("q1", "d9", f"pool {term} ranking", "", body, truncation_budget=40)
+    print(f"query 'pool {term} ranking', budget 40: {lexical_score(capped):.3f}")
 
 # --- scorer 1: the built-in lexical baseline ---------------------------------
 print("\nlexical overlap scores:")

@@ -22,7 +22,7 @@ _SUBMODULE_EXPORTS = {
               "sample_negatives", "sample_negatives_corpus", "write_pairs"),
     "fusion": ("cut_pool", "fuse", "normalize_run"),
     "metrics": ("MetricReport", "macro_average", "ndcg_at_k", "recall_at_k"),
-    "rerank": ("PairInput", "ScorerHandle", "build_pairs", "lexical_score", "score_pairs", "truncate_pair_text"),
+    "rerank": ("PairInput", "ScorerHandle", "build_pairs", "lexical_score", "score_pairs"),
     "runs": ("Run", "read_run", "write_run"),
     "sparse": ("Bm25Params", "InvertedIndex", "bm25_search", "build_index", "load_index", "save_index"),
     "tokenization": ("detect_policy", "tokenize"),

@@ -33,9 +33,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _weights(raw: str) -> list[float]:
     try:
-        return [float(w) for w in raw.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad weight list {raw!r}") from None
+        return fusion.parse_weights(raw)
+    except ValueError as exc:  # argparse reports a ValueError without its message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tag(raw: str) -> str:

@@ -30,6 +30,8 @@ class EnsembleConfig:
     lam: float = 0.5
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(w) for w in self.base_weights):
+            raise ValueError(f"base weights must be finite, got {self.base_weights}")
         if any(w < 0 for w in self.base_weights):
             raise ValueError("base weights must be >= 0")
         if self.base_weights and sum(self.base_weights) <= 0:

@@ -40,14 +40,30 @@ def normalize_run(run: Run, method: str = MINMAX) -> Run:
     return Run(entries=entries, tag=run.tag)
 
 
+def parse_weights(raw: str) -> list[float]:
+    """A comma-separated weight list; a ValueError names a value that is not a finite number."""
+    weights = []
+    for value in raw.split(","):
+        try:
+            weight = float(value)
+        except ValueError:
+            weight = math.nan
+        if not math.isfinite(weight):
+            raise ValueError(f"weight {value.strip()!r} is not a finite number")
+        weights.append(weight)
+    return weights
+
+
 def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
     """Weighted per-(qid, docid) sum over the union of run candidates.
 
     Callers normalize first when combining heterogeneous systems; weights
-    must be nonnegative with a positive sum.
+    must be finite and nonnegative with a positive sum.
     """
     if len(runs) != len(weights):
         raise ValueError(f"{len(runs)} runs but {len(weights)} weights")
+    if not all(math.isfinite(w) for w in weights):
+        raise DataError(f"fusion weights must be finite, got {list(weights)}")
     if any(w < 0 for w in weights):
         raise DataError("fusion weights must be >= 0")
     if sum(weights) <= 0:

@@ -69,7 +69,7 @@ def _save_run(config: ExperimentConfig, language: str, stage: str, run: Run, run
 
 
 def _fuse_weights(raw: str) -> list[float]:
-    weights = [float(w) for w in raw.split(",")]
+    weights = fusion.parse_weights(raw)
     if len(weights) != len(FUSE_LEGS):
         raise ValueError(f"expected {len(FUSE_LEGS)} weights, one per leg: {', '.join(FUSE_LEGS)}")
     return weights

@@ -1,20 +1,23 @@
 """Query-document pair construction and pluggable pair scoring.
 
-A pair's text is ``query [SEP] title [SEP] body``. Scoring is delegated to
-one of three scorer kinds:
+A pair carries its query, title and body, each cleaned of the ``[SEP]``
+marker and of line breaks. Scoring is delegated to one of three scorer kinds:
 
 * ``lexical_baseline``: built-in unique-query-token overlap, a desk-scale
-  stand-in for a neural cross-encoder;
+  stand-in for a neural cross-encoder; it alone applies the pair's token
+  budget (query kept whole, separators counted, title before body);
 * ``score_file``: scores copied through from a precomputed TSV;
 * ``external_process``: a child process speaking the line protocol below
   over stdin/stdout; any model runtime can implement it in a dozen lines.
 
 Protocol: the parent sends ``HELLO 1``, the scorer answers ``READY 1``.
-Each request is ``SCORE<TAB>qid<TAB>docid<TAB>text`` with backslash, tab,
-and newline in the text escaped as ``\\\\``, ``\\t``, ``\\n``; each response
-is ``qid<TAB>docid<TAB>score`` with the score in [0, 1], answered in
-request order. A scorer that sends no line, READY included, for
-``RESPONSE_DEADLINE_S`` seconds is a protocol error naming the pending pair.
+Each request is ``SCORE<TAB>qid<TAB>docid<TAB>text``: the text is the full
+``query [SEP] title [SEP] body``, untruncated (the scorer applies its own
+length limit), with backslash, tab, and newline escaped as ``\\\\``,
+``\\t``, ``\\n``. Each response is ``qid<TAB>docid<TAB>score`` with the score
+in [0, 1], answered in request order. A scorer that sends no line, READY
+included, for ``RESPONSE_DEADLINE_S`` seconds is a protocol error naming the
+pending pair.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .corpus import Document, Query, load_corpus, load_topics
+from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError, ProtocolError
 from .fusion import DEFAULT_POOL_K, cut_pool
 from .runs import Run
@@ -52,27 +55,25 @@ _ESCAPED = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it e
 _UNESCAPE = {"t": "\t", "n": "\n"}  # any other escaped character stands for itself
 
 
-def split_segments(text: str) -> tuple[str, str, str]:
-    """Split pair text back into (query, title, body)."""
-    parts = text.split(f" {SEPARATOR} ")
-    if len(parts) != 3:
-        raise DataError("pair text does not contain exactly two separators")
-    return parts[0], parts[1], parts[2]
-
-
 @dataclass(frozen=True)
 class PairInput:
+    """One (query, candidate) pair; ``build_pairs`` cleans the three segments."""
+
     qid: str
     docid: str
-    text: str
+    query: str
+    title: str
+    body: str
     truncation_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.truncation_budget <= 0:
             raise ValueError("truncation_budget must be > 0")
 
-    def segments(self) -> tuple[str, str, str]:
-        return split_segments(self.text)
+    @property
+    def text(self) -> str:
+        """The full pair text an external scorer receives: ``query [SEP] title [SEP] body``."""
+        return f"{self.query} {SEPARATOR} {self.title} {SEPARATOR} {self.body}"
 
 
 @dataclass(frozen=True)
@@ -105,81 +106,44 @@ def _clean(value: str) -> str:
     return value.replace(SEPARATOR, " ").replace("\n", " ").replace("\r", " ")
 
 
-def compose_pair_text(query: str, title: str, body: str) -> str:
-    return f"{_clean(query)} {SEPARATOR} {_clean(title)} {SEPARATOR} {_clean(body)}"
-
-
-def truncate_pair_text(text: str, budget: int, script_policy: str = AUTO) -> str:
-    """Cap the pair text at ``budget`` tokens, counting every token of the
-    final string (separator tokens included) and keeping the query intact.
-
-    Title tokens are kept before body tokens; truncated segments are
-    rejoined with single spaces, which re-tokenizes to the same tokens.
-    """
-    if len(tokenize(text, script_policy)) <= budget:
-        return text
-    query, title, body = split_segments(text)
-    title_tokens, body_tokens = _kept_tokens(
-        tokenize(query, script_policy), tokenize(title, script_policy), tokenize(body, script_policy),
-        budget, script_policy,
-    )
-    return f"{query} {SEPARATOR} {' '.join(title_tokens)} {SEPARATOR} {' '.join(body_tokens)}"
-
-
-def _kept_tokens(
-    query: list[str], title: list[str], body: list[str], budget: int, script_policy: str
-) -> tuple[list[str], list[str]]:
-    """The title and body tokens that fit in ``budget`` once the query and
-    both separators are counted, title tokens first; all of them when the
-    pair fits. The pair text tokenizes to query, separator, title, separator
-    and body tokens in turn, since no token spans the separating spaces."""
-    room = max(budget - len(query) - 2 * len(tokenize(SEPARATOR, script_policy)), 0)
-    title = title[:room]
-    return title, body[: room - len(title)]
-
-
 def build_pairs(
     pool: Run,
-    topics: Mapping[str, str] | Iterable[Query],
+    topics: Mapping[str, str],
     corpus_lookup: Mapping[str, Document],
     budget: int = DEFAULT_BUDGET,
-    truncate: bool = False,
-    script_policy: str = AUTO,
 ) -> Iterator[PairInput]:
     """Yield one pair per (query, pool candidate), preserving pool order.
 
-    With ``truncate`` the emitted text is token-capped at ``budget``;
-    otherwise full text is emitted and the budget is only recorded (the
-    lexical baseline enforces it at scoring time regardless).
+    The segments are kept whole; the budget is recorded for the lexical
+    baseline, which applies it at scoring time.
     """
-    if not isinstance(topics, Mapping):
-        topics = {q.qid: q.text for q in topics}
     for qid in pool.entries:
         if qid not in topics:
             raise DataError(f"no topic text for query {qid!r}")
+        query = _clean(topics[qid])
         for docid in pool.docids(qid):
             doc = corpus_lookup.get(docid)
             if doc is None:
                 raise DataError(f"pool document {docid!r} not found in corpus")
-            text = compose_pair_text(topics[qid], doc.title, doc.text)
-            if truncate:
-                text = truncate_pair_text(text, budget, script_policy)
-            yield PairInput(qid=qid, docid=docid, text=text, truncation_budget=budget)
+            yield PairInput(qid, docid, query, _clean(doc.title), _clean(doc.text), budget)
 
 
 def lexical_score(pair: PairInput, script_policy: str = AUTO) -> float:
     """Unique-query-token overlap in [0, 1]: |q ∩ doc| / |q|.
 
-    Applies the pair's truncation budget before scoring; 1.0 exactly when
-    every query token appears in the (truncated) document text. Each segment
-    is tokenized once and the budget cuts the token lists, which scores the
-    same as tokenizing ``truncate_pair_text``'s output again.
+    The budget caps the tokens of the pair text: the query is kept whole, the
+    two separators count, and the rest goes to title tokens, then body
+    tokens. The pair text tokenizes to query, separator, title, separator and
+    body tokens in turn, since no token spans the separating spaces. 1.0
+    exactly when every query token appears in the kept title and body tokens.
     """
-    query, title, body = (tokenize(segment, script_policy) for segment in pair.segments())
+    query = tokenize(pair.query, script_policy)
     query_tokens = set(query)
     if not query_tokens:
         return 0.0
-    title, body = _kept_tokens(query, title, body, pair.truncation_budget, script_policy)
+    room = max(pair.truncation_budget - len(query) - 2 * len(tokenize(SEPARATOR, script_policy)), 0)
+    title = tokenize(pair.title, script_policy)[:room]
+    body = tokenize(pair.body, script_policy)[: room - len(title)]
     return len(query_tokens & {*title, *body}) / len(query_tokens)
 
 
@@ -336,7 +300,7 @@ def rerank_pool(
     script_policy: str = AUTO,
 ) -> Run:
     """The rerank stage: score the first ``pool_k`` candidates of every pool query."""
-    topics = load_topics(topics_path)
+    topics = {q.qid: q.text for q in load_topics(topics_path)}
     corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
-    pairs = build_pairs(cut_pool(pool, pool_k), topics, corpus_lookup, budget=budget, script_policy=script_policy)
+    pairs = build_pairs(cut_pool(pool, pool_k), topics, corpus_lookup, budget)
     return score_pairs(pairs, scorer, script_policy=script_policy)

@@ -231,3 +231,14 @@ def oracle_lexical_score(text: str, budget: int, script_policy: str) -> float:
     if not query_tokens:
         return 0.0
     return len(query_tokens & set(tokenize(f"{title} {body}", script_policy))) / len(query_tokens)
+
+
+def oracle_pair_text(query: str, title: str, body: str) -> str:
+    """The pair text as composed before pairs carried their segments: each
+    segment loses the separator marker and line breaks, then the three are
+    joined by `` [SEP] ``."""
+
+    def clean(value: str) -> str:
+        return value.replace("[SEP]", " ").replace("\n", " ").replace("\r", " ")
+
+    return f"{clean(query)} [SEP] {clean(title)} [SEP] {clean(body)}"

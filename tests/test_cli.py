@@ -236,6 +236,21 @@ class TestExitCodes:
             main(argv + ["--tag", "my run", "--out", str(tmp_path / "r.trec")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["fuse", "--weights", "inf,1"], "inf"),
+            (["fuse", "--weights", "0.5,nan"], "nan"),
+            (["ensemble", "--base-weights", "inf,1"], "inf"),
+            (["ensemble", "--base-weights", "nan,1"], "nan"),
+        ],
+    )
+    def test_non_finite_weight_is_a_usage_error_naming_it(self, tmp_path, capsys, argv, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--runs", "a.trec", "b.trec", "--out", str(tmp_path / "o.trec")])
+        assert exc.value.code == 1
+        assert f"weight '{bad}' is not a finite number" in capsys.readouterr().err
+
     def test_directory_as_input_is_a_data_error(self, tmp_path, capsys):
         write_tiny_project(tmp_path)
         assert main(["eval", "--run", str(tmp_path), "--qrels", str(tmp_path / "qrels.txt")]) == 2
@@ -301,6 +316,7 @@ class TestConfig:
             "pool.k = fifty",
             "fuse.weights = 0.5,x",
             "fuse.weights = 0.5",
+            "fuse.weights = nan,1",
             "script_policy = klingon",
             "dense.metric = l2",
             "rerank.scorer = oracle",

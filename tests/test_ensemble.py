@@ -253,3 +253,6 @@ class TestEnsembleConfig:
             EnsembleConfig(base_weights=[1.0], lam=1.5)
         with pytest.raises(ValueError):
             EnsembleConfig(base_weights=[0.0, 0.0])
+        for weight in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                EnsembleConfig(base_weights=[weight, 1.0])

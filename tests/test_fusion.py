@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -166,6 +167,12 @@ class TestFuse:
     def test_negative_weight_error(self):
         with pytest.raises(DataError):
             fuse([Run.from_scores({"q": {"d": 1.0}})], [-0.5])
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_error(self, weight):
+        run = Run.from_scores({"q": {"d": 1.0}})
+        with pytest.raises(DataError, match="finite"):
+            fuse([run, run], [weight, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

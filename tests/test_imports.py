@@ -19,12 +19,12 @@ PUBLIC_NAMES = {
     "load_embeddings", "load_index", "load_qrels", "load_topics", "macro_average", "ndcg_at_k",
     "normalize_run", "pseudo_label", "q2q2d_augment", "read_pairs", "read_run", "recall_at_k",
     "sample_negatives", "sample_negatives_corpus", "save_index", "score_pairs", "tokenize",
-    "truncate_pair_text", "write_embeddings", "write_pairs", "write_qrels", "write_run",
+    "write_embeddings", "write_pairs", "write_qrels", "write_run",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert set(rankpipe.__all__) == PUBLIC_NAMES
 
 

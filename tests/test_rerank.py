@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_lexical_score
+from helpers import oracle_lexical_score, oracle_pair_text
 from rankpipe import rerank
 from rankpipe.cli import main
 from rankpipe.corpus import Document
@@ -17,11 +17,9 @@ from rankpipe.rerank import (
     PairInput,
     ScorerHandle,
     build_pairs,
-    compose_pair_text,
     escape_text,
     lexical_score,
     score_pairs,
-    truncate_pair_text,
     unescape_text,
 )
 from rankpipe.runs import Run, read_run, write_run
@@ -39,6 +37,12 @@ CORPUS = {
 }
 TOPICS = {"q1": "q-text"}
 
+# segments built from the pieces the composition rewrites: the separator
+# marker, parts of it, line breaks, and a tab, which is kept
+_PIECES = st.lists(
+    st.sampled_from(["a", "北", " ", "[SEP]", "[", "SEP", "]", "\n", "\r", "\r\n", "\t"]), max_size=12
+).map("".join)
+
 
 class TestBuildPairs:
     def test_construction_rule(self):
@@ -50,7 +54,7 @@ class TestBuildPairs:
         pairs = list(build_pairs(simple_pool(["d2"]), TOPICS, CORPUS))
         assert pairs[0].text == "q-text [SEP]  [SEP] another body"
         assert pairs[0].text.count("[SEP]") == 2
-        assert pairs[0].segments() == ("q-text", "", "another body")
+        assert (pairs[0].query, pairs[0].title, pairs[0].body) == ("q-text", "", "another body")
 
     def test_pool_order_preserved(self):
         pairs = list(build_pairs(simple_pool(["d2", "d1"]), TOPICS, CORPUS))
@@ -68,12 +72,7 @@ class TestBuildPairs:
         corpus = {"d1": Document("d1", "sneaky [SEP] title", "body")}
         pairs = list(build_pairs(simple_pool(["d1"]), TOPICS, corpus))
         assert pairs[0].text.count("[SEP]") == 2
-
-    def test_truncate_flag_caps_emitted_tokens(self):
-        body = " ".join(f"tok{i}" for i in range(300))
-        corpus = {"d1": Document("d1", "title words", body)}
-        pairs = list(build_pairs(simple_pool(["d1"]), TOPICS, corpus, budget=256, truncate=True))
-        assert len(tokenize(pairs[0].text)) == 256
+        assert pairs[0].title == "sneaky   title"
 
     def test_default_emits_untruncated_text(self):
         body = " ".join(f"tok{i}" for i in range(300))
@@ -82,56 +81,66 @@ class TestBuildPairs:
         assert len(tokenize(pairs[0].text)) > 256
         assert pairs[0].truncation_budget == 256
 
+    @settings(max_examples=300, deadline=None)
+    @given(_PIECES, _PIECES, _PIECES)
+    def test_text_is_the_composition_scorers_always_received(self, query, title, body):
+        built = next(build_pairs(simple_pool(["d1"]), {"q1": query}, {"d1": Document("d1", title, body)}))
+        assert built.text == oracle_pair_text(query, title, body)
 
+
+def pair(query, title, body, budget=256):
+    return PairInput("q", "d", query, title, body, truncation_budget=budget)
+
+
+# the lexical baseline applies the budget to the pair's token lists: with
+# auto segmentation the query counts its tokens, each separator one ("sep")
 class TestTruncation:
     def test_under_budget_untouched(self):
-        text = compose_pair_text("q", "t", "short body")
-        assert truncate_pair_text(text, 256) == text
+        # 1 query + 2 sep + 1 title + 2 body = 6 tokens: the last one still counts
+        assert lexical_score(pair("body", "t", "short body", budget=256)) == 1.0
+        assert lexical_score(pair("body", "t", "short body", budget=6)) == 1.0
+        assert lexical_score(pair("body", "t", "short body", budget=5)) == 0.0
 
     def test_exact_budget_token_count(self):
-        text = compose_pair_text("one two", "title here", " ".join(f"w{i}" for i in range(300)))
-        truncated = truncate_pair_text(text, 256)
-        assert len(tokenize(truncated)) == 256
+        # 2 query + 2 sep + 2 title leave 250 body tokens, w0 to w249
+        body = " ".join(f"w{i}" for i in range(300))
+        assert lexical_score(pair("one w249", "title here", body)) == 0.5
+        assert lexical_score(pair("one w250", "title here", body)) == 0.0
 
     def test_query_survives_verbatim(self):
-        text = compose_pair_text("Keep My Query!", "t", " ".join(f"w{i}" for i in range(300)))
-        truncated = truncate_pair_text(text, 20)
-        assert truncated.startswith("Keep My Query! [SEP] ")
+        body = "query " + " ".join(f"w{i}" for i in range(300))
+        # every query token counts, even when the query and separators fill the budget
+        assert lexical_score(pair("Keep My Query!", "t", body, budget=20)) == pytest.approx(1 / 3)
+        assert lexical_score(pair("Keep My Query!", "query", body, budget=5)) == 0.0
+        assert lexical_score(pair("Keep My Query!", "query", body, budget=6)) == pytest.approx(1 / 3)
 
     def test_title_kept_before_body(self):
-        text = compose_pair_text("q", "ta tb tc", " ".join(f"w{i}" for i in range(100)))
+        body = " ".join(f"w{i}" for i in range(100))
         # budget: 1 query + 2 sep + 3 title + 2 body = 8
-        truncated = truncate_pair_text(text, 8)
-        _, title, body = PairInput("q", "d", truncated).segments()
-        assert title == "ta tb tc"
-        assert body == "w0 w1"
+        assert [lexical_score(pair(q, "ta tb tc", body, budget=8)) for q in ("tc", "w1", "w2")] == [1.0, 1.0, 0.0]
 
     def test_cjk_unigram_budget(self):
-        text = compose_pair_text("查询", "", "正文" * 300)
-        truncated = truncate_pair_text(text, 64, "unigram")
-        assert len(tokenize(truncated, "unigram")) == 64
+        # unigram: 2 query + 2 × 3 separator ("s", "e", "p") leave 56 body characters
+        body = "正" * 55 + "查询" + "正文" * 300
+        assert lexical_score(pair("查询", "", body, budget=64), "unigram") == 0.5
+        assert lexical_score(pair("查询", "", body, budget=65), "unigram") == 1.0
 
 
 class TestLexicalScore:
     def test_half_overlap(self):
-        pair = PairInput("q", "d", compose_pair_text("a b", "", "a x y"))
-        assert lexical_score(pair) == pytest.approx(0.5)
+        assert lexical_score(pair("a b", "", "a x y")) == pytest.approx(0.5)
 
     def test_disjoint_is_zero(self):
-        pair = PairInput("q", "d", compose_pair_text("a b", "", "x y"))
-        assert lexical_score(pair) == 0.0
+        assert lexical_score(pair("a b", "", "x y")) == 0.0
 
     def test_full_containment_is_one(self):
-        pair = PairInput("q", "d", compose_pair_text("a b", "b words", "a body"))
-        assert lexical_score(pair) == 1.0
+        assert lexical_score(pair("a b", "b words", "a body")) == 1.0
 
     def test_title_counts_as_document_text(self):
-        pair = PairInput("q", "d", compose_pair_text("a", "a", "zzz"))
-        assert lexical_score(pair) == 1.0
+        assert lexical_score(pair("a", "a", "zzz")) == 1.0
 
     def test_empty_query_scores_zero(self):
-        pair = PairInput("q", "d", compose_pair_text("...", "", "body"))
-        assert lexical_score(pair) == 0.0
+        assert lexical_score(pair("...", "", "body")) == 0.0
 
     def test_matches_set_arithmetic_oracle(self):
         rng = np.random.default_rng(42)
@@ -139,9 +148,8 @@ class TestLexicalScore:
         for _ in range(30):
             q_terms = rng.choice(vocab, size=rng.integers(1, 6), replace=False).tolist()
             d_terms = rng.choice(vocab, size=rng.integers(1, 15), replace=True).tolist()
-            pair = PairInput("q", "d", compose_pair_text(" ".join(q_terms), "", " ".join(d_terms)))
             expected = len(set(q_terms) & set(d_terms)) / len(set(q_terms))
-            assert lexical_score(pair) == pytest.approx(expected, abs=1e-12)
+            assert lexical_score(pair(" ".join(q_terms), "", " ".join(d_terms))) == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_and_one_iff_all_query_tokens_present(self):
         rng = np.random.default_rng(5)
@@ -149,8 +157,7 @@ class TestLexicalScore:
         for _ in range(100):
             q_terms = set(rng.choice(vocab, size=rng.integers(1, 5), replace=False).tolist())
             d_terms = set(rng.choice(vocab, size=rng.integers(1, 10), replace=False).tolist())
-            pair = PairInput("q", "d", compose_pair_text(" ".join(sorted(q_terms)), "", " ".join(sorted(d_terms))))
-            score = lexical_score(pair)
+            score = lexical_score(pair(" ".join(sorted(q_terms)), "", " ".join(sorted(d_terms))))
             assert 0.0 <= score <= 1.0
             assert (score == 1.0) == (q_terms <= d_terms)
 
@@ -165,15 +172,14 @@ class TestLexicalScoreOnTokenLists:
     @settings(max_examples=400, deadline=None)
     @given(_SEGMENT, _SEGMENT, _SEGMENT, st.integers(1, 30), st.sampled_from(POLICIES))
     def test_scores_as_the_truncate_and_split_path(self, query, title, body, budget, policy):
-        text = compose_pair_text(query, title, body)
-        pair = PairInput("q", "d", text, truncation_budget=budget)
-        assert lexical_score(pair, policy) == oracle_lexical_score(text, budget, policy)
+        built = next(build_pairs(simple_pool(["d"], qid="q"), {"q": query}, {"d": Document("d", title, body)}, budget))
+        assert lexical_score(built, policy) == oracle_lexical_score(built.text, budget, policy)
 
 
 class TestLexicalScriptPolicy:
     # whitespace segmentation keeps "北京大学" one word, so the Han query
     # only matches character by character under unigram
-    PAIR = PairInput("q1", "d1", compose_pair_text("北京", "", "北京大学 is a university in the capital"))
+    PAIR = PairInput("q1", "d1", "北京", "", "北京大学 is a university in the capital")
 
     @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
     def test_score_pairs_uses_the_configured_policy(self, policy, expected):
@@ -182,7 +188,7 @@ class TestLexicalScriptPolicy:
 
     @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
     def test_cli_rerank_passes_the_policy(self, tmp_path, policy, expected):
-        query, title, body = self.PAIR.segments()
+        query, title, body = self.PAIR.query, self.PAIR.title, self.PAIR.body
         corpus, topics, pool, out = (tmp_path / n for n in ("c.jsonl", "t.tsv", "pool.trec", "rerank.trec"))
         corpus.write_text(json.dumps({"docid": "d1", "title": title, "text": body}) + "\n", encoding="utf-8")
         topics.write_text(f"q1\t{query}\n", encoding="utf-8")
@@ -337,22 +343,22 @@ class TestExternalScorer:
         assert len(run.scores("q1")) == 1
 
     def test_bad_handshake(self, tmp_path):
-        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="handshake"):
             score_pairs(pairs, scorer_handle(tmp_path, BAD_HANDSHAKE_SCORER))
 
     def test_out_of_range_score(self, tmp_path):
-        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="outside"):
             score_pairs(pairs, scorer_handle(tmp_path, BAD_SCORE_SCORER))
 
     def test_mismatched_ids(self, tmp_path):
-        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="match"):
             score_pairs(pairs, scorer_handle(tmp_path, WRONG_ID_SCORER))
 
     def test_scorer_that_closes_its_input(self, tmp_path):
-        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="closed its input after 0 of 1"):
             score_pairs(pairs, scorer_handle(tmp_path, CLOSED_INPUT_SCORER))
 
@@ -372,17 +378,17 @@ class TestExternalScorer:
 
     def test_deadline_covers_the_handshake(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rerank, "RESPONSE_DEADLINE_S", 0.5)
-        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="waiting for READY 1"):
             score_pairs(pairs, scorer_handle(tmp_path, SILENT_BEFORE_READY_SCORER))
 
     def test_a_response_written_in_pieces_is_one_line(self, tmp_path):
-        pairs = [PairInput("q1", f"d{i}", compose_pair_text("a", "", "b")) for i in range(3)]
+        pairs = [PairInput("q1", f"d{i}", "a", "", "b") for i in range(3)]
         run = score_pairs(pairs, scorer_handle(tmp_path, SPLIT_LINE_SCORER))
         assert run.scores("q1") == {"d0": 0.25, "d1": 0.25, "d2": 0.25}
 
     def test_unlaunchable_command(self):
-        pairs = [PairInput("q1", "d1", compose_pair_text("a", "", "b"))]
+        pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="launch"):
             score_pairs(pairs, ScorerHandle("external_process", "/nonexistent/scorer"))
 
