@@ -23,7 +23,7 @@ doc_matrix = np.vstack(
         rng.normal(scale=0.2, size=4),
     ]
 )
-doc_store = EmbeddingStore(doc_ids, doc_matrix, metric="dot")
+doc_store = EmbeddingStore(doc_ids, doc_matrix)
 
 dense_hits = dense_search(query_store, doc_store, "q1", k=5)
 print("dense:", [(d, round(s, 3)) for d, s in dense_hits])

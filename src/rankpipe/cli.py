@@ -89,13 +89,13 @@ def _cmd_fuse(args) -> int:
 def _cmd_forge_negatives(args) -> int:
     from .forge import sample_negatives, sample_negatives_corpus, write_pairs
 
-    pool = fusion.cut_pool(read_run(args.pool), args.pool_k)
     qrels = load_qrels(args.qrels)
     texts = _topics_lookup(args.topics)
     if args.from_corpus:
         ids = [doc.docid for doc in load_corpus(args.from_corpus)]
         pairs = sample_negatives_corpus(ids, qrels, args.n, args.seed, texts)
     else:
+        pool = fusion.cut_pool(read_run(args.pool), args.pool_k)
         pairs = sample_negatives(pool, qrels, args.n, args.seed, texts)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} negative pairs -> {args.out}")
@@ -273,10 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_forge = sub.add_parser("forge", help="manufacture training pairs")
     forge_sub = p_forge.add_subparsers(dest="forge_command", required=True)
     p_neg = forge_sub.add_parser("negatives", help="sample pool (or corpus) negatives")
-    p_neg.add_argument("--pool", required=True, help="candidate pool run file")
+    universe = p_neg.add_mutually_exclusive_group(required=True)
+    universe.add_argument("--pool", help="candidate pool run file")
+    universe.add_argument("--from-corpus", help="sample from this corpus instead of a pool")
     p_neg.add_argument("--qrels", required=True)
     p_neg.add_argument("--topics", default=None, help="topics TSV for query text")
-    p_neg.add_argument("--from-corpus", default=None, help="sample from this corpus instead of the pool")
     p_neg.add_argument("-n", type=int, required=True, help="negatives per query")
     p_neg.add_argument("--pool-k", type=int, default=fusion.DEFAULT_POOL_K)
     p_neg.add_argument("--seed", type=int, default=0)

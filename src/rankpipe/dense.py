@@ -2,7 +2,9 @@
 
 Vectors come from any external bi-encoder as a TSV of
 ``id<TAB>v1,v2,...,vd`` records. Search is an exhaustive scan accumulated
-in double precision, so results are exact and platform-stable.
+in double precision, so results are exact. The metric, dot product or
+cosine, is a search argument; ``similarities`` is the one routine that
+computes either, with the same checks for every caller.
 """
 from __future__ import annotations
 
@@ -16,29 +18,20 @@ from .validate import COSINE, DOT, METRICS, parse_vectors
 
 
 class EmbeddingStore:
-    """Immutable id -> fixed-dimension vector map with a similarity metric."""
+    """Immutable id -> fixed-dimension vector map."""
 
-    def __init__(self, ids: list[str], matrix: np.ndarray, metric: str = DOT):
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric: {metric!r}")
+    def __init__(self, ids: list[str], matrix: np.ndarray):
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
             raise ValueError("matrix shape does not match id count")
         if len(set(ids)) != len(ids):
             raise DataError("duplicate vector ids")
         self.ids = list(ids)
         self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.metric = metric
         self._row = {vid: i for i, vid in enumerate(self.ids)}
         self._ids_array = np.array(self.ids)
         bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             raise DataError(f"non-finite components in vector {self.ids[int(bad[0])]!r}")
-        if metric == COSINE:
-            with np.errstate(over="ignore"):  # an overflow is caught by dense_search
-                norms = np.linalg.norm(self.matrix, axis=1)
-            zero = np.flatnonzero(norms == 0.0)
-            if zero.size:
-                raise DataError(f"zero vector {self.ids[int(zero[0])]!r} not allowed under cosine")
 
     @property
     def dim(self) -> int:
@@ -57,7 +50,7 @@ class EmbeddingStore:
             raise DataError(f"unknown vector id {vid!r}") from None
 
     @classmethod
-    def from_items(cls, items: Iterable[tuple[str, Iterable[float]]], metric: str = DOT) -> "EmbeddingStore":
+    def from_items(cls, items: Iterable[tuple[str, Iterable[float]]]) -> "EmbeddingStore":
         ids: list[str] = []
         rows: list[np.ndarray] = []
         for vid, values in items:
@@ -65,22 +58,51 @@ class EmbeddingStore:
             rows.append(np.fromiter(values, dtype=np.float64))
         if not ids:
             raise DataError("no vectors")
-        return cls(ids, np.vstack(rows), metric)
+        return cls(ids, np.vstack(rows))
 
 
-def load_embeddings(path: str, metric: str = DOT) -> EmbeddingStore:
+def load_embeddings(path: str) -> EmbeddingStore:
     """Load a vector TSV; every record must share the first record's
     dimension, and the error for a mismatch names the id and line."""
-    return EmbeddingStore.from_items((record for _, record in parse_vectors(path)), metric)
+    return EmbeddingStore.from_items(record for _, record in parse_vectors(path))
 
 
 def write_embeddings(store: EmbeddingStore, path: str, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for vid in store.ids:
-            row = store.matrix[store._row[vid]]
+        for vid, row in zip(store.ids, store.matrix):
             fh.write(vid + "\t" + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def similarities(queries: EmbeddingStore, docs: EmbeddingStore, query_id: str, metric: str = DOT) -> np.ndarray:
+    """The similarity of one query vector to every document vector, in the
+    order of ``docs.ids``: dot products, or cosine under ``COSINE``.
+
+    Under cosine a zero vector, query or document, is a DataError that
+    names it. So is a similarity that overflows the float range, which
+    finite components can still produce.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric: {metric!r}")
+    if query_id not in queries:
+        raise DataError(f"unknown query id {query_id!r}")
+    if queries.dim != docs.dim:
+        raise DataError(f"query dim {queries.dim} != doc dim {docs.dim}")
+    qvec = queries.vector(query_id)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = docs.matrix @ qvec
+        if metric == COSINE:
+            qnorm = np.linalg.norm(qvec)
+            dnorms = np.linalg.norm(docs.matrix, axis=1)
+            zero = np.flatnonzero(dnorms == 0.0)
+            if qnorm == 0.0 or zero.size:
+                vid = query_id if qnorm == 0.0 else docs.ids[int(zero[0])]
+                raise DataError(f"zero vector {vid!r} not allowed under cosine")
+            scores = scores / (dnorms * qnorm)
+    if not np.isfinite(scores).all():
+        raise DataError(f"similarity overflow for query {query_id!r}: scores are not finite")
+    return scores
 
 
 def dense_search(
@@ -88,32 +110,16 @@ def dense_search(
     docs: EmbeddingStore,
     query_id: str,
     k: int,
+    metric: str = DOT,
 ) -> list[tuple[str, float]]:
-    """Exact top-k document similarities for one query.
+    """Exact top-k document similarities for one query under ``metric``.
 
-    Scores are dot products, or cosine when the document store was loaded
-    with the cosine metric; ties break by ascending docid and k beyond the
-    store size returns the whole store.
+    Ties break by ascending docid, and k beyond the store size returns the
+    whole store.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if query_id not in queries:
-        raise DataError(f"unknown query id {query_id!r}")
-    if queries.dim != docs.dim:
-        raise DataError(f"query dim {queries.dim} != doc dim {docs.dim}")
-    qvec = queries.vector(query_id)
-    # finite components can still overflow a dot product or a norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        if docs.metric == COSINE:
-            qnorm = np.linalg.norm(qvec)
-            if qnorm == 0.0:
-                raise DataError(f"zero query vector {query_id!r} under cosine")
-            dnorms = np.linalg.norm(docs.matrix, axis=1)
-            scores = (docs.matrix @ qvec) / (dnorms * qnorm)
-        else:
-            scores = docs.matrix @ qvec
-    if not np.isfinite(scores).all():
-        raise DataError(f"similarity overflow for query {query_id!r}: scores are not finite")
+    scores = similarities(queries, docs, query_id, metric)
     # primary key score descending, secondary key docid ascending
     order = np.lexsort((docs._ids_array, -scores))
     return [(docs.ids[i], float(scores[i])) for i in order[: min(k, len(docs))]]
@@ -121,6 +127,6 @@ def dense_search(
 
 def retrieve_dense(queries_path: str, docs_path: str, k: int = DEFAULT_K, metric: str = DOT, tag: str = "dense") -> Run:
     """The dense stage: the top-k documents of every query vector."""
-    queries = load_embeddings(queries_path, metric)
-    docs = load_embeddings(docs_path, metric)
-    return Run(entries={qid: dense_search(queries, docs, qid, k) for qid in queries.ids}, tag=tag)
+    queries = load_embeddings(queries_path)
+    docs = load_embeddings(docs_path)
+    return Run(entries={qid: dense_search(queries, docs, qid, k, metric) for qid in queries.ids}, tag=tag)

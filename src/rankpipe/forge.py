@@ -31,11 +31,9 @@ from typing import TYPE_CHECKING
 from .corpus import JudgmentSet, Query
 from .errors import DataError
 from .runs import Run
-from .validate import check_pair_label, parse_pairs
+from .validate import COSINE, check_pair_label, parse_pairs
 
-if TYPE_CHECKING:  # numpy is only needed by q2q2d, which imports it when it runs
-    import numpy as np
-
+if TYPE_CHECKING:  # numpy is only needed by q2q2d, which imports dense when it runs
     from .dense import EmbeddingStore
 
 logger = logging.getLogger(__name__)
@@ -159,20 +157,6 @@ def sample_negatives_corpus(
     return pairs
 
 
-def _cosine(a: np.ndarray, b_matrix: np.ndarray, a_id: str, b_ids: Sequence[str]) -> np.ndarray:
-    import numpy as np
-
-    a_norm = float(np.linalg.norm(a))
-    if a_norm == 0.0:
-        raise DataError(f"zero vector for query {a_id!r}")
-    b_norms = np.linalg.norm(b_matrix, axis=1)
-    zero = np.flatnonzero(b_norms == 0.0)
-    if zero.size:
-        raise DataError(f"zero vector for query {b_ids[int(zero[0])]!r}")
-    sims = (b_matrix @ a) / (b_norms * a_norm)
-    return np.clip(sims, -1.0, 1.0)
-
-
 def q2q2d_augment(
     test_queries: Sequence[Query],
     train_queries: Sequence[Query],
@@ -188,16 +172,19 @@ def q2q2d_augment(
     """
     import numpy as np
 
+    from .dense import EmbeddingStore, similarities
+
     for query in list(test_queries) + list(train_queries):
         if query.qid not in query_vectors:
             raise DataError(f"no vector for query {query.qid!r}")
     if not train_queries:
         return []
-    train_matrix = np.vstack([query_vectors.vector(q.qid) for q in train_queries])
     train_ids = [q.qid for q in train_queries]
+    sources = EmbeddingStore(train_ids, np.vstack([query_vectors.vector(qid) for qid in train_ids]))
     pairs: list[TrainingPair] = []
     for test_query in test_queries:
-        sims = _cosine(query_vectors.vector(test_query.qid), train_matrix, test_query.qid, train_ids)
+        # clipped, since rounding can carry a cosine just past 1 or -1
+        sims = np.clip(similarities(query_vectors, sources, test_query.qid, COSINE), -1.0, 1.0)
         order = sorted(range(len(train_queries)), key=lambda i: (-sims[i], train_ids[i]))
         matched = [i for i in order if sims[i] >= params.tau][: params.top_m]
         for i in matched:

@@ -7,15 +7,12 @@ rather than scored as zero.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .corpus import JudgmentSet
 from .runs import Run
-
-logger = logging.getLogger(__name__)
 
 NDCG = "ndcg"
 RECALL = "recall"
@@ -66,10 +63,6 @@ def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
         ideal = sorted(judged.values(), reverse=True)
         idcg = _dcg(ideal, k)
         report.per_query[qid] = _dcg(gains, k) / idcg
-    if report.skipped_queries:
-        logger.warning(
-            "ndcg@%d: skipped %d queries without positive judgments", k, report.skipped_queries
-        )
     return report
 
 
@@ -85,10 +78,6 @@ def recall_at_k(run: Run, qrels: JudgmentSet, k: int) -> MetricReport:
             continue
         top = {docid for docid, _ in ranked[:k]}
         report.per_query[qid] = len(relevant & top) / len(relevant)
-    if report.skipped_queries:
-        logger.warning(
-            "recall@%d: skipped %d queries without positive judgments", k, report.skipped_queries
-        )
     return report
 
 

@@ -163,6 +163,8 @@ def _read_score_file(path: str) -> dict[tuple[str, str], float]:
             if len(parts) != 3:
                 raise FormatError(f"expected 'qid docid score', got {len(parts)} columns", path=path, line=lineno)
             qid, docid, score_str = parts
+            if (qid, docid) in scores:
+                raise FormatError(f"duplicate score for ({qid}, {docid})", path=path, line=lineno)
             try:
                 scores[(qid, docid)] = float(score_str)
             except ValueError:

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 
 from rankpipe.corpus import Document, JudgmentSet
+from rankpipe.forge import TrainingPair
 from rankpipe.runs import Run, rank_sorted
 from rankpipe.tokenization import tokenize
 
@@ -242,3 +243,25 @@ def oracle_pair_text(query: str, title: str, body: str) -> str:
         return value.replace("[SEP]", " ").replace("\n", " ").replace("\r", " ")
 
     return f"{clean(query)} [SEP] {clean(title)} [SEP] {clean(body)}"
+
+
+def oracle_q2q2d(test_queries, train_queries, train_qrels: JudgmentSet, vectors, params) -> list:
+    """q2q2d as it was written with its own cosine: the dot over the product
+    of the two norms, clipped to [-1, 1]; sources ranked by (-sim, qid), the
+    first ``top_m`` at or above ``tau`` each lend every judged document with
+    label max(0, sim) * min(grade, 1) * alpha."""
+    if not train_queries:
+        return []
+    train_ids = [q.qid for q in train_queries]
+    train_matrix = np.vstack([vectors.vector(qid) for qid in train_ids])
+    b_norms = np.linalg.norm(train_matrix, axis=1)
+    pairs = []
+    for target in test_queries:
+        a = vectors.vector(target.qid)
+        sims = np.clip((train_matrix @ a) / (b_norms * float(np.linalg.norm(a))), -1.0, 1.0)
+        order = sorted(range(len(train_ids)), key=lambda i: (-sims[i], train_ids[i]))
+        for i in [i for i in order if sims[i] >= params.tau][: params.top_m]:
+            for docid, grade in sorted(train_qrels.judged_docids(train_ids[i]).items()):
+                label = max(0.0, float(sims[i])) * min(grade, 1) * params.alpha
+                pairs.append(TrainingPair(target.qid, target.text, docid, label, "q2q2d"))
+    return pairs

@@ -251,6 +251,13 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert f"weight '{bad}' is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("universe", [[], ["--pool", "p.trec", "--from-corpus", "c.jsonl"]])
+    def test_negatives_take_exactly_one_of_pool_and_corpus(self, tmp_path, universe):
+        with pytest.raises(SystemExit) as exc:
+            main(["forge", "negatives", *universe, "--qrels", "q.txt", "-n", "2",
+                  "--out", str(tmp_path / "n.pairs.tsv")])
+        assert exc.value.code == 1
+
     def test_directory_as_input_is_a_data_error(self, tmp_path, capsys):
         write_tiny_project(tmp_path)
         assert main(["eval", "--run", str(tmp_path), "--qrels", str(tmp_path / "qrels.txt")]) == 2
@@ -390,7 +397,7 @@ class TestPipeline:
 
     def test_docid_with_whitespace_is_blamed_on_the_corpus(self, tmp_path, capsys):
         desk = tmp_path / "desk"
-        shutil.copytree(DESK, desk)
+        shutil.copytree(DESK, desk, ignore=shutil.ignore_patterns("out"))
         corpus = desk / "en" / "corpus.jsonl"
         corpus.write_text(corpus.read_text(encoding="utf-8").replace('"en-dl0"', '"en dl0"'), encoding="utf-8")
         assert main(["pipeline", "--config", str(desk / "desk.cfg")]) == 2

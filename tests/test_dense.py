@@ -48,12 +48,6 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="non-finite"):
             load_embeddings(path)
 
-    def test_zero_vector_rejected_under_cosine_only(self, tmp_path):
-        path = write_vectors(tmp_path / "v.vec.tsv", [("a", "0,0"), ("b", "1,0")])
-        with pytest.raises(DataError, match="'a'"):
-            load_embeddings(path, metric="cosine")
-        assert len(load_embeddings(path, metric="dot")) == 2
-
     def test_round_trip_byte_identical(self, tmp_path):
         path = write_vectors(
             tmp_path / "v.vec.tsv", [("a", "1.5,-2.25,0.1"), ("b", "0.3333333333333333,1e-09,7.0")]
@@ -66,9 +60,9 @@ class TestLoadEmbeddings:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def make_stores(query_vecs, doc_vecs, metric="dot"):
-    queries = EmbeddingStore(list(query_vecs), np.array(list(query_vecs.values()), dtype=float), metric)
-    docs = EmbeddingStore(list(doc_vecs), np.array(list(doc_vecs.values()), dtype=float), metric)
+def make_stores(query_vecs, doc_vecs):
+    queries = EmbeddingStore(list(query_vecs), np.array(list(query_vecs.values()), dtype=float))
+    docs = EmbeddingStore(list(doc_vecs), np.array(list(doc_vecs.values()), dtype=float))
     return queries, docs
 
 
@@ -78,8 +72,8 @@ class TestDenseSearch:
         assert dense_search(queries, docs, "q", 5) == [("d1", 1.0), ("d2", 0.0)]
 
     def test_cosine_scale_invariance(self):
-        queries, docs = make_stores({"q": [2, 0]}, {"d1": [7, 0]}, metric="cosine")
-        assert dense_search(queries, docs, "q", 1) == [("d1", pytest.approx(1.0))]
+        queries, docs = make_stores({"q": [2, 0]}, {"d1": [7, 0]})
+        assert dense_search(queries, docs, "q", 1, "cosine") == [("d1", pytest.approx(1.0))]
 
     def test_unknown_query_id(self):
         queries, docs = make_stores({"q": [1, 0]}, {"d1": [1, 0]})
@@ -100,8 +94,8 @@ class TestDenseSearch:
         for metric in ("dot", "cosine"):
             qvec = {"q": rng.normal(size=8)}
             dvecs = {f"d{i:02d}": rng.normal(size=8) for i in range(50)}
-            queries, docs = make_stores(qvec, dvecs, metric)
-            got = dense_search(queries, docs, "q", 50)
+            queries, docs = make_stores(qvec, dvecs)
+            got = dense_search(queries, docs, "q", 50, metric)
 
             expected = {}
             for vid, vec in dvecs.items():
@@ -128,14 +122,32 @@ class TestDenseSearch:
         queries, docs = make_stores(
             {"q": rng.normal(size=6)},
             {f"d{i}": rng.normal(size=6) for i in range(30)},
-            metric="cosine",
         )
-        for _, score in dense_search(queries, docs, "q", 30):
+        for _, score in dense_search(queries, docs, "q", 30, "cosine"):
             assert -1.0 <= score <= 1.0
 
     def test_tie_break_ascending_docid(self):
         queries, docs = make_stores({"q": [1, 0]}, {"d2": [0, 1], "d1": [0, 2]})
         assert [d for d, _ in dense_search(queries, docs, "q", 2)] == ["d1", "d2"]
+
+    def test_unknown_metric(self):
+        queries, docs = make_stores({"q": [1, 0]}, {"d1": [1, 0]})
+        with pytest.raises(ValueError, match="euclid"):
+            dense_search(queries, docs, "q", 1, "euclid")
+
+    @pytest.mark.parametrize(
+        "query_vecs, doc_vecs, zero",
+        [
+            ({"q": [0, 0]}, {"d1": [1, 0]}, "q"),
+            ({"q": [1, 0]}, {"d1": [1, 0], "d2": [0, 0]}, "d2"),
+        ],
+        ids=["query", "doc"],
+    )
+    def test_zero_vector_rejected_under_cosine_only(self, query_vecs, doc_vecs, zero):
+        queries, docs = make_stores(query_vecs, doc_vecs)
+        with pytest.raises(DataError, match=f"zero vector '{zero}' not allowed under cosine"):
+            dense_search(queries, docs, "q", 5, "cosine")
+        assert len(dense_search(queries, docs, "q", 5, "dot")) == len(doc_vecs)
 
 
 @pytest.mark.parametrize("metric", ["dot", "cosine"])
@@ -143,6 +155,6 @@ def test_overflowing_similarity_is_a_data_error(metric):
     # every component is finite, but the dot product is not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        store = EmbeddingStore(["q1", "d1"], np.full((2, 2), 1e200), metric)
+        store = EmbeddingStore(["q1", "d1"], np.full((2, 2), 1e200))
         with pytest.raises(DataError, match="'q1'"):
-            dense_search(store, store, "q1", 5)
+            dense_search(store, store, "q1", 5, metric)

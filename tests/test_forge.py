@@ -1,11 +1,12 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_draw
+from helpers import oracle_draw, oracle_q2q2d
 from rankpipe.corpus import JudgmentSet, Query
 from rankpipe.dense import EmbeddingStore
 from rankpipe.errors import DataError, FormatError
@@ -249,6 +250,76 @@ class TestQ2q2d:
             pairs = q2q2d_augment([Query("t1", "t")], sources, qrels, query_store(vectors), params)
             for pair in pairs:
                 assert 0.0 <= pair.label <= params.alpha + 1e-12
+
+    @pytest.mark.parametrize("zero", ["t1", "s1"])
+    def test_zero_vector_is_named_as_dense_search_names_it(self, zero):
+        vectors = query_store({"t1": [1, 0], "s1": [1, 0], zero: [0, 0]})
+        qrels = JudgmentSet({("s1", "d1"): 1})
+        with pytest.raises(DataError, match=f"zero vector '{zero}' not allowed under cosine"):
+            q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params)
+
+    def test_overflowing_similarity_names_the_query(self):
+        # every component is finite, but the dot product and the norms are not
+        vectors = query_store({"t1": [1e200, 1e200], "s1": [1e200, 1e200]})
+        qrels = JudgmentSet({("s1", "d1"): 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="similarity overflow for query 't1'"):
+                q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params)
+
+    def test_repeated_source_qid_rejected(self):
+        vectors = query_store({"t1": [1, 0], "s1": [1, 0]})
+        with pytest.raises(DataError, match="duplicate"):
+            q2q2d_augment([Query("t1", "t")], [Query("s1", "a"), Query("s1", "b")], JudgmentSet(), vectors, self.params)
+
+
+_COMPONENT = st.floats(-100, 100).filter(lambda x: x == 0.0 or abs(x) > 1e-6)
+
+
+@st.composite
+def _q2q2d_cases(pick):
+    """Targets and sources in a few dimensions. Sources are scaled or negated
+    copies of the first target (their cosine rounds to 1 or -1, sometimes
+    past it), copies of an earlier source (ties) or other vectors."""
+    dim = pick(st.integers(2, 4))
+    vector = st.lists(_COMPONENT, min_size=dim, max_size=dim).filter(any)
+    targets = pick(st.lists(vector, min_size=1, max_size=3))
+    sources: list[list[float]] = []
+    for _ in range(pick(st.integers(1, 6))):
+        kind = pick(st.sampled_from(["scaled", "other", "tie"] if sources else ["scaled", "other"]))
+        if kind == "scaled":
+            scale = pick(st.sampled_from([3.0, 7.0, 1000.0, -2.5]) | st.floats(1e-3, 1e3))
+            sources.append([scale * x for x in targets[0]])
+        elif kind == "tie":
+            sources.append(list(pick(st.sampled_from(sources))))
+        else:
+            sources.append(pick(vector))
+    vectors = {f"t{i}": v for i, v in enumerate(targets)} | {f"s{i}": v for i, v in enumerate(sources)}
+    qrels = JudgmentSet()
+    for i in range(len(sources)):
+        for docid in pick(st.lists(st.sampled_from(["d0", "d1", "d2", "d3"]), max_size=3, unique=True)):
+            qrels.add(f"s{i}", docid, pick(st.integers(0, 2)))
+    params = AugmentationParams(
+        alpha=pick(st.just(1.0) | st.floats(0.01, 1.0)),
+        top_m=pick(st.integers(1, 4)),
+        tau=pick(st.sampled_from([-1.0, 0.8, 1.0]) | st.floats(-1.0, 1.0)),
+    )
+    return len(targets), len(sources), qrels, vectors, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q2q2d_cases())
+# [0.3, 0.7] and 7 times it have a computed cosine of 1.0000000000000002
+@example((1, 2, JudgmentSet({("s0", "d0"): 1, ("s1", "d1"): 1}),
+          {"t0": [0.3, 0.7], "s0": [7 * 0.3, 7 * 0.7], "s1": [1.0, 0.0]},
+          AugmentationParams(alpha=1.0, top_m=2, tau=1.0)))
+def test_q2q2d_pairs_match_its_own_cosine_ranking(case):
+    n_targets, n_sources, qrels, vectors, params = case
+    targets = [Query(f"t{i}", f"target {i}") for i in range(n_targets)]
+    sources = [Query(f"s{i}", f"source {i}") for i in range(n_sources)]
+    store = query_store(vectors)
+    pairs = q2q2d_augment(targets, sources, qrels, store, params)
+    assert repr(pairs) == repr(oracle_q2q2d(targets, sources, qrels, store, params))
 
 
 class TestPseudoLabel:

@@ -29,7 +29,7 @@ def _set_stages(cfg: Path, stages: str) -> Path:
 
 def _desk_with_unmatched_topic(root: Path) -> Path:
     desk = root / "desk"
-    shutil.copytree(DESK, desk)
+    shutil.copytree(DESK, desk, ignore=shutil.ignore_patterns("out"))
     with open(desk / "en" / "topics.tsv", "a", encoding="utf-8") as fh:
         fh.write(UNMATCHED_TOPIC)
     return desk / "desk.cfg"

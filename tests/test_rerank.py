@@ -11,7 +11,7 @@ from helpers import oracle_lexical_score, oracle_pair_text
 from rankpipe import rerank
 from rankpipe.cli import main
 from rankpipe.corpus import Document
-from rankpipe.errors import DataError, ProtocolError
+from rankpipe.errors import DataError, FormatError, ProtocolError
 from rankpipe.fusion import cut_pool
 from rankpipe.rerank import (
     PairInput,
@@ -223,6 +223,13 @@ class TestScoreFileScorer:
         score_path.write_text("q1 d1 0.25\n")
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
         with pytest.raises(ProtocolError, match="d2"):
+            score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
+
+    def test_duplicate_entry_is_a_format_error_at_its_line(self, tmp_path):
+        score_path = tmp_path / "scores.tsv"
+        score_path.write_text("q1 d1 0.5\nq1 d2 0.75\nq1 d1 0.9\n")
+        pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
+        with pytest.raises(FormatError, match=r"scores\.tsv:3: duplicate score for \(q1, d1\)"):
             score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
 
     def test_out_of_range_score_rejected(self, tmp_path):
