@@ -7,16 +7,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-# dense, forge, ensemble and pipeline are imported inside the subcommands that
-# use them; numpy comes in only with dense, pipeline and forge's q2q2d, so the
-# other subcommands start without it
-from . import __version__, fusion, metrics, rerank, sparse
-from .corpus import corpus_stats, load_corpus, load_qrels, load_topics
+# Stage modules are imported inside the handler that runs them, so a call
+# loads only what its subcommand uses; numpy comes in only with `retrieve
+# dense`, `forge q2q2d` and a pipeline's dense stage.
+from . import __version__
 from .errors import DataError, ProtocolError
-from .expconfig import load_config
-from .runs import DEFAULT_K, read_run, write_run
-from .tokenization import AUTO, POLICIES
-from .validate import DOT, KINDS, METRICS, validate_artifacts
+from .tokenization import POLICIES
+from .validate import KINDS, METRICS, validate_artifacts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,16 +22,41 @@ EXIT_PROTOCOL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """A flag left out is absent from the parsed arguments unless it
+    declares a default, so the library's own default applies to it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     # argparse exits 2 on usage errors; the documented usage exit code is 1
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """The keyword arguments of a library call from the flags the user gave:
+    each of ``names`` fills the parameter of its own name, each key of
+    ``renamed`` the parameter it maps to."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {param: getattr(args, dest) for dest, param in pairs if dest in args}
+
+
 def _weights(raw: str) -> list[float]:
+    from .fusion import parse_weights
+
     try:
-        return fusion.parse_weights(raw)
+        return parse_weights(raw)
     except ValueError as exc:  # argparse reports a ValueError without its message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _scorer(spec: str):
+    from .rerank import ScorerHandle
+
+    try:
+        return ScorerHandle.parse(spec)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -44,21 +66,28 @@ def _tag(raw: str) -> str:
     return raw
 
 
-def _topics_lookup(path: str | None) -> dict[str, str] | None:
-    if path is None:
+def _topics_lookup(args: argparse.Namespace) -> dict[str, str] | None:
+    if "topics" not in args:
         return None
-    return {q.qid: q.text for q in load_topics(path)}
+    from .corpus import load_topics
+
+    return {q.qid: q.text for q in load_topics(args.topics)}
 
 
 def _cmd_index(args) -> int:
-    index = sparse.index_corpus(args.corpus, args.out, args.script_policy)
+    from .sparse import index_corpus
+
+    index = index_corpus(args.corpus, args.out, **_given(args, "script_policy"))
     print(f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_retrieve_bm25(args) -> int:
-    params = sparse.Bm25Params(k1=args.k1, b=args.b)
-    run = sparse.retrieve_bm25(args.index, args.topics, args.k, params, args.tag)
+    from . import sparse
+    from .runs import write_run
+
+    params = sparse.Bm25Params(**_given(args, "k1", "b"))
+    run = sparse.retrieve_bm25(sparse.load_index(args.index), args.topics, params=params, **_given(args, "k", "tag"))
     write_run(run, args.out)
     print(f"wrote {len(run)} results for {len(run.entries)} queries -> {args.out}")
     return EXIT_OK
@@ -66,20 +95,24 @@ def _cmd_retrieve_bm25(args) -> int:
 
 def _cmd_retrieve_dense(args) -> int:
     from . import dense
+    from .runs import write_run
 
-    run = dense.retrieve_dense(args.queries, args.docs, args.k, args.metric, args.tag)
+    run = dense.retrieve_dense(args.queries, args.docs, **_given(args, "k", "metric", "tag"))
     write_run(run, args.out)
     print(f"wrote {len(run)} results for {len(run.entries)} queries -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_fuse(args) -> int:
+    from . import fusion
+    from .runs import read_run, write_run
+
     runs = [read_run(path) for path in args.runs]
     if args.normalize == "minmax":
         runs = [fusion.normalize_run(run) for run in runs]
-    weights = args.weights if args.weights is not None else [1.0 / len(runs)] * len(runs)
+    weights = args.weights if "weights" in args else [1.0 / len(runs)] * len(runs)
     fused = fusion.fuse(runs, weights)
-    if args.k is not None:
+    if "k" in args:
         fused = fusion.cut_pool(fused, args.k)
     write_run(fused, args.out)
     print(f"fused {len(args.runs)} runs -> {args.out}")
@@ -87,15 +120,18 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_forge_negatives(args) -> int:
+    from .corpus import load_corpus, load_qrels
     from .forge import sample_negatives, sample_negatives_corpus, write_pairs
+    from .fusion import cut_pool
+    from .runs import read_run
 
     qrels = load_qrels(args.qrels)
-    texts = _topics_lookup(args.topics)
-    if args.from_corpus:
+    texts = _topics_lookup(args)
+    if "from_corpus" in args:
         ids = [doc.docid for doc in load_corpus(args.from_corpus)]
         pairs = sample_negatives_corpus(ids, qrels, args.n, args.seed, texts)
     else:
-        pool = fusion.cut_pool(read_run(args.pool), args.pool_k)
+        pool = cut_pool(read_run(args.pool), **_given(args, pool_k="k"))
         pairs = sample_negatives(pool, qrels, args.n, args.seed, texts)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} negative pairs -> {args.out}")
@@ -104,9 +140,10 @@ def _cmd_forge_negatives(args) -> int:
 
 def _cmd_forge_q2q2d(args) -> int:
     from . import dense
+    from .corpus import load_qrels, load_topics
     from .forge import AugmentationParams, q2q2d_augment, write_pairs
 
-    params = AugmentationParams(alpha=args.alpha, top_m=args.top_m, tau=args.tau, seed=args.seed)
+    params = AugmentationParams(**_given(args, "alpha", "top_m", "tau", "seed"))
     test_queries = load_topics(args.test_topics)
     train_queries = load_topics(args.train_topics)
     train_qrels = load_qrels(args.train_qrels)
@@ -119,31 +156,35 @@ def _cmd_forge_q2q2d(args) -> int:
 
 def _cmd_forge_pseudo(args) -> int:
     from .forge import AugmentationParams, pseudo_label, write_pairs
+    from .runs import read_run
 
-    params = AugmentationParams(
-        pseudo_fraction=args.fraction, pseudo_scale=args.scale, seed=args.seed
-    )
+    params = AugmentationParams(**_given(args, "seed", fraction="pseudo_fraction", scale="pseudo_scale"))
     run = read_run(args.run)
-    pairs = pseudo_label(run, _topics_lookup(args.topics), params)
+    pairs = pseudo_label(run, _topics_lookup(args), params)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} pseudo-labeled pairs -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_rerank(args) -> int:
+    from . import rerank
+    from .runs import read_run, write_run
+
+    scorer = args.scorer if "scorer" in args else rerank.ScorerHandle()
     run = rerank.rerank_pool(
-        read_run(args.pool), args.topics, args.corpus, args.scorer, args.pool_k, args.budget, args.script_policy
+        read_run(args.pool), args.topics, args.corpus, scorer, **_given(args, "pool_k", "budget", "script_policy")
     )
     write_run(run, args.out)
-    print(f"reranked {len(run)} pairs with {args.scorer.kind} -> {args.out}")
+    print(f"reranked {len(run)} pairs with {scorer.kind} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_ensemble(args) -> int:
     from . import ensemble
+    from .runs import read_run, write_run
 
     runs = [read_run(path) for path in args.runs]
-    config = ensemble.EnsembleConfig(base_weights=args.base_weights, lam=args.lam)
+    config = ensemble.EnsembleConfig(base_weights=args.base_weights, **_given(args, "lam"))
     if len(runs) > 1:
         corr = ensemble.correlation_matrix(runs)
         weights = ensemble.adjust_weights(config, corr)
@@ -157,6 +198,10 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import metrics
+    from .corpus import load_qrels
+    from .runs import read_run
+
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
     if args.metric == metrics.NDCG:
@@ -166,11 +211,11 @@ def _cmd_eval(args) -> int:
     lines = [f"{args.metric}@{args.k}\t{report.mean!r}"]
     lines.append(f"evaluated_queries\t{report.evaluated_queries}")
     lines.append(f"skipped_queries\t{report.skipped_queries}")
-    if args.per_query:
+    if "per_query" in args:
         for qid in sorted(report.per_query):
             lines.append(f"{qid}\t{report.per_query[qid]!r}")
     output = "\n".join(lines)
-    if args.out:
+    if "out" in args:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output + "\n")
     print(output)
@@ -188,12 +233,15 @@ def _split_pairs(raw: list[str], flag: str) -> dict[str, str]:
 
 
 def _cmd_stats(args) -> int:
+    from .corpus import corpus_stats, load_corpus, load_qrels, load_topics
+
+    language = _given(args, "language")
     topics = {
-        split: load_topics(path, language=args.language, split=split)
+        split: load_topics(path, split=split, **language)
         for split, path in _split_pairs(args.topics, "--topics").items()
     }
     qrels = {split: load_qrels(path) for split, path in _split_pairs(args.qrels, "--qrels").items()}
-    row = corpus_stats(load_corpus(args.corpus), topics, qrels, language=args.language)
+    row = corpus_stats(load_corpus(args.corpus), topics, qrels, **language)
     splits = sorted(set(row.queries) | set(row.judgments))
     print("language\t" + "\t".join(f"{s}.queries\t{s}.judgments" for s in splits) + "\tpassages\tarticles")
     cells = [row.language]
@@ -207,7 +255,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    diags = validate_artifacts(args.paths, kind=args.kind)
+    diags = validate_artifacts(args.paths, **_given(args, "kind"))
     for diag in diags:
         print(str(diag))
     if diags:
@@ -218,6 +266,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from .expconfig import load_config
     from .pipeline import run_pipeline
 
     config = load_config(args.config)
@@ -239,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = index_sub.add_parser("build", help="build an inverted index from a corpus")
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--script-policy", default=AUTO, choices=POLICIES)
+    p_build.add_argument("--script-policy", choices=POLICIES)
     p_build.set_defaults(func=_cmd_index)
 
     p_retrieve = sub.add_parser("retrieve", help="run sparse or dense retrieval")
@@ -247,26 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm25 = retrieve_sub.add_parser("bm25", help="BM25 top-k search over an index")
     p_bm25.add_argument("--index", required=True)
     p_bm25.add_argument("--topics", required=True)
-    p_bm25.add_argument("-k", type=int, default=DEFAULT_K)
-    p_bm25.add_argument("--k1", type=float, default=sparse.Bm25Params.k1)
-    p_bm25.add_argument("--b", type=float, default=sparse.Bm25Params.b)
-    p_bm25.add_argument("--tag", type=_tag, default="bm25")
+    p_bm25.add_argument("-k", type=int)
+    p_bm25.add_argument("--k1", type=float)
+    p_bm25.add_argument("--b", type=float)
+    p_bm25.add_argument("--tag", type=_tag)
     p_bm25.add_argument("--out", required=True)
     p_bm25.set_defaults(func=_cmd_retrieve_bm25)
     p_dense = retrieve_sub.add_parser("dense", help="exact top-k similarity search")
     p_dense.add_argument("--queries", required=True, help="query vector TSV")
     p_dense.add_argument("--docs", required=True, help="document vector TSV")
-    p_dense.add_argument("--metric", default=DOT, choices=METRICS)
-    p_dense.add_argument("-k", type=int, default=DEFAULT_K)
-    p_dense.add_argument("--tag", type=_tag, default="dense")
+    p_dense.add_argument("--metric", choices=METRICS)
+    p_dense.add_argument("-k", type=int)
+    p_dense.add_argument("--tag", type=_tag)
     p_dense.add_argument("--out", required=True)
     p_dense.set_defaults(func=_cmd_retrieve_dense)
 
     p_fuse = sub.add_parser("fuse", help="normalize and combine runs into a hybrid run")
     p_fuse.add_argument("--runs", nargs="+", required=True)
-    p_fuse.add_argument("--weights", type=_weights, default=None, help="comma-separated, e.g. 0.5,0.5")
+    p_fuse.add_argument("--weights", type=_weights, help="comma-separated, e.g. 0.5,0.5")
     p_fuse.add_argument("--normalize", default="minmax", choices=["minmax", "none"])
-    p_fuse.add_argument("-k", type=int, default=None, help="cut the fused run to top-k per query")
+    p_fuse.add_argument("-k", type=int, help="cut the fused run to top-k per query")
     p_fuse.add_argument("--out", required=True)
     p_fuse.set_defaults(func=_cmd_fuse)
 
@@ -277,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     universe.add_argument("--pool", help="candidate pool run file")
     universe.add_argument("--from-corpus", help="sample from this corpus instead of a pool")
     p_neg.add_argument("--qrels", required=True)
-    p_neg.add_argument("--topics", default=None, help="topics TSV for query text")
+    p_neg.add_argument("--topics", help="topics TSV for query text")
     p_neg.add_argument("-n", type=int, required=True, help="negatives per query")
-    p_neg.add_argument("--pool-k", type=int, default=fusion.DEFAULT_POOL_K)
+    p_neg.add_argument("--pool-k", type=int)
     p_neg.add_argument("--seed", type=int, default=0)
     p_neg.add_argument("--out", required=True)
     p_neg.set_defaults(func=_cmd_forge_negatives)
@@ -288,18 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_q2q.add_argument("--train-topics", required=True)
     p_q2q.add_argument("--train-qrels", required=True)
     p_q2q.add_argument("--query-vectors", required=True)
-    p_q2q.add_argument("--alpha", type=float, default=0.9)
-    p_q2q.add_argument("--top-m", type=int, default=1)
-    p_q2q.add_argument("--tau", type=float, default=0.8)
-    p_q2q.add_argument("--seed", type=int, default=0)
+    p_q2q.add_argument("--alpha", type=float)
+    p_q2q.add_argument("--top-m", type=int)
+    p_q2q.add_argument("--tau", type=float)
+    p_q2q.add_argument("--seed", type=int)
     p_q2q.add_argument("--out", required=True)
     p_q2q.set_defaults(func=_cmd_forge_q2q2d)
     p_pseudo = forge_sub.add_parser("pseudo", help="sample soft pseudo labels from a scored run")
     p_pseudo.add_argument("--run", required=True, help="scored run with probabilities in [0,1]")
-    p_pseudo.add_argument("--topics", default=None)
-    p_pseudo.add_argument("--fraction", type=float, default=0.5)
-    p_pseudo.add_argument("--scale", type=float, default=0.9)
-    p_pseudo.add_argument("--seed", type=int, default=0)
+    p_pseudo.add_argument("--topics")
+    p_pseudo.add_argument("--fraction", type=float)
+    p_pseudo.add_argument("--scale", type=float)
+    p_pseudo.add_argument("--seed", type=int)
     p_pseudo.add_argument("--out", required=True)
     p_pseudo.set_defaults(func=_cmd_forge_pseudo)
 
@@ -307,18 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--pool", required=True)
     p_rerank.add_argument("--topics", required=True)
     p_rerank.add_argument("--corpus", required=True)
-    p_rerank.add_argument("--scorer", type=rerank.ScorerHandle.parse, default=rerank.ScorerHandle(),
-                          help='lexical (default) | file:scores.tsv | cmd:"..."')
-    p_rerank.add_argument("--budget", type=int, default=rerank.DEFAULT_BUDGET)
-    p_rerank.add_argument("--pool-k", type=int, default=fusion.DEFAULT_POOL_K)
-    p_rerank.add_argument("--script-policy", default=AUTO, choices=POLICIES)
+    p_rerank.add_argument("--scorer", type=_scorer, help='lexical (default) | file:scores.tsv | cmd:"..."')
+    p_rerank.add_argument("--budget", type=int)
+    p_rerank.add_argument("--pool-k", type=int)
+    p_rerank.add_argument("--script-policy", choices=POLICIES)
     p_rerank.add_argument("--out", required=True)
     p_rerank.set_defaults(func=_cmd_rerank)
 
     p_ens = sub.add_parser("ensemble", help="correlation-aware weighted run combination")
     p_ens.add_argument("--runs", nargs="+", required=True)
     p_ens.add_argument("--base-weights", type=_weights, required=True)
-    p_ens.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p_ens.add_argument("--lambda", dest="lam", type=float)
     p_ens.add_argument("--out", required=True)
     p_ens.set_defaults(func=_cmd_ensemble)
 
@@ -328,19 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--metric", default="ndcg", choices=["ndcg", "recall"])
     p_eval.add_argument("-k", type=int, default=10)
     p_eval.add_argument("--per-query", action="store_true")
-    p_eval.add_argument("--out", default=None)
+    p_eval.add_argument("--out")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_stats = sub.add_parser("stats", help="collection statistics for one language")
     p_stats.add_argument("--corpus", required=True)
-    p_stats.add_argument("--language", default="")
+    p_stats.add_argument("--language")
     p_stats.add_argument("--topics", action="append", default=[], metavar="SPLIT=PATH")
     p_stats.add_argument("--qrels", action="append", default=[], metavar="SPLIT=PATH")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_validate = sub.add_parser("validate", help="check artifact files against their formats")
     p_validate.add_argument("paths", nargs="+")
-    p_validate.add_argument("--kind", default=None, choices=list(KINDS))
+    p_validate.add_argument("--kind", choices=list(KINDS))
     p_validate.set_defaults(func=_cmd_validate)
 
     p_pipe = sub.add_parser("pipeline", help="run configured stages end to end")

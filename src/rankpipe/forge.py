@@ -22,7 +22,6 @@ releases (NEP 19), and the sampled pairs must not depend on the install.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ from .validate import COSINE, check_pair_label, parse_pairs
 
 if TYPE_CHECKING:  # numpy is only needed by q2q2d, which imports dense when it runs
     from .dense import EmbeddingStore
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,9 @@ def sample_negatives(
             continue
         pairs.extend(_sample_for_query(qid, pool.docids(qid), qrels, n, seed, query_texts))
     if skipped:
-        logger.warning("sample_negatives: skipped %d pool queries without judgments", skipped)
+        import logging  # here, so that a forge call that skips nothing starts without logging
+
+        logging.getLogger(__name__).warning("sample_negatives: skipped %d pool queries without judgments", skipped)
     return pairs
 
 

@@ -59,7 +59,7 @@ def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
         if not judged or not any(g >= 1 for g in judged.values()):
             report.skipped_queries += 1
             continue
-        gains = [judged.get(docid, 0) for docid, _ in ranked]
+        gains = [judged.get(docid, 0) for docid, _ in ranked[:k]]
         ideal = sorted(judged.values(), reverse=True)
         idcg = _dcg(ideal, k)
         report.per_query[qid] = _dcg(gains, k) / idcg

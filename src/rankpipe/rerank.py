@@ -181,7 +181,7 @@ def _check_score(qid: str, docid: str, score: float) -> float:
 
 
 def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
-    # imported here: every CLI call imports this module, few start a scorer
+    # imported here: most calls that import this module start no scorer
     import select
     import shlex
     import subprocess

@@ -143,10 +143,9 @@ def bm25_search(
 
 
 def retrieve_bm25(
-    index_path: str, topics_path: str, k: int = DEFAULT_K, params: Bm25Params = Bm25Params(), tag: str = "bm25"
+    index: InvertedIndex, topics_path: str, k: int = DEFAULT_K, params: Bm25Params = Bm25Params(), tag: str = "bm25"
 ) -> Run:
     """The bm25 stage: the top-k BM25 results of every topic, [] where none match."""
-    index = load_index(index_path)
     return Run(entries={q.qid: bm25_search(index, q.text, k, params) for q in load_topics(topics_path)}, tag=tag)
 
 

@@ -9,11 +9,9 @@ first problem raises FormatError; ``validate_artifacts`` collects them all.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .errors import FormatError
 
@@ -35,8 +33,7 @@ _SUFFIXES = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One problem in one file; line 0 stands for the whole file."""
 
     path: str
@@ -138,6 +135,8 @@ def check_pair_label(label: float, source: str) -> None:
 
 def parse_corpus(path: str, report: Report = raise_diagnostic) -> Records:
     """Corpus JSON lines -> (docid, title, text); a missing title is ''."""
+    import json  # here, so that a CLI call that reads no corpus starts without json
+
     seen: set[str] = set()
 
     def parse(line: str) -> tuple:

@@ -108,6 +108,28 @@ def oracle_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
     return per_query
 
 
+def full_list_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
+    """nDCG as ``ndcg_at_k`` first computed it: a gain for every ranked
+    document, summed in rank order while the rank is at most k."""
+
+    def dcg(grades: list[int]) -> float:
+        total = 0.0
+        for i, grade in enumerate(grades, 1):
+            if i > k:
+                break
+            total += grade / math.log2(i + 1)
+        return total
+
+    per_query: dict[str, float] = {}
+    for qid, ranked in run.entries.items():
+        judged = qrels.judged_docids(qid)
+        if not any(g >= 1 for g in judged.values()):
+            continue
+        gains = [judged.get(docid, 0) for docid, _ in ranked]
+        per_query[qid] = dcg(gains) / dcg(sorted(judged.values(), reverse=True))
+    return per_query
+
+
 def oracle_recall(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
     per_query: dict[str, float] = {}
     for qid, ranked in run.entries.items():

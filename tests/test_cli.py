@@ -7,12 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from rankpipe import validate
+from rankpipe import dense, ensemble, forge, sparse, validate
 from rankpipe.cli import main
+from rankpipe.corpus import load_corpus, load_qrels, load_topics
 from rankpipe.errors import DataError
 from rankpipe.expconfig import load_config
+from rankpipe.fusion import cut_pool
 from rankpipe.pipeline import run_pipeline
-from rankpipe.runs import read_run
+from rankpipe.rerank import rerank_pool
+from rankpipe.runs import read_run, write_run
 
 DESK = Path(__file__).parent / "data" / "desk"
 
@@ -189,6 +192,62 @@ class TestSubcommands:
         assert "xx\t2\t4\t6\t-" in out
 
 
+class TestParserSurface:
+    # every parser with its own --help, as in tests/data/cli_help.txt
+    COMMANDS = ["", "index", "index build", "retrieve", "retrieve bm25", "retrieve dense", "fuse", "forge",
+                "forge negatives", "forge q2q2d", "forge pseudo", "rerank", "ensemble", "eval", "stats",
+                "validate", "pipeline"]
+
+    def test_every_help_text_is_the_recorded_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+        texts = []
+        for command in self.COMMANDS:
+            argv = [*command.split(), "--help"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0, command
+            texts.append(f"$ {' '.join(['rankpipe', *argv])}\n{capsys.readouterr().out}")
+        assert "".join(texts) == (DESK.parent / "cli_help.txt").read_text(encoding="utf-8")
+
+    def test_left_out_flags_take_the_library_defaults(self, tmp_path):
+        en = DESK / "en"
+        corpus, topics, qrels = str(en / "corpus.jsonl"), str(en / "topics.tsv"), str(en / "qrels.txt")
+        vectors = str(en / "queries.vec.tsv")
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        cli.mkdir()
+        lib.mkdir()
+
+        def call(*argv, out: str) -> str:
+            assert main([*map(str, argv), "--out", str(cli / out)]) == 0
+            return str(cli / out)
+
+        call("index", "build", "--corpus", corpus, out="idx.rpidx")
+        sparse.save_index(sparse.build_index(load_corpus(corpus)), str(lib / "idx.rpidx"))
+        pool = call("retrieve", "bm25", "--index", cli / "idx.rpidx", "--topics", topics, out="bm25.trec")
+        write_run(sparse.retrieve_bm25(sparse.load_index(str(lib / "idx.rpidx")), topics), str(lib / "bm25.trec"))
+        call("retrieve", "dense", "--queries", vectors, "--docs", en / "docs.vec.tsv", out="dense.trec")
+        write_run(dense.retrieve_dense(vectors, str(en / "docs.vec.tsv")), str(lib / "dense.trec"))
+        call("forge", "negatives", "--pool", pool, "--qrels", qrels, "-n", 3, out="neg.pairs.tsv")
+        negatives = forge.sample_negatives(cut_pool(read_run(pool)), load_qrels(qrels), 3, 0)
+        forge.write_pairs(negatives, str(lib / "neg.pairs.tsv"))
+        call("forge", "q2q2d", "--test-topics", topics, "--train-topics", topics, "--train-qrels", qrels,
+             "--query-vectors", vectors, out="q2q2d.pairs.tsv")
+        pairs = forge.q2q2d_augment(load_topics(topics), load_topics(topics), load_qrels(qrels),
+                                    dense.load_embeddings(vectors), forge.AugmentationParams())
+        forge.write_pairs(pairs, str(lib / "q2q2d.pairs.tsv"))
+        reranked = call("rerank", "--pool", pool, "--topics", topics, "--corpus", corpus, out="rerank.trec")
+        write_run(rerank_pool(read_run(pool), topics, corpus), str(lib / "rerank.trec"))
+        call("forge", "pseudo", "--run", reranked, out="pseudo.pairs.tsv")
+        pairs = forge.pseudo_label(read_run(reranked), None, forge.AugmentationParams())
+        forge.write_pairs(pairs, str(lib / "pseudo.pairs.tsv"))
+        call("ensemble", "--runs", reranked, pool, "--base-weights", "0.6,0.4", out="ens.trec")
+        runs = [read_run(reranked), read_run(pool)]
+        weights = ensemble.adjust_weights(ensemble.EnsembleConfig([0.6, 0.4]), ensemble.correlation_matrix(runs))
+        write_run(ensemble.ensemble_runs(runs, weights), str(lib / "ens.trec"))
+        assert len(tree_digest(cli)) == 8
+        assert tree_digest(cli) == tree_digest(lib)
+
+
 class TestValidateCommand:
     def test_clean_files_exit_zero(self, tmp_path):
         write_tiny_project(tmp_path)
@@ -285,6 +344,13 @@ class TestExitCodes:
             monkeypatch.setattr(validate, "open", denying_open, raising=False)
         assert main(["eval", "--run", str(run), "--qrels", str(tmp_path / "qrels.txt")]) == 2
         assert str(run) in capsys.readouterr().err
+
+    def test_unknown_scorer_spec_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rerank", "--pool", "p.trec", "--topics", "t.tsv", "--corpus", "c.jsonl", "--scorer", "magic",
+                  "--out", str(tmp_path / "r.trec")])
+        assert exc.value.code == 1
+        assert "'magic'" in capsys.readouterr().err
 
     def test_protocol_error_is_three(self, tmp_path):
         write_tiny_project(tmp_path)

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from rankpipe.cli import main
 from rankpipe.dense import EmbeddingStore, dense_search, load_embeddings, write_embeddings
 from rankpipe.errors import DataError, FormatError
+from rankpipe.runs import read_run
 
 
 def write_vectors(path, rows):
@@ -158,3 +160,29 @@ def test_overflowing_similarity_is_a_data_error(metric):
         store = EmbeddingStore(["q1", "d1"], np.full((2, 2), 1e200))
         with pytest.raises(DataError, match="'q1'"):
             dense_search(store, store, "q1", 5, metric)
+
+
+def test_cli_cosine_and_dot_rank_differently_and_each_as_brute_force(tmp_path):
+    # doc norms differ, so the long vector leads under dot and the aligned one under cosine
+    queries = {"q1": [1.0, 0.0], "q2": [0.6, 0.8]}
+    docs = {"long": [3.0, 3.0], "aligned": [1.0, 0.1], "diag": [0.5, 0.55], "short": [0.2, 0.9]}
+    query_path = write_vectors(tmp_path / "q.vec.tsv", [(v, ",".join(map(str, x))) for v, x in queries.items()])
+    doc_path = write_vectors(tmp_path / "d.vec.tsv", [(v, ",".join(map(str, x))) for v, x in docs.items()])
+    rankings = {}
+    for metric in ("dot", "cosine"):
+        out = tmp_path / f"{metric}.trec"
+        assert main(["retrieve", "dense", "--queries", query_path, "--docs", doc_path, "--metric", metric,
+                     "--out", str(out)]) == 0
+        run = read_run(str(out))
+        for qid, qvec in queries.items():
+            a = np.array(qvec)
+            expected = {}
+            for docid, dvec in docs.items():
+                b = np.array(dvec)
+                sim = float(a @ b)
+                expected[docid] = sim / float(np.linalg.norm(a) * np.linalg.norm(b)) if metric == "cosine" else sim
+            order = sorted(expected, key=lambda d: (-expected[d], d))
+            assert run.docids(qid) == order, (metric, qid)
+            assert run.scores(qid) == pytest.approx(expected, abs=1e-12)
+        rankings[metric] = {qid: run.docids(qid) for qid in queries}
+    assert rankings["dot"]["q1"][0] == "long" and rankings["cosine"]["q1"][0] == "aligned"

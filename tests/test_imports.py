@@ -1,9 +1,14 @@
-"""Start-up cost: the package root imports its submodules on first use, and
-a CLI call imports numpy only for the subcommands that compute with it."""
+"""Start-up cost: the package root imports its submodules on first use, a
+CLI call imports only the modules its subcommand runs, and numpy only for
+the subcommands and pipeline stages that compute with it."""
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rankpipe
 
@@ -46,15 +51,28 @@ def _run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
 
 
-def _top_level_imports(args: list[str], cwd: Path) -> set[str]:
-    """Top-level packages a fresh interpreter imports while running ``args``."""
+def _importtime(args: list[str], cwd: Path) -> set[str]:
+    """Modules a fresh interpreter imports while running ``args``."""
     result = _run_python(["-X", "importtime", *args], cwd)
     assert result.returncode == 0, result.stderr
     return {
-        line.rsplit("|", 1)[1].strip().split(".")[0]
+        line.rsplit("|", 1)[1].strip()
         for line in result.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+@pytest.fixture(scope="module")
+def cli_imports(tmp_path_factory):
+    """The modules one CLI call imports, as the ``rankpipe`` entry point makes
+    it, beyond those a bare interpreter imports."""
+    bare = _importtime(["-c", "pass"], tmp_path_factory.mktemp("bare"))
+    entry_point = "import sys; from rankpipe.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def imports(argv: list, cwd: Path) -> set[str]:
+        return _importtime(["-c", entry_point, *map(str, argv)], cwd) - bare
+
+    return imports
 
 
 def test_package_root_imports_no_submodule(tmp_path):
@@ -64,9 +82,20 @@ def test_package_root_imports_no_submodule(tmp_path):
     assert result.stdout.strip() == "['rankpipe']"
 
 
-def test_cli_loads_numpy_only_where_a_subcommand_needs_it(tmp_path):
+def test_version_loads_no_stage_module(tmp_path, cli_imports):
+    imported = cli_imports(["--version"], tmp_path)
+    assert {m for m in imported if m.split(".")[0] == "rankpipe"} == {
+        "rankpipe", "rankpipe.cli", "rankpipe.errors", "rankpipe.tokenization", "rankpipe.validate"
+    }
+    assert imported & {"dataclasses", "json", "logging"} == set()
+
+
+# subcommands that neither index, search nor rerank
+LIGHT = {"fuse", "eval", "stats", "validate"}
+
+
+def test_cli_loads_numpy_only_where_a_subcommand_needs_it(tmp_path, cli_imports):
     calls = {
-        "version": ["--version"],
         "index build": ["index", "build", "--corpus", DESK / "corpus.jsonl", "--out", "idx.rpidx"],
         "retrieve bm25": ["retrieve", "bm25", "--index", "idx.rpidx", "--topics", DESK / "topics.tsv",
                           "-k", "20", "--out", "bm25.trec"],
@@ -88,15 +117,36 @@ def test_cli_loads_numpy_only_where_a_subcommand_needs_it(tmp_path):
     }
     heavy = {}
     for label, argv in calls.items():
-        imported = _top_level_imports(["-m", "rankpipe.cli", *map(str, argv)], tmp_path)
-        # forge still logs the pool queries it skips; metrics counts its skips in the report
-        unwanted = {"numpy", "scipy"} if label.startswith("forge") else {"numpy", "scipy", "logging"}
+        imported = cli_imports(argv, tmp_path)
+        unwanted = {"numpy", "scipy", "logging"}
+        if label in LIGHT:
+            unwanted |= {"rankpipe.sparse", "rankpipe.rerank", "rankpipe.expconfig"}
         heavy[label] = sorted(imported & unwanted)
     assert heavy == {label: [] for label in calls}
     # the probe does see numpy where a subcommand computes with it
     dense = ["retrieve", "dense", "--queries", DESK / "queries.vec.tsv", "--docs", DESK / "docs.vec.tsv",
              "--out", "dense.trec"]
-    assert "numpy" in _top_level_imports(["-m", "rankpipe.cli", *map(str, dense)], tmp_path)
     q2q2d = ["forge", "q2q2d", "--test-topics", DESK / "topics.tsv", "--train-topics", DESK / "topics.tsv",
              "--train-qrels", DESK / "qrels.txt", "--query-vectors", DESK / "queries.vec.tsv", "--out", "q2q.pairs.tsv"]
-    assert "numpy" in _top_level_imports(["-m", "rankpipe.cli", *map(str, q2q2d)], tmp_path)
+    for argv in (dense, q2q2d):
+        imported = cli_imports(argv, tmp_path)
+        assert "numpy" in imported and "logging" not in imported
+
+
+def test_forge_imports_logging_only_to_warn(tmp_path, cli_imports):
+    (tmp_path / "pool.trec").write_text("en-q0 Q0 en-d0 1 1.0 x\nunjudged Q0 en-d0 1 1.0 x\n", encoding="utf-8")
+    argv = ["forge", "negatives", "--pool", "pool.trec", "--qrels", DESK / "qrels.txt", "-n", "1",
+            "--out", "neg.pairs.tsv"]
+    assert "logging" in cli_imports(argv, tmp_path)
+
+
+def test_pipeline_imports_numpy_only_for_the_stages_that_use_it(tmp_path, cli_imports):
+    desk = tmp_path / "desk"
+    shutil.copytree(DESK.parent, desk, ignore=shutil.ignore_patterns("out"))
+    config = desk / "desk.cfg"
+    assert "numpy" in cli_imports(["pipeline", "--config", config], tmp_path)
+    text = config.read_text(encoding="utf-8")
+    for stages in ("eval", "fuse"):
+        config.write_text(re.sub(r"(?m)^stages = .*$", f"stages = {stages}", text), encoding="utf-8")
+        imported = cli_imports(["pipeline", "--config", config], tmp_path)
+        assert imported & {"numpy", "rankpipe.dense", "rankpipe.sparse", "rankpipe.rerank"} == set(), stages

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import oracle_ndcg, oracle_recall, random_qrels, random_run
+from helpers import full_list_ndcg, oracle_ndcg, oracle_recall, random_qrels, random_run
 from rankpipe.corpus import JudgmentSet
 from rankpipe.metrics import MetricReport, macro_average, ndcg_at_k, recall_at_k
 from rankpipe.runs import Run
@@ -149,6 +151,21 @@ class TestBoundsAndOracle:
             assert recall_at_k(run, qrels, k).per_query == pytest.approx(
                 oracle_recall(run, qrels, k)
             )
+
+    @given(st.data())
+    def test_reading_the_top_k_equals_the_full_list(self, data):
+        universe = [f"d{i}" for i in range(data.draw(st.integers(1, 40)))]
+        entries: dict[str, list[tuple[str, float]]] = {}
+        judgments: dict[tuple[str, str], int] = {}
+        for qid in ("q0", "q1", "q2")[: data.draw(st.integers(1, 3))]:
+            ranked = data.draw(st.lists(st.sampled_from(universe), unique=True))
+            entries[qid] = [(docid, float(len(ranked) - i)) for i, docid in enumerate(ranked)]
+            grades = data.draw(st.dictionaries(st.sampled_from(universe), st.integers(0, 3)))
+            judgments.update({(qid, docid): grade for docid, grade in grades.items()})
+        run, qrels, k = Run(entries=entries), JudgmentSet(judgments), data.draw(st.integers(1, 45))
+        per_query = ndcg_at_k(run, qrels, k).per_query
+        expected = full_list_ndcg(run, qrels, k)
+        assert {q: repr(v) for q, v in per_query.items()} == {q: repr(v) for q, v in expected.items()}
 
     def test_best_permutation_is_the_grade_sort(self):
         # exhaustive check: no ordering of <= 6 candidates beats sorting by grade

@@ -1,4 +1,5 @@
-"""Within one pipeline call, stages hand their runs to each other in memory.
+"""Within one pipeline call, stages hand their runs and the index to each
+other in memory.
 
 Every artifact is still written, so a call that runs all stages must leave
 the same bytes as calls that run one stage each and read their upstream
@@ -10,7 +11,7 @@ import re
 import shutil
 from pathlib import Path
 
-from rankpipe import pipeline
+from rankpipe import pipeline, sparse
 from rankpipe.cli import main
 from rankpipe.expconfig import STAGES, load_config
 from rankpipe.runs import read_run
@@ -35,13 +36,30 @@ def _desk_with_unmatched_topic(root: Path) -> Path:
     return desk / "desk.cfg"
 
 
-def test_one_call_equals_one_stage_per_call(tmp_path):
+def _count_load_index(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    load_index = sparse.load_index
+
+    def counting_load_index(path):
+        calls.append(Path(path).parent.name)
+        return load_index(path)
+
+    monkeypatch.setattr(sparse, "load_index", counting_load_index)
+    return calls
+
+
+def test_one_call_equals_one_stage_per_call(tmp_path, monkeypatch):
+    loads = _count_load_index(monkeypatch)
     whole = _desk_with_unmatched_topic(tmp_path / "whole")
     pipeline.run_pipeline(load_config(str(whole)))
+    # the bm25 stage scores with the index the index stage built
+    assert loads == []
 
     staged = _desk_with_unmatched_topic(tmp_path / "staged")
     for stage in STAGES:
         pipeline.run_pipeline(load_config(str(_set_stages(staged, stage))))
+    # the bm25 stage alone reads each language's index file once
+    assert loads == ["en", "sw", "zh"]
 
     out = whole.parent / "out"
     assert tree_digest(out) == tree_digest(staged.parent / "out")
