@@ -184,12 +184,8 @@ def _cmd_ensemble(args) -> int:
     from .runs import read_run, write_run
 
     runs = [read_run(path) for path in args.runs]
-    config = ensemble.EnsembleConfig(base_weights=args.base_weights, **_given(args, "lam"))
-    if len(runs) > 1:
-        corr = ensemble.correlation_matrix(runs)
-        weights = ensemble.adjust_weights(config, corr)
-    else:
-        weights = [1.0]
+    config = ensemble.EnsembleConfig(args.base_weights, **_given(args, "lam"))
+    weights = ensemble.adjust_weights(config, ensemble.correlation_matrix(runs))
     combined = ensemble.ensemble_runs(runs, weights)
     write_run(combined, args.out)
     print("weights: " + ", ".join(f"{w:.4f}" for w in weights))

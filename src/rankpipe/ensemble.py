@@ -7,63 +7,32 @@ mean_corr_i)), renormalized to sum 1. Correlation is Spearman's rank
 correlation averaged over shared queries, since reranker score scales are
 not comparable.
 
-The arithmetic is plain Python that reproduces the numpy formulas it
-replaced bit for bit, so ``ensemble`` starts without numpy: the Spearman sums
-over half-integer ranks are exact, and the means over queries and runs add
-in numpy's pairwise order (``_pairwise_sum``).
+Weights follow ``fusion.check_weights``, the rule fusion uses. Means add
+with ``math.fsum``, which is exactly rounded, so no result depends on the
+order of its terms; the arithmetic is plain Python, so ``ensemble`` starts
+without numpy.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import DataError
-from .fusion import fuse, normalize_run
+from .fusion import check_weights, fuse, normalize_run
 from .runs import Run
 
 
 @dataclass
 class EnsembleConfig:
-    base_weights: list[float] = field(default_factory=list)
+    base_weights: list[float]
     lam: float = 0.5
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(w) for w in self.base_weights):
-            raise ValueError(f"base weights must be finite, got {self.base_weights}")
-        if any(w < 0 for w in self.base_weights):
-            raise ValueError("base weights must be >= 0")
-        if self.base_weights and sum(self.base_weights) <= 0:
-            raise ValueError("base weights must sum to > 0")
+        check_weights(self.base_weights)
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Sum ``values`` exactly as numpy's float64 ``add.reduce`` does, bit for
-    bit: sequential below 8 values, 8 interleaved accumulators up to 128,
-    else a split at ``n // 2`` rounded down to a multiple of 8, all added to
-    the identity 0.0. ``math.fsum`` and a plain loop round differently."""
-
-    def block(lo: int, n: int) -> float:
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return block(lo, half) + block(lo + half, n - half)
-        if n < 8:
-            total, rest = 0.0, lo
-        else:
-            acc = list(values[lo:lo + 8])
-            rest = lo + n - n % 8
-            for i in range(lo + 8, rest, 8):
-                for j in range(8):
-                    acc[j] += values[i + j]
-            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for i in range(rest, lo + n):
-            total += values[i]
-        return total
-
-    return 0.0 + block(0, len(values))
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -104,10 +73,8 @@ def correlation_matrix(runs: Sequence[Run]) -> list[list[float]]:
     For each query both runs rank, correlation is computed on the
     intersection of their candidates; queries with fewer than 2 shared
     candidates (or a constant score vector) are skipped. A pair with no
-    usable query at all is an error.
+    usable query at all is an error. A single run gives ``[[1.0]]``.
     """
-    if len(runs) < 2:
-        raise ValueError("need at least 2 runs")
     n = len(runs)
     corr = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -125,7 +92,7 @@ def correlation_matrix(runs: Sequence[Run]) -> list[list[float]]:
                     rhos.append(rho)
             if not rhos:
                 raise DataError(f"runs {i} and {j} share no queries with comparable candidates")
-            corr[i][j] = corr[j][i] = min(max(_pairwise_sum(rhos) / len(rhos), -1.0), 1.0)
+            corr[i][j] = corr[j][i] = min(max(math.fsum(rhos) / len(rhos), -1.0), 1.0)
     return corr
 
 
@@ -140,20 +107,22 @@ def adjust_weights(config: EnsembleConfig, corr: Sequence[Sequence[float]]) -> l
     if len(config.base_weights) != n:
         raise ValueError(f"{len(config.base_weights)} base weights for {n} runs")
     base = [float(w) for w in config.base_weights]
-    if _pairwise_sum(base) <= 0:
+    try:  # a damped weight is at most its base, so only this sum can overflow
+        base_total = math.fsum(base)
+    except OverflowError:
+        raise ValueError(f"base weights {base} sum past the float range") from None
+    if base_total <= 0:
         raise DataError("base weights sum to zero")
-    if n == 1:
-        return [1.0]
     weights = []
     for i, row in enumerate(corr):
         row = [float(v) for v in row]
-        rho_bar = min(max((_pairwise_sum(row) - row[i]) / (n - 1), 0.0), 1.0)
+        # a lone run has no off-diagonal entry to damp it: rho_bar is 0
+        rho_bar = min(max((math.fsum(row) - row[i]) / max(n - 1, 1), 0.0), 1.0)
         weight = base[i] * (1.0 - config.lam * rho_bar)
-        weights.append(0.0 if weight <= 0.0 else weight)  # as np.maximum: NaN stays NaN
-    total = _pairwise_sum(weights)
+        weights.append(0.0 if weight <= 0.0 else weight)  # NaN stays NaN
+    total = math.fsum(weights)
     if total <= 0:
-        weights = base
-        total = _pairwise_sum(base)
+        weights, total = base, base_total
     return [w / total for w in weights]
 
 

@@ -235,25 +235,6 @@ def pseudo_label(
     return pairs
 
 
-def annotation_pairs(
-    qrels: JudgmentSet,
-    query_texts: Mapping[str, str] | None = None,
-) -> list[TrainingPair]:
-    """Lift raw judgments into (binary-label) annotation pairs."""
-    pairs = []
-    for qid, docid, grade in sorted(qrels.items()):
-        pairs.append(
-            TrainingPair(
-                qid=qid,
-                query_text=_query_text(query_texts, qid),
-                docid=docid,
-                label=float(min(grade, 1)),
-                source="annotation",
-            )
-        )
-    return pairs
-
-
 def write_pairs(pairs: Iterable[TrainingPair], path: str, header: str | None = None) -> None:
     """Write pairs as TSV ``qid docid label source query_text`` (text last,
     so embedded tabs in query text stay parseable)."""

@@ -13,16 +13,12 @@ from collections.abc import Sequence
 from .errors import DataError
 from .runs import Run, rank_sorted
 
-MINMAX = "minmax"
-
 DEFAULT_POOL_K = 200
 
 
-def normalize_run(run: Run, method: str = MINMAX) -> Run:
+def normalize_run(run: Run) -> Run:
     """Min-max normalize scores per query; a degenerate query (max == min)
     maps every score to 1.0. Ranking order is unchanged."""
-    if method != MINMAX:
-        raise ValueError(f"unknown normalization method: {method!r}")
     entries: dict[str, list[tuple[str, float]]] = {}
     for qid, ranked in run.entries.items():
         if not ranked:
@@ -40,8 +36,16 @@ def normalize_run(run: Run, method: str = MINMAX) -> Run:
     return Run(entries=entries, tag=run.tag)
 
 
+def check_weights(weights: Sequence[float]) -> None:
+    """The one rule for fusion and ensemble weights: each is finite and >= 0,
+    and their sum is positive; a ValueError names the values otherwise."""
+    if not (all(math.isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+        raise ValueError(f"weights {list(weights)} must be finite and >= 0 with a positive sum")
+
+
 def parse_weights(raw: str) -> list[float]:
-    """A comma-separated weight list; a ValueError names a value that is not a finite number."""
+    """A comma-separated weight list that passes ``check_weights``; a
+    ValueError names a value that is not a finite number."""
     weights = []
     for value in raw.split(","):
         try:
@@ -51,23 +55,20 @@ def parse_weights(raw: str) -> list[float]:
         if not math.isfinite(weight):
             raise ValueError(f"weight {value.strip()!r} is not a finite number")
         weights.append(weight)
+    check_weights(weights)
     return weights
 
 
 def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
     """Weighted per-(qid, docid) sum over the union of run candidates.
 
-    Callers normalize first when combining heterogeneous systems; weights
-    must be finite and nonnegative with a positive sum.
+    Callers normalize first when combining heterogeneous systems. Weights
+    that break ``check_weights`` or do not match the runs one to one are a
+    ValueError; a weighted sum past the float range is a DataError.
     """
     if len(runs) != len(weights):
         raise ValueError(f"{len(runs)} runs but {len(weights)} weights")
-    if not all(math.isfinite(w) for w in weights):
-        raise DataError(f"fusion weights must be finite, got {list(weights)}")
-    if any(w < 0 for w in weights):
-        raise DataError("fusion weights must be >= 0")
-    if sum(weights) <= 0:
-        raise DataError("fusion weights sum to zero")
+    check_weights(weights)
     contributions: dict[str, dict[str, list[float]]] = {}
     for run, weight in zip(runs, weights):
         for qid, ranked in run.entries.items():

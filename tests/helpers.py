@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -189,8 +190,15 @@ def numpy_spearman(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
+def exact_sum(values) -> float:
+    """The sum of ``values`` computed in rationals and rounded once: by
+    definition what an exactly rounded sum such as ``math.fsum`` returns."""
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
 def numpy_correlation_matrix(runs: list[Run]) -> np.ndarray:
-    """The ensemble's former numpy ``correlation_matrix`` (errors omitted)."""
+    """The ensemble's former numpy ``correlation_matrix`` (errors omitted),
+    with the mean over queries taken as an exactly rounded sum."""
     n = len(runs)
     corr = np.eye(n)
     for i in range(n):
@@ -207,23 +215,25 @@ def numpy_correlation_matrix(runs: list[Run]) -> np.ndarray:
                 )
                 if rho is not None:
                     rhos.append(rho)
-            corr[i, j] = corr[j, i] = float(np.clip(np.mean(rhos), -1.0, 1.0))
+            corr[i, j] = corr[j, i] = float(np.clip(exact_sum(rhos) / len(rhos), -1.0, 1.0))
     return corr
 
 
 def numpy_adjust_weights(base_weights: list[float], lam: float, corr: np.ndarray) -> list[float]:
-    """The ensemble's former numpy ``adjust_weights`` (errors omitted)."""
+    """The ensemble's former numpy ``adjust_weights`` (errors omitted), with
+    every sum taken exactly rounded."""
     n = corr.shape[0]
     base = np.asarray(base_weights, dtype=np.float64)
     if n == 1:
         return [1.0]
-    off_diag_mean = (corr.sum(axis=1) - np.diag(corr)) / (n - 1)
+    row_sums = np.array([exact_sum(row) for row in corr])
+    off_diag_mean = (row_sums - np.diag(corr)) / (n - 1)
     rho_bar = np.clip(off_diag_mean, 0.0, 1.0)
     weights = np.maximum(0.0, base * (1.0 - lam * rho_bar))
-    total = weights.sum()
+    total = exact_sum(weights)
     if total <= 0:
         weights = base
-        total = base.sum()
+        total = exact_sum(base)
     return (weights / total).tolist()
 
 

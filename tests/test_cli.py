@@ -310,6 +310,47 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert f"weight '{bad}' is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fuse", "--weights=-1,2"], "[-1.0, 2.0]"),
+            (["fuse", "--weights=0,0"], "[0.0, 0.0]"),
+            (["ensemble", "--base-weights=0,0"], "[0.0, 0.0]"),
+        ],
+    )
+    def test_weights_breaking_the_rule_are_a_usage_error_naming_them(self, tmp_path, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--runs", "a.trec", "b.trec", "--out", str(tmp_path / "o.trec")])
+        assert exc.value.code == 1
+        assert f"weights {named} must be finite and >= 0 with a positive sum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_runs, base_weights, message",
+        [
+            (1, "0.5,0.5", "2 base weights for 1 runs"),
+            (1, "0.5,0.5,7", "3 base weights for 1 runs"),
+            (2, "1e308,1e308", "base weights [1e+308, 1e+308] sum past the float range"),
+        ],
+    )
+    def test_base_weights_that_cannot_weigh_the_runs_are_a_usage_error(
+        self, tmp_path, capsys, n_runs, base_weights, message
+    ):
+        run = tmp_path / "a.trec"
+        run.write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")
+        out = tmp_path / "o.trec"
+        argv = ["ensemble", "--runs", *[str(run)] * n_runs, "--base-weights", base_weights, "--out", str(out)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_run_ensembles_with_all_the_weight(self, tmp_path, capsys):
+        run = tmp_path / "a.trec"
+        run.write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")
+        out = tmp_path / "o.trec"
+        assert main(["ensemble", "--runs", str(run), "--base-weights", "0.3", "--out", str(out)]) == 0
+        assert "weights: 1.0000" in capsys.readouterr().out
+        assert read_run(str(out)).docids("q1") == ["d1", "d2"]
+
     @pytest.mark.parametrize("universe", [[], ["--pool", "p.trec", "--from-corpus", "c.jsonl"]])
     def test_negatives_take_exactly_one_of_pool_and_corpus(self, tmp_path, universe):
         with pytest.raises(SystemExit) as exc:
@@ -469,6 +510,18 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(desk / "desk.cfg")]) == 2
         assert f"{corpus}:1: docid 'en dl0'" in capsys.readouterr().err
         assert not (desk / "out" / "en" / "bm25.trec").exists()
+
+    @pytest.mark.parametrize("weights", ["-1,2", "0,0"])
+    def test_weights_breaking_the_rule_are_a_data_error_at_their_line(self, tmp_path, capsys, weights):
+        desk = tmp_path / "desk"
+        shutil.copytree(DESK, desk, ignore=shutil.ignore_patterns("out"))
+        cfg = desk / "desk.cfg"
+        lines = cfg.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("fuse.weights"))
+        lines[lineno - 1] = f"fuse.weights = {weights}\n"
+        cfg.write_text("".join(lines), encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert f"{cfg}:{lineno}: bad value {weights!r} for 'fuse.weights'" in capsys.readouterr().err
 
     def test_partial_stages_then_eval(self, tmp_path):
         cfg_path = write_tiny_project(tmp_path)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from helpers import (
 from rankpipe.ensemble import (
     EnsembleConfig,
     _average_ranks,
-    _pairwise_sum,
     adjust_weights,
     correlation_matrix,
     ensemble_runs,
@@ -37,19 +38,6 @@ class TestAverageRanks:
         assert ranks == oracle_ranks([float(v) for v in values])
 
 
-class TestPairwiseSum:
-    @given(st.lists(st.floats(-1e300, 1e300), max_size=300))
-    def test_equals_numpy_sum_and_mean(self, values):
-        assert repr(_pairwise_sum(values)) == repr(float(np.sum(np.array(values, dtype=np.float64))))
-        if values:
-            assert repr(_pairwise_sum(values) / len(values)) == repr(float(np.mean(values)))
-
-    @given(st.integers(0, 4097), st.integers(-12, 12), st.integers(0, 2**32))
-    def test_equals_numpy_sum_past_every_split(self, n, exponent, seed):
-        values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n) * 10.0**exponent
-        assert repr(_pairwise_sum(values.tolist())) == repr(float(np.sum(values)))
-
-
 # scores with ties (small integers) and without (floats) over a small doc universe
 _scores = st.dictionaries(
     st.sampled_from([f"d{i}" for i in range(6)]), st.integers(0, 3) | st.floats(0.0, 1.0), min_size=3, max_size=6
@@ -67,6 +55,21 @@ class TestCorrelationMatrix:
         except DataError:  # some pair shares no comparable candidates: nothing to compare
             return
         assert repr(corr) == repr(numpy_correlation_matrix(runs).tolist())
+
+    # from about 40 shared queries on, an exactly rounded mean and numpy's
+    # pairwise one often differ in the last bit, so only the exact oracle fits
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(40, 130), st.integers(2, 3), st.integers(0, 2**32))
+    def test_mean_over_many_queries_is_exactly_rounded(self, n_queries, n_runs, seed):
+        rnd = random.Random(seed)
+        docs = [f"d{i}" for i in range(6)]
+        runs = [
+            Run.from_scores(
+                {f"q{q}": {d: float(rnd.choice([rnd.randint(0, 3), rnd.random()])) for d in docs} for q in range(n_queries)}
+            )
+            for _ in range(n_runs)
+        ]
+        assert repr(correlation_matrix(runs)) == repr(numpy_correlation_matrix(runs).tolist())
 
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
@@ -112,9 +115,8 @@ class TestCorrelationMatrix:
         with pytest.raises(DataError):
             correlation_matrix([a, b])
 
-    def test_single_run_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_matrix([Run.from_scores({"q": {"d": 1.0}})])
+    def test_single_run_gives_one(self):
+        assert correlation_matrix([Run.from_scores({"q": {"d": 1.0}})]) == [[1.0]]
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -205,6 +207,15 @@ class TestAdjustWeights:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             adjust_weights(EnsembleConfig(base_weights=[1.0]), np.eye(2))
+        with pytest.raises(ValueError, match="3 base weights for 1 runs"):
+            adjust_weights(EnsembleConfig(base_weights=[0.5, 0.5, 7.0]), [[1.0]])
+
+    def test_single_run_gets_all_the_weight(self):
+        assert adjust_weights(EnsembleConfig(base_weights=[5e-324], lam=1.0), [[1.0]]) == [1.0]
+
+    def test_base_weights_summing_past_the_float_range(self):
+        with pytest.raises(ValueError, match="float range"):
+            adjust_weights(EnsembleConfig(base_weights=[1e308, 1e308]), np.eye(2))
 
 
 class TestEnsembleRuns:
@@ -237,7 +248,7 @@ class TestEnsembleRuns:
 
     def test_all_zero_weights_error(self):
         run = Run.from_scores({"q": {"d": 1.0}})
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             ensemble_runs([run, run], [0.0, 0.0])
 
     def test_tag(self):

@@ -13,7 +13,6 @@ from rankpipe.errors import DataError, FormatError
 from rankpipe.forge import (
     AugmentationParams,
     TrainingPair,
-    annotation_pairs,
     draw,
     pseudo_label,
     q2q2d_augment,
@@ -359,15 +358,6 @@ class TestPseudoLabel:
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
             AugmentationParams(pseudo_fraction=0.0)
-
-
-class TestAnnotationPairs:
-    def test_binary_labels_from_grades(self):
-        qrels = JudgmentSet({("q1", "d1"): 2, ("q1", "d2"): 0})
-        pairs = annotation_pairs(qrels, {"q1": "t"})
-        labels = {p.docid: p.label for p in pairs}
-        assert labels == {"d1": 1.0, "d2": 0.0}
-        assert all(p.source == "annotation" for p in pairs)
 
 
 class TestPairsIO:

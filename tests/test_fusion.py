@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import random_qrels, random_run
 from rankpipe.cli import main
+from rankpipe.ensemble import EnsembleConfig
 from rankpipe.errors import DataError, FormatError
-from rankpipe.fusion import cut_pool, fuse, normalize_run
+from rankpipe.expconfig import ExperimentConfig
+from rankpipe.fusion import cut_pool, fuse, normalize_run, parse_weights
 from rankpipe.metrics import recall_at_k
+from rankpipe.pipeline import FUSE_LEGS, RUN_FILES, run_pipeline
 from rankpipe.runs import Run, read_run, write_run
 from rankpipe.validate import validate_artifacts
 
@@ -107,10 +110,6 @@ class TestNormalizeRun:
             for qid in run.entries:
                 assert run.docids(qid) == normalized.docids(qid)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            normalize_run(Run(), method="zscore")
-
     def test_span_beyond_float_range_is_a_data_error(self):
         run = Run.from_scores({"q1": {"a": 1.7e308, "b": 0.0, "c": -1.7e308}})
         with pytest.raises(DataError, match="'q1'"):
@@ -161,17 +160,17 @@ class TestFuse:
             assert fused.docids(qid) == run.docids(qid)
 
     def test_all_zero_weights_error(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             fuse([Run.from_scores({"q": {"d": 1.0}})], [0.0])
 
     def test_negative_weight_error(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             fuse([Run.from_scores({"q": {"d": 1.0}})], [-0.5])
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan])
     def test_non_finite_weight_error(self, weight):
         run = Run.from_scores({"q": {"d": 1.0}})
-        with pytest.raises(DataError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             fuse([run, run], [weight, 1.0])
 
     def test_length_mismatch(self):
@@ -197,6 +196,46 @@ class TestFuse:
     def test_tag_is_hybrid(self):
         fused = fuse([Run.from_scores({"q": {"d": 1.0}})], [1.0])
         assert fused.tag == "hybrid"
+
+
+def _accepts(call, rejection=ValueError) -> bool:
+    try:
+        call()
+    except rejection:
+        return False
+    return True
+
+
+def _pipeline_accepts(raw: str) -> bool:
+    """Whether a fuse-only pipeline takes ``fuse.weights = raw`` over one-document legs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        (out / "xx").mkdir(parents=True)
+        for i, leg in enumerate(FUSE_LEGS):  # disjoint legs: no weighted sum can overflow
+            (out / "xx" / RUN_FILES[leg]).write_text(f"q Q0 d{i} 1 1.0 {leg}\n")
+        config = ExperimentConfig(
+            base_dir=Path(tmp), seed=0, languages=["xx"], stages=["fuse"], output_dir=out,
+            values={"fuse.weights": raw}, path="exp.cfg", lines={"fuse.weights": 3},
+        )
+        return _accepts(lambda: run_pipeline(config), FormatError)
+
+
+class TestWeightRule:
+    # the pipeline key takes one weight per leg, so only lists of that length reach it
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308]), max_size=len(FUSE_LEGS) + 1))
+    def test_every_entry_point_accepts_the_same_lists(self, weights):
+        raw = ",".join(map(repr, weights))
+        # one document per run, each its own: no weighted sum can overflow
+        runs = [Run(entries={"q": [(f"d{i}", 1.0)]}) for i in range(len(weights))]
+        verdicts = {
+            "parse_weights": _accepts(lambda: parse_weights(raw)),
+            "fuse": _accepts(lambda: fuse(runs, weights)),
+            "EnsembleConfig": _accepts(lambda: EnsembleConfig(weights)),
+        }
+        if len(weights) == len(FUSE_LEGS):
+            verdicts["fuse.weights"] = _pipeline_accepts(raw)
+        assert len(set(verdicts.values())) == 1, verdicts
 
 
 class TestCutPool:
