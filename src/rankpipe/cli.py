@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 scorer protocol error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 # Stage modules are imported inside the handler that runs them, so a call
@@ -200,16 +201,14 @@ def _cmd_eval(args) -> int:
 
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
-    if args.metric == metrics.NDCG:
-        report = metrics.ndcg_at_k(run, qrels, args.k)
-    else:
-        report = metrics.recall_at_k(run, qrels, args.k)
-    lines = [f"{args.metric}@{args.k}\t{report.mean!r}"]
-    lines.append(f"evaluated_queries\t{report.evaluated_queries}")
-    lines.append(f"skipped_queries\t{report.skipped_queries}")
+    report = (metrics.ndcg_at_k if args.metric == metrics.NDCG else metrics.recall_at_k)(run, qrels, args.k)
+    lines = [
+        f"{args.metric}@{args.k}\t{report.mean!r}",
+        f"evaluated_queries\t{report.evaluated_queries}",
+        f"skipped_queries\t{report.skipped_queries}",
+    ]
     if "per_query" in args:
-        for qid in sorted(report.per_query):
-            lines.append(f"{qid}\t{report.per_query[qid]!r}")
+        lines += [f"{qid}\t{report.per_query[qid]!r}" for qid in sorted(report.per_query)]
     output = "\n".join(lines)
     if "out" in args:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -242,10 +241,8 @@ def _cmd_stats(args) -> int:
     print("language\t" + "\t".join(f"{s}.queries\t{s}.judgments" for s in splits) + "\tpassages\tarticles")
     cells = [row.language]
     for split in splits:
-        cells.append(str(row.queries.get(split, 0)))
-        cells.append(str(row.judgments.get(split, 0)))
-    cells.append(str(row.passages))
-    cells.append("-" if row.articles is None else str(row.articles))
+        cells += [str(row.queries.get(split, 0)), str(row.judgments.get(split, 0))]
+    cells += [str(row.passages), "-" if row.articles is None else str(row.articles)]
     print("\t".join(cells))
     return EXIT_OK
 
@@ -395,9 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A call frees what it builds by reference count and its data holds no
+    # cycles, so the cyclic collector would only rescan live runs: it is
+    # paused for the call and left as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
@@ -408,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ class EmbeddingStore:
         self.ids = list(ids)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._row = {vid: i for i, vid in enumerate(self.ids)}
-        self._ids_array = np.array(self.ids)
+        # each id's position in sorted id order: ties in search break on it
+        self._id_rank = np.empty(len(self.ids), dtype=np.int64)
+        self._id_rank[np.argsort(np.array(self.ids), kind="stable")] = np.arange(len(self.ids))
         bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             raise DataError(f"non-finite components in vector {self.ids[int(bad[0])]!r}")
@@ -121,8 +123,8 @@ def dense_search(
         raise ValueError("k must be >= 1")
     scores = similarities(queries, docs, query_id, metric)
     # primary key score descending, secondary key docid ascending
-    order = np.lexsort((docs._ids_array, -scores))
-    return [(docs.ids[i], float(scores[i])) for i in order[: min(k, len(docs))]]
+    top = np.lexsort((docs._id_rank, -scores))[:k]
+    return list(zip(map(docs.ids.__getitem__, top.tolist()), scores[top].tolist()))
 
 
 def retrieve_dense(queries_path: str, docs_path: str, k: int = DEFAULT_K, metric: str = DOT, tag: str = "dense") -> Run:

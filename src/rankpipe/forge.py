@@ -89,12 +89,6 @@ def draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
     return out
 
 
-def _query_text(query_texts: Mapping[str, str] | None, qid: str) -> str:
-    if query_texts is None:
-        return ""
-    return query_texts.get(qid, "")
-
-
 def _sample_for_query(
     qid: str,
     universe: Sequence[str],
@@ -105,7 +99,7 @@ def _sample_for_query(
 ) -> list[TrainingPair]:
     positives = qrels.positives(qid)
     eligible = [docid for docid in universe if docid not in positives]
-    text = _query_text(query_texts, qid)
+    text = (query_texts or {}).get(qid, "")
     return [
         TrainingPair(qid=qid, query_text=text, docid=eligible[i], label=0.0, source="negative")
         for i in draw(len(eligible), n, seed, "negatives", qid)
@@ -190,16 +184,8 @@ def q2q2d_augment(
             sim = float(sims[i])
             for docid, grade in sorted(train_qrels.judged_docids(train_ids[i]).items()):
                 # grades are binarized: the label algebra assumes {0, 1}
-                label = max(0.0, sim) * min(grade, 1) * params.alpha
-                pairs.append(
-                    TrainingPair(
-                        qid=test_query.qid,
-                        query_text=test_query.text,
-                        docid=docid,
-                        label=label,
-                        source="q2q2d",
-                    )
-                )
+                pairs.append(TrainingPair(qid=test_query.qid, query_text=test_query.text, docid=docid,
+                                          label=max(0.0, sim) * min(grade, 1) * params.alpha, source="q2q2d"))
     return pairs
 
 
@@ -220,19 +206,11 @@ def pseudo_label(
     if count == 0:
         return []
     chosen = sorted(draw(len(triples), count, params.seed, "pseudo"))
-    pairs: list[TrainingPair] = []
-    for i in chosen:
-        qid, docid, score = triples[i]
-        pairs.append(
-            TrainingPair(
-                qid=qid,
-                query_text=_query_text(query_texts, qid),
-                docid=docid,
-                label=params.pseudo_scale * score,
-                source="pseudo",
-            )
-        )
-    return pairs
+    texts = query_texts or {}
+    return [
+        TrainingPair(qid, texts.get(qid, ""), docid, params.pseudo_scale * score, "pseudo")
+        for qid, docid, score in (triples[i] for i in chosen)
+    ]
 
 
 def write_pairs(pairs: Iterable[TrainingPair], path: str, header: str | None = None) -> None:

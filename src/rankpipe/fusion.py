@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .errors import DataError
 from .runs import Run, rank_sorted
@@ -24,7 +25,7 @@ def normalize_run(run: Run) -> Run:
         if not ranked:
             entries[qid] = []
             continue
-        values = [s for _, s in ranked]
+        values = list(map(itemgetter(1), ranked))
         lo, hi = min(values), max(values)
         if hi == lo:
             entries[qid] = [(docid, 1.0) for docid, _ in ranked]
@@ -69,24 +70,35 @@ def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
     if len(runs) != len(weights):
         raise ValueError(f"{len(runs)} runs but {len(weights)} weights")
     check_weights(weights)
-    contributions: dict[str, dict[str, list[float]]] = {}
-    for run, weight in zip(runs, weights):
-        for qid, ranked in run.entries.items():
-            acc = contributions.setdefault(qid, {})
-            for docid, score in ranked:
-                acc.setdefault(docid, []).append(weight * score)
     entries: dict[str, list[tuple[str, float]]] = {}
-    for qid, acc in contributions.items():
-        # fsum is exactly rounded, so the output is identical under any
-        # permutation of the (run, weight) pairs
+    for qid in dict.fromkeys(qid for run in runs for qid in run.entries):
+        legs = [(run.entries.get(qid, ()), weight) for run, weight in zip(runs, weights)]
         try:
-            fused = [(docid, math.fsum(parts)) for docid, parts in acc.items()]
+            fused = _weighted_sums(legs)
         except (OverflowError, ValueError):  # a partial sum overflows, or inf meets -inf
             fused = None
-        if fused is None or not all(math.isfinite(score) for _, score in fused):
+        if fused is None or not all(map(math.isfinite, fused.values())):
             raise DataError(f"weighted scores of query {qid!r} overflow the float range")
-        entries[qid] = rank_sorted(fused)
+        entries[qid] = rank_sorted(fused.items())
     return Run(entries=entries, tag="hybrid")
+
+
+def _weighted_sums(legs: list[tuple[Sequence[tuple[str, float]], float]]) -> dict[str, float]:
+    """docid -> math.fsum of its weighted scores, which is exactly rounded, so
+    the order of the legs does not matter. For one or two parts a sum from
+    +0.0 is the same float: an IEEE addition is exactly rounded too, and +0.0
+    turns a -0.0 sum into the +0.0 that fsum returns."""
+    if len(legs) <= 2:
+        sums: dict[str, float] = {}
+        for ranked, weight in legs:
+            for docid, score in ranked:
+                sums[docid] = sums.get(docid, 0.0) + weight * score
+        return sums
+    parts: dict[str, list[float]] = {}
+    for ranked, weight in legs:
+        for docid, score in ranked:
+            parts.setdefault(docid, []).append(weight * score)
+    return {docid: math.fsum(values) for docid, values in parts.items()}
 
 
 def cut_pool(run: Run, k: int = DEFAULT_POOL_K) -> Run:

@@ -12,7 +12,7 @@ evaluates or fuses starts without numpy.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from . import fusion
 from .corpus import load_qrels
@@ -20,6 +20,7 @@ from .errors import DataError
 from .expconfig import SCHEMA, STAGES, ExperimentConfig
 from .runs import DEFAULT_K, Run, read_run, write_run
 from .tokenization import AUTO, POLICIES
+from .validate import DOT, METRICS
 
 if TYPE_CHECKING:
     from .metrics import MetricReport
@@ -62,6 +63,9 @@ def _require_artifact(path: Path) -> Path:
 
 # the runs and the index written so far for one language, keyed by artifact filename
 Held = dict[str, "Run | InvertedIndex"]
+# the parsed config values the configured stages read, keyed by config key;
+# "bm25" holds the parameters bm25.k1 and bm25.b
+Values = dict[str, Any]
 
 
 def _load_run(config: ExperimentConfig, language: str, name: str, held: Held) -> Run:
@@ -82,101 +86,123 @@ def _fuse_weights(raw: str) -> list[float]:
     return weights
 
 
-def _stage_index(config: ExperimentConfig, language: str, held: Held) -> None:
+def _eval_target_names(raw: str | None) -> list[str] | None:
+    if not raw:  # every run the language has
+        return None
+    names = [t.strip() for t in raw.split(",") if t.strip()]
+    for name in names:
+        if name not in EVAL_RUNS:
+            raise DataError(f"unknown eval target {name!r} (known: {', '.join(EVAL_RUNS)})")
+    return names
+
+
+def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
+    """Every config value that ``stages`` read, parsed before the first of
+    them runs, so a bad value stops the call before any artifact is written.
+    An error names the value's line, as ``ExperimentConfig.get`` does."""
+    get = config.get
+    values: Values = {}
+    if {"index", "rerank"} & stages:
+        values["script_policy"] = get("script_policy", AUTO, choices=POLICIES)
+    if "bm25" in stages:
+        from .sparse import Bm25Params
+
+        values["bm25"] = Bm25Params(  # each value is checked alone, so that an error names its line
+            k1=get("bm25.k1", Bm25Params.k1, lambda raw: Bm25Params(k1=float(raw)).k1),
+            b=get("bm25.b", Bm25Params.b, lambda raw: Bm25Params(b=float(raw)).b),
+        )
+    if {"bm25", "dense"} & stages:
+        values["retrieve.k"] = get("retrieve.k", DEFAULT_K, int, minimum=1)
+    if "dense" in stages:
+        values["dense.metric"] = get("dense.metric", DOT, choices=METRICS)
+    if "fuse" in stages:
+        values["fuse.weights"] = get("fuse.weights", [0.5, 0.5], _fuse_weights)
+    if {"pool", "rerank", "eval"} & stages:
+        values["pool.k"] = get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1)
+    if "rerank" in stages:
+        from . import rerank
+
+        values["rerank.scorer"] = get("rerank.scorer", rerank.ScorerHandle(), rerank.ScorerHandle.parse)
+        values["rerank.budget"] = get("rerank.budget", rerank.DEFAULT_BUDGET, int, minimum=1)
+    if "eval" in stages:
+        values["eval.k"] = get("eval.k", 10, int, minimum=1)
+        values["eval.recall_k"] = get("eval.recall_k", values["pool.k"], int, minimum=0)
+        values["eval.targets"] = _eval_target_names(get("eval.targets"))
+    return values
+
+
+def _stage_index(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import sparse
 
-    policy = config.get("script_policy", AUTO, choices=POLICIES)
-    held[INDEX_FILE] = sparse.index_corpus(
-        str(config.lang_path("corpus", language)), str(config.out_path(language, INDEX_FILE)), policy
-    )
+    corpus, out = config.lang_path("corpus", language), config.out_path(language, INDEX_FILE)
+    held[INDEX_FILE] = sparse.index_corpus(str(corpus), str(out), values["script_policy"])
 
 
-def _stage_bm25(config: ExperimentConfig, language: str, held: Held) -> None:
+def _stage_bm25(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import sparse
 
-    params = sparse.Bm25Params(  # each value is checked alone, so that an error names its line
-        k1=config.get("bm25.k1", sparse.Bm25Params.k1, lambda raw: sparse.Bm25Params(k1=float(raw)).k1),
-        b=config.get("bm25.b", sparse.Bm25Params.b, lambda raw: sparse.Bm25Params(b=float(raw)).b),
-    )
     # a built index scores as its saved file does; no later stage needs it
     index = held.pop(INDEX_FILE, None)
     if index is None:
         index = sparse.load_index(str(_require_artifact(config.out_path(language, INDEX_FILE))))
-    run = sparse.retrieve_bm25(
-        index,
-        str(config.lang_path("topics", language)),
-        config.get("retrieve.k", DEFAULT_K, int, minimum=1),
-        params,
-    )
+    run = sparse.retrieve_bm25(index, str(config.lang_path("topics", language)), values["retrieve.k"], values["bm25"])
     _save_run(config, language, "bm25", run, held)
 
 
-def _stage_dense(config: ExperimentConfig, language: str, held: Held) -> None:
+def _stage_dense(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import dense
 
     run = dense.retrieve_dense(
         str(config.lang_path("query_vectors", language)),
         str(config.lang_path("doc_vectors", language)),
-        config.get("retrieve.k", DEFAULT_K, int, minimum=1),
-        config.get("dense.metric", dense.DOT, choices=dense.METRICS),
+        values["retrieve.k"],
+        values["dense.metric"],
     )
     _save_run(config, language, "dense", run, held)
 
 
-def _stage_fuse(config: ExperimentConfig, language: str, held: Held) -> None:
-    weights = config.get("fuse.weights", [0.5, 0.5], _fuse_weights)
+def _stage_fuse(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     legs = [_load_run(config, language, RUN_FILES[leg], held) for leg in FUSE_LEGS]
-    fused = fusion.fuse([fusion.normalize_run(leg) for leg in legs], weights)
+    fused = fusion.fuse([fusion.normalize_run(leg) for leg in legs], values["fuse.weights"])
     _save_run(config, language, "fuse", fused, held)
 
 
-def _stage_pool(config: ExperimentConfig, language: str, held: Held) -> None:
-    hybrid = _load_run(config, language, RUN_FILES["fuse"], held)
-    pool = fusion.cut_pool(hybrid, config.get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1))
+def _stage_pool(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
+    pool = fusion.cut_pool(_load_run(config, language, RUN_FILES["fuse"], held), values["pool.k"])
     _save_run(config, language, "pool", pool, held)
 
 
-def _stage_rerank(config: ExperimentConfig, language: str, held: Held) -> None:
+def _stage_rerank(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import rerank
 
     run = rerank.rerank_pool(
         _load_run(config, language, RUN_FILES["pool"], held),
         str(config.lang_path("topics", language)),
         str(config.lang_path("corpus", language)),
-        config.get("rerank.scorer", rerank.ScorerHandle(), rerank.ScorerHandle.parse),
-        config.get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1),
-        config.get("rerank.budget", rerank.DEFAULT_BUDGET, int, minimum=1),
-        config.get("script_policy", AUTO, choices=POLICIES),
+        values["rerank.scorer"],
+        values["pool.k"],
+        values["rerank.budget"],
+        values["script_policy"],
     )
     _save_run(config, language, "rerank", run, held)
 
 
-def _eval_targets(config: ExperimentConfig, language: str) -> list[tuple[str, str]]:
-    raw = config.get("eval.targets")
-    if raw:
-        names = [t.strip() for t in raw.split(",") if t.strip()]
-        for name in names:
-            if name not in EVAL_RUNS:
-                raise DataError(f"unknown eval target {name!r} (known: {', '.join(EVAL_RUNS)})")
+def _eval_targets(config: ExperimentConfig, language: str, names: list[str] | None) -> list[tuple[str, str]]:
+    if names is not None:
         return [(name, EVAL_RUNS[name]) for name in names]
-    found = [
-        (name, filename)
-        for name, filename in EVAL_RUNS.items()
-        if config.out_path(language, filename).exists()
-    ]
+    found = [(name, filename) for name, filename in EVAL_RUNS.items() if config.out_path(language, filename).exists()]
     if not found:
         raise DataError(f"no runs to evaluate for {language!r}; run a retrieval stage first")
     return found
 
 
-def _stage_eval(config: ExperimentConfig, language: str, held: Held) -> dict[tuple[str, str, int], MetricReport]:
+def _stage_eval(config: ExperimentConfig, language: str, held: Held, values: Values) -> dict[tuple, MetricReport]:
     from . import metrics
 
     qrels = load_qrels(str(config.lang_path("qrels", language)))
-    ndcg_k = config.get("eval.k", 10, int, minimum=1)
-    recall_k = config.get("eval.recall_k", config.get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1), int, minimum=0)
+    ndcg_k, recall_k = values["eval.k"], values["eval.recall_k"]
     reports: dict[tuple[str, str, int], MetricReport] = {}
-    for name, filename in _eval_targets(config, language):
+    for name, filename in _eval_targets(config, language, values["eval.targets"]):
         run = _load_run(config, language, filename, held)
         reports[(name, metrics.NDCG, ndcg_k)] = metrics.ndcg_at_k(run, qrels, ndcg_k)
         reports[(name, metrics.RECALL, recall_k)] = metrics.recall_at_k(run, qrels, recall_k)
@@ -208,6 +234,7 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
     the eval stage ran, plus macro averages in the summary file.
     """
     stages = [s for s in STAGES if s in config.stages]
+    values = _read_values(config, set(stages))
     all_reports: dict[str, dict] = {}
     for language in config.languages:
         config.out_path(language, "x").parent.mkdir(parents=True, exist_ok=True)
@@ -215,9 +242,9 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
         all_reports[language] = {}
         for stage in stages:
             if stage == "eval":
-                all_reports[language] = _stage_eval(config, language, held)
+                all_reports[language] = _stage_eval(config, language, held, values)
             else:
-                _STAGE_FUNCS[stage](config, language, held)
+                _STAGE_FUNCS[stage](config, language, held, values)
 
     if "eval" in stages:
         from .metrics import macro_average

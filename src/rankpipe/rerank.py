@@ -188,9 +188,7 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
 
     argv = shlex.split(command)
     try:
-        proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, encoding="utf-8"
-        )
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, encoding="utf-8")
     except OSError as exc:
         raise ProtocolError(f"cannot launch scorer {command!r}: {exc}") from None
     scores: list[float] = []
@@ -234,17 +232,13 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
             proc.stdin.flush()
             reply = receive(f"the response to ({pair.qid}, {pair.docid})")
             if not reply:
-                raise ProtocolError(
-                    f"scorer closed the stream after {len(scores)} of {len(pairs)} responses"
-                )
+                raise ProtocolError(f"scorer closed the stream after {len(scores)} of {len(pairs)} responses")
             fields = reply.rstrip("\n").split("\t")
             if len(fields) != 3:
                 raise ProtocolError(f"malformed response {reply.strip()!r}")
             qid, docid, score_str = fields
             if (qid, docid) != (pair.qid, pair.docid):
-                raise ProtocolError(
-                    f"response for ({qid}, {docid}) does not match request ({pair.qid}, {pair.docid})"
-                )
+                raise ProtocolError(f"response for ({qid}, {docid}) does not match request ({pair.qid}, {pair.docid})")
             try:
                 score = float(score_str)
             except ValueError:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import gt, itemgetter, lt, neg
 
 from .errors import DataError
 from .validate import parse_run
@@ -17,8 +18,29 @@ from .validate import parse_run
 DEFAULT_K = 1000  # results per query a retrieval run keeps
 
 
+def _canonical(pairs: list) -> bool:
+    """Whether ``pairs`` are (docid, float) tuples in canonical order already:
+    every producer emits that order, and a check of adjacent entries in C
+    costs less than a sort whose key is a Python call per entry."""
+    if set(map(type, pairs)) - {tuple}:
+        return False
+    scores = list(map(itemgetter(1), pairs))
+    if set(map(type, scores)) - {float}:
+        return False
+    if all(map(gt, scores, scores[1:])):
+        return True
+    keys = list(zip(map(neg, scores), map(itemgetter(0), pairs)))
+    return all(map(lt, keys, keys[1:]))
+
+
 def rank_sorted(pairs: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
-    return sorted(pairs, key=lambda p: (-p[1], p[0]))
+    """``pairs`` as a new list of (docid, float) tuples in canonical order."""
+    pairs = list(pairs)
+    if _canonical(pairs):
+        return pairs
+    pairs = [(docid, float(score)) for docid, score in pairs]
+    pairs.sort(key=lambda p: (-p[1], p[0]))
+    return pairs
 
 
 @dataclass
@@ -29,11 +51,7 @@ class Run:
     @classmethod
     def from_scores(cls, scores: Mapping[str, Mapping[str, float]], tag: str = "run") -> "Run":
         """Build a valid run from per-query docid -> score mappings."""
-        entries = {
-            qid: rank_sorted((docid, float(s)) for docid, s in docs.items())
-            for qid, docs in scores.items()
-        }
-        return cls(entries=entries, tag=tag)
+        return cls(entries={qid: rank_sorted(docs.items()) for qid, docs in scores.items()}, tag=tag)
 
     def scores(self, qid: str) -> dict[str, float]:
         return dict(self.entries.get(qid, []))
@@ -71,19 +89,25 @@ def write_run(run: Run, path: str, header: str | None = None) -> Run:
     when no line was written. That holds for runs whose ids are single
     whitespace-free tokens and whose scores are finite, which the loaders
     enforce where ids and scores enter. A docid listed twice for one query is
-    a DataError, as it is on read.
+    a DataError, as it is on read. Scores are converted with ``float()``, so
+    a numpy scalar prints as a Python float; a query's entries that are
+    (docid, float) tuples in canonical order already are written as given.
     """
     entries: dict[str, list[tuple[str, float]]] = {}
+    tail = f" {run.tag}\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for qid in sorted(run.entries):
-            ranked = rank_sorted((docid, float(score)) for docid, score in run.entries[qid])
+            ranked = rank_sorted(run.entries[qid])
             if not ranked:
                 continue
-            if len({docid for docid, _ in ranked}) != len(ranked):
+            if len(set(map(itemgetter(0), ranked))) != len(ranked):
                 raise DataError(f"{path}: duplicate document for query {qid!r}")
-            for rank, (docid, score) in enumerate(ranked, 1):
-                fh.write(f"{qid} Q0 {docid} {rank} {score!r} {run.tag}\n")
+            head = f"{qid} Q0 "
+            fh.write("".join([
+                f"{head}{docid} {rank} {score!r}{tail}"
+                for rank, (docid, score) in enumerate(ranked, 1)
+            ]))
             entries[qid] = ranked
     return Run(entries=entries, tag=run.tag if entries else "run")

@@ -235,5 +235,5 @@ def load_index(path: str) -> InvertedIndex:
             term = _read_str(fh, path)
             n_postings = _read_u32(fh, path)
             flat = _read_u32_array(fh, 2 * n_postings, path)
-            postings[term] = [(flat[2 * i], flat[2 * i + 1]) for i in range(n_postings)]
+            postings[term] = list(zip(flat[0::2], flat[1::2]))
     return InvertedIndex(postings, doc_lengths, docids, script_policy)

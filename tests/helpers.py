@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from rankpipe.corpus import Document, JudgmentSet
+from rankpipe.dense import similarities
+from rankpipe.errors import DataError
 from rankpipe.forge import TrainingPair
 from rankpipe.runs import Run, rank_sorted
 from rankpipe.tokenization import tokenize
@@ -297,3 +299,53 @@ def oracle_q2q2d(test_queries, train_queries, train_qrels: JudgmentSet, vectors,
                 label = max(0.0, float(sims[i])) * min(grade, 1) * params.alpha
                 pairs.append(TrainingPair(target.qid, target.text, docid, label, "q2q2d"))
     return pairs
+
+
+def oracle_write_run(run: Run, path: str, header: str | None = None) -> Run:
+    """The per-line run writer: each query's scores converted with float()
+    and sorted by (-score, docid), one ``write`` per line, a duplicate docid
+    a DataError before any line of its query."""
+    entries = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for qid in sorted(run.entries):
+            ranked = sorted(((docid, float(score)) for docid, score in run.entries[qid]), key=lambda p: (-p[1], p[0]))
+            if not ranked:
+                continue
+            if len({docid for docid, _ in ranked}) != len(ranked):
+                raise DataError(f"{path}: duplicate document for query {qid!r}")
+            for rank, (docid, score) in enumerate(ranked, 1):
+                fh.write(f"{qid} Q0 {docid} {rank} {score!r} {run.tag}\n")
+            entries[qid] = ranked
+    return Run(entries=entries, tag=run.tag if entries else "run")
+
+
+def oracle_fuse(runs: list[Run], weights: list[float]) -> Run:
+    """Fusion with one list of weighted parts per candidate, each summed by
+    ``math.fsum``; an overflowing or non-finite sum is a DataError naming the
+    query, queries in first-seen order."""
+    parts: dict[str, dict[str, list[float]]] = {}
+    for run, weight in zip(runs, weights):
+        for qid, ranked in run.entries.items():
+            per_doc = parts.setdefault(qid, {})
+            for docid, score in ranked:
+                per_doc.setdefault(docid, []).append(weight * score)
+    entries = {}
+    for qid, per_doc in parts.items():
+        try:
+            fused = [(docid, math.fsum(values)) for docid, values in per_doc.items()]
+        except (OverflowError, ValueError):
+            fused = None
+        if fused is None or not all(math.isfinite(score) for _, score in fused):
+            raise DataError(f"weighted scores of query {qid!r} overflow the float range")
+        entries[qid] = sorted(fused, key=lambda p: (-p[1], p[0]))
+    return Run(entries=entries, tag="hybrid")
+
+
+def oracle_dense_search(queries, docs, query_id: str, k: int, metric: str) -> list[tuple[str, float]]:
+    """Top-k by a full lexsort on (score descending, docid string ascending),
+    each score read as a numpy scalar and converted with float()."""
+    scores = similarities(queries, docs, query_id, metric)
+    order = np.lexsort((np.array(docs.ids), -scores))
+    return [(docs.ids[i], float(scores[i])) for i in order[: min(k, len(docs))]]

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rankpipe import dense, ensemble, forge, sparse, validate
+from rankpipe import cli, dense, ensemble, forge, sparse, validate
 from rankpipe.cli import main
 from rankpipe.corpus import load_corpus, load_qrels, load_topics
 from rankpipe.errors import DataError
@@ -272,6 +273,39 @@ class TestValidateCommand:
         path.write_text("x")
         assert main(["validate", str(path)]) == 2
         assert "kind" in capsys.readouterr().out
+
+
+class TestCyclicCollector:
+    """A call runs with the cyclic collector paused and leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_state(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_successful_call(self, tmp_path, monkeypatch, caller_state):
+        seen = []
+
+        def validate_artifacts(paths, **kwargs):
+            seen.append(gc.isenabled())
+            return []
+
+        monkeypatch.setattr(cli, "validate_artifacts", validate_artifacts)
+        assert main(["validate", str(tmp_path / "r.trec")]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is caller_state
+
+    def test_data_error(self, tmp_path, caller_state):
+        assert main(["eval", "--run", str(tmp_path / "missing.trec"), "--qrels", str(tmp_path / "q.txt")]) == 2
+        assert gc.isenabled() is caller_state
+
+    def test_usage_error(self, caller_state):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--no-such-flag"])
+        assert exc.value.code == 1
+        assert gc.isenabled() is caller_state
 
 
 class TestExitCodes:

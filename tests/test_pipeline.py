@@ -11,6 +11,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 from rankpipe import pipeline, sparse
 from rankpipe.cli import main
 from rankpipe.expconfig import STAGES, load_config
@@ -105,3 +107,17 @@ def test_fusion_overflow_is_blamed_on_the_scores(tmp_path, capsys):
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert "query 'q1' span more than the float range" in capsys.readouterr().err
     assert not (tmp_path / "out" / "xx" / "hybrid.trec").exists()
+
+
+@pytest.mark.parametrize("key, value", [("fuse.weights", "-1,2"), ("eval.k", "0")])
+def test_bad_config_value_stops_the_call_before_any_artifact(tmp_path, capsys, key, value):
+    desk = tmp_path / "desk"
+    shutil.copytree(DESK, desk, ignore=shutil.ignore_patterns("out"))
+    cfg = desk / "desk.cfg"
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} = {value}"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert f"{cfg}:{line}: bad value {value!r} for {key!r}" in capsys.readouterr().err
+    assert [p for p in (desk / "out").rglob("*") if p.is_file()] == []

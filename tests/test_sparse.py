@@ -153,6 +153,8 @@ class TestPersistence:
         path = tmp_path / "corpus.rpidx"
         save_index(index, str(path))
         loaded = load_index(str(path))
+        # the same lists of (ordinal, tf) int tuples; the file keeps terms sorted
+        assert repr(loaded.postings) == repr(dict(sorted(index.postings.items())))
         for query in ("w0", "w1 w5", "w2 w3 w29"):
             assert bm25_search(loaded, query, 15) == bm25_search(index, query, 15)
 
