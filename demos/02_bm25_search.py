@@ -4,7 +4,7 @@ from pathlib import Path
 
 from rankpipe import Bm25Params, Document, bm25_search, build_index, load_index, save_index, tokenize
 
-# --- tokenization picks a segmentation per script -------------------------
+# --- tokenization segments by script run ----------------------------------
 print(tokenize("The Quick, quick fox"))        # whitespace scripts: fold + split
 print(tokenize("多语言检索系统"))                # unsegmented scripts: one token per character
 print(tokenize("nDCG@10 is rank-sensitive"))   # punctuation separates, digits survive
@@ -17,7 +17,7 @@ docs = [
     Document("d3", "Hybrid", "combining bag of words ranking with dense vectors"),
     Document("d4", "排序", "混合检索系统结合词频与向量"),
 ]
-index = build_index(docs, script_policy="auto")
+index = build_index(docs)
 print(f"\n{index.doc_count} docs, avgdl={index.avgdl:.2f}, vocabulary={len(index.postings)}")
 
 # --- search: Lucene-flavored BM25, k1=0.9 b=0.4 ----------------------------

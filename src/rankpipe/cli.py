@@ -13,7 +13,7 @@ import sys
 # dense`, `forge q2q2d` and a pipeline's dense stage.
 from . import __version__
 from .errors import DataError, ProtocolError
-from .tokenization import POLICIES
+from .tokenization import AUTO
 from .validate import KINDS, METRICS, validate_artifacts
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def _topics_lookup(args: argparse.Namespace) -> dict[str, str] | None:
 def _cmd_index(args) -> int:
     from .sparse import index_corpus
 
-    index = index_corpus(args.corpus, args.out, **_given(args, "script_policy"))
+    index = index_corpus(args.corpus, args.out)
     print(f"indexed {index.doc_count} documents, {len(index.postings)} terms -> {args.out}")
     return EXIT_OK
 
@@ -173,7 +173,7 @@ def _cmd_rerank(args) -> int:
 
     scorer = args.scorer if "scorer" in args else rerank.ScorerHandle()
     run = rerank.rerank_pool(
-        read_run(args.pool), args.topics, args.corpus, scorer, **_given(args, "pool_k", "budget", "script_policy")
+        read_run(args.pool), args.topics, args.corpus, scorer, **_given(args, "pool_k", "budget")
     )
     write_run(run, args.out)
     print(f"reranked {len(run)} pairs with {scorer.kind} -> {args.out}")
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = index_sub.add_parser("build", help="build an inverted index from a corpus")
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--script-policy", choices=POLICIES)
+    # accepts only auto, for perfbench/run.py's cli-tour, which passes it; ROADMAP item 1 frees it
+    p_build.add_argument("--script-policy", choices=(AUTO,))
     p_build.set_defaults(func=_cmd_index)
 
     p_retrieve = sub.add_parser("retrieve", help="run sparse or dense retrieval")
@@ -352,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--scorer", type=_scorer, help='lexical (default) | file:scores.tsv | cmd:"..."')
     p_rerank.add_argument("--budget", type=int)
     p_rerank.add_argument("--pool-k", type=int)
-    p_rerank.add_argument("--script-policy", choices=POLICIES)
     p_rerank.add_argument("--out", required=True)
     p_rerank.set_defaults(func=_cmd_rerank)
 

@@ -59,9 +59,6 @@ class JudgmentSet:
             raise ValueError(f"duplicate judgment for ({qid}, {docid})")
         docs[docid] = int(grade)
 
-    def grade(self, qid: str, docid: str, default: int | None = None) -> int | None:
-        return self._by_qid.get(qid, {}).get(docid, default)
-
     def judged_docids(self, qid: str) -> dict[str, int]:
         return dict(self._by_qid.get(qid, {}))
 

@@ -19,7 +19,7 @@ from .corpus import load_qrels
 from .errors import DataError
 from .expconfig import SCHEMA, STAGES, ExperimentConfig
 from .runs import DEFAULT_K, Run, read_run, write_run
-from .tokenization import AUTO, POLICIES
+from .tokenization import AUTO
 from .validate import DOT, METRICS
 
 if TYPE_CHECKING:
@@ -102,8 +102,8 @@ def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
     An error names the value's line, as ``ExperimentConfig.get`` does."""
     get = config.get
     values: Values = {}
-    if {"index", "rerank"} & stages:
-        values["script_policy"] = get("script_policy", AUTO, choices=POLICIES)
+    if {"index", "rerank"} & stages:  # checked, not used: a config naming a removed policy stops here
+        get("script_policy", AUTO, choices=(AUTO,))
     if "bm25" in stages:
         from .sparse import Bm25Params
 
@@ -135,7 +135,7 @@ def _stage_index(config: ExperimentConfig, language: str, held: Held, values: Va
     from . import sparse
 
     corpus, out = config.lang_path("corpus", language), config.out_path(language, INDEX_FILE)
-    held[INDEX_FILE] = sparse.index_corpus(str(corpus), str(out), values["script_policy"])
+    held[INDEX_FILE] = sparse.index_corpus(str(corpus), str(out))
 
 
 def _stage_bm25(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
@@ -182,7 +182,6 @@ def _stage_rerank(config: ExperimentConfig, language: str, held: Held, values: V
         values["rerank.scorer"],
         values["pool.k"],
         values["rerank.budget"],
-        values["script_policy"],
     )
     _save_run(config, language, "rerank", run, held)
 

@@ -31,7 +31,7 @@ from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError, ProtocolError
 from .fusion import DEFAULT_POOL_K, cut_pool
 from .runs import Run
-from .tokenization import AUTO, tokenize
+from .tokenization import tokenize
 from .validate import data_lines
 
 SEPARATOR = "[SEP]"
@@ -128,7 +128,7 @@ def build_pairs(
             yield PairInput(qid, docid, query, _clean(doc.title), _clean(doc.text), budget)
 
 
-def lexical_score(pair: PairInput, script_policy: str = AUTO) -> float:
+def lexical_score(pair: PairInput) -> float:
     """Unique-query-token overlap in [0, 1]: |q ∩ doc| / |q|.
 
     The budget caps the tokens of the pair text: the query is kept whole, the
@@ -137,13 +137,13 @@ def lexical_score(pair: PairInput, script_policy: str = AUTO) -> float:
     body tokens in turn, since no token spans the separating spaces. 1.0
     exactly when every query token appears in the kept title and body tokens.
     """
-    query = tokenize(pair.query, script_policy)
+    query = tokenize(pair.query)
     query_tokens = set(query)
     if not query_tokens:
         return 0.0
-    room = max(pair.truncation_budget - len(query) - 2 * len(tokenize(SEPARATOR, script_policy)), 0)
-    title = tokenize(pair.title, script_policy)[:room]
-    body = tokenize(pair.body, script_policy)[: room - len(title)]
+    room = max(pair.truncation_budget - len(query) - 2 * len(tokenize(SEPARATOR)), 0)
+    title = tokenize(pair.title)[:room]
+    body = tokenize(pair.body)[: room - len(title)]
     return len(query_tokens & {*title, *body}) / len(query_tokens)
 
 
@@ -261,16 +261,15 @@ def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
             proc.wait()
 
 
-def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle, script_policy: str = AUTO) -> Run:
+def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle) -> Run:
     """Score every pair and assemble a reranked run.
 
     The output contains exactly the input (qid, docid) pairs: no drops, no
-    inventions. ``script_policy`` is the segmentation the lexical baseline
-    scores with. Raises ProtocolError when a scorer misbehaves.
+    inventions. Raises ProtocolError when a scorer misbehaves.
     """
     pair_list = list(pairs)
     if scorer.kind == LEXICAL_BASELINE:
-        scores = [lexical_score(pair, script_policy) for pair in pair_list]
+        scores = [lexical_score(pair) for pair in pair_list]
     elif scorer.kind == SCORE_FILE:
         table = _read_score_file(scorer.location)
         scores = []
@@ -293,10 +292,9 @@ def rerank_pool(
     scorer: ScorerHandle = ScorerHandle(),
     pool_k: int = DEFAULT_POOL_K,
     budget: int = DEFAULT_BUDGET,
-    script_policy: str = AUTO,
 ) -> Run:
     """The rerank stage: score the first ``pool_k`` candidates of every pool query."""
     topics = {q.qid: q.text for q in load_topics(topics_path)}
     corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
     pairs = build_pairs(cut_pool(pool, pool_k), topics, corpus_lookup, budget)
-    return score_pairs(pairs, scorer, script_policy=script_policy)
+    return score_pairs(pairs, scorer)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run
-from .tokenization import AUTO, POLICIES, tokenize
+from .tokenization import AUTO, tokenize
 
 _MAGIC = b"RPIDX002"
 _OLD_MAGIC = b"RPIDX001"  # auto segmented by majority script, not by script run
@@ -43,40 +43,29 @@ class InvertedIndex:
     """Immutable term -> postings map over a fixed document collection.
 
     Postings are (doc ordinal, term frequency) pairs sorted by ordinal with
-    at most one entry per document; ``df(term)`` equals the postings length.
+    at most one entry per document, so a term's document frequency is the
+    length of its postings list.
     """
 
-    def __init__(
-        self,
-        postings: dict[str, list[tuple[int, int]]],
-        doc_lengths: list[int],
-        docids: list[str],
-        script_policy: str,
-    ):
+    # kept for the perfbench/spans.py bm25 hook, which reads it; ROADMAP item 1 frees it
+    script_policy = AUTO
+
+    def __init__(self, postings: dict[str, list[tuple[int, int]]], doc_lengths: list[int], docids: list[str]):
         self.postings = postings
         self.doc_lengths = doc_lengths
         self.docids = docids
-        self.script_policy = script_policy
         self.avgdl = sum(doc_lengths) / len(doc_lengths) if doc_lengths else 0.0
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
 
-    def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.postings
-
-
-def build_index(documents: Iterable[Document], script_policy: str = AUTO) -> InvertedIndex:
+def build_index(documents: Iterable[Document]) -> InvertedIndex:
     """Build an inverted index; the indexed text is ``title + " " + text``.
 
     Rejects duplicate docids and an empty document stream.
     """
-    if script_policy not in POLICIES:
-        raise ValueError(f"unknown script policy: {script_policy!r}")
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
     docids: list[str] = []
@@ -87,18 +76,18 @@ def build_index(documents: Iterable[Document], script_policy: str = AUTO) -> Inv
         seen.add(doc.docid)
         ordinal = len(docids)
         docids.append(doc.docid)
-        tokens = tokenize(f"{doc.title} {doc.text}", script_policy)
+        tokens = tokenize(f"{doc.title} {doc.text}")
         doc_lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, []).append((ordinal, tf))
     if not docids:
         raise DataError("cannot build an index from an empty corpus")
-    return InvertedIndex(postings, doc_lengths, docids, script_policy)
+    return InvertedIndex(postings, doc_lengths, docids)
 
 
-def index_corpus(corpus_path: str, out: str, script_policy: str = AUTO) -> InvertedIndex:
+def index_corpus(corpus_path: str, out: str) -> InvertedIndex:
     """The index stage: index a corpus file and save the index to ``out``."""
-    index = build_index(load_corpus(corpus_path), script_policy)
+    index = build_index(load_corpus(corpus_path))
     save_index(index, out)
     return index
 
@@ -121,7 +110,7 @@ def bm25_search(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms = sorted(set(tokenize(query, index.script_policy)))
+    terms = sorted(set(tokenize(query)))
     if not terms:
         return []
     n = index.doc_count
@@ -200,7 +189,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        _write_str(fh, index.script_policy)
+        _write_str(fh, AUTO)
         _write_u32(fh, index.doc_count)
         for docid in index.docids:
             _write_str(fh, docid)
@@ -225,7 +214,10 @@ def load_index(path: str) -> InvertedIndex:
                               "rebuild it with `rankpipe index build`", path=path)
         if magic != _MAGIC:
             raise FormatError(f"not a {_MAGIC.decode()} index file", path=path)
-        script_policy = _read_str(fh, path)
+        policy = _read_str(fh, path)
+        if policy != AUTO:
+            raise FormatError(f"index tokenized by {policy!r}, not {AUTO!r}; "
+                              "rebuild it with `rankpipe index build`", path=path)
         doc_count = _read_u32(fh, path)
         docids = [_read_str(fh, path) for _ in range(doc_count)]
         doc_lengths = list(_read_u32_array(fh, doc_count, path))
@@ -236,4 +228,4 @@ def load_index(path: str) -> InvertedIndex:
             n_postings = _read_u32(fh, path)
             flat = _read_u32_array(fh, 2 * n_postings, path)
             postings[term] = list(zip(flat[0::2], flat[1::2]))
-    return InvertedIndex(postings, doc_lengths, docids, script_policy)
+    return InvertedIndex(postings, doc_lengths, docids)

@@ -1,24 +1,17 @@
-"""Multilingual tokenization with per-script segmentation policies.
+"""Multilingual tokenization by script run.
 
-Text is case-folded and cut into alphanumeric tokens. ``whitespace`` keeps
-each alphanumeric run whole; ``unigram`` makes every alphanumeric character
-a token; ``auto`` (the default) segments by script run in one regex pass:
-each character of an unsegmented script (Han, kana, Hangul, Thai) is a
-token, so that text stays retrievable without a word segmenter, and every
-other alphanumeric run is a word. That is UAX #29 word boundaries with
-ideographs split per character, as in Lucene's ``StandardTokenizer``.
+Text is case-folded and cut into alphanumeric tokens in one regex pass: each
+character of an unsegmented script (Han, kana, Hangul, Thai) is a token, so
+that text stays retrievable without a word segmenter, and every other
+alphanumeric run is a word. That is UAX #29 word boundaries with ideographs
+split per character, as in Lucene's ``StandardTokenizer``. Index time,
+query time and the lexical reranker all tokenize this one way.
 """
 from __future__ import annotations
 
 import re
 
-WHITESPACE = "whitespace"
-UNIGRAM = "unigram"
-AUTO = "auto"
-
-POLICIES = (WHITESPACE, UNIGRAM, AUTO)
-
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+AUTO = "auto"  # the tokenization's name, recorded in every index header
 
 # Code-point ranges that get character-level segmentation.
 _UNIGRAM_RANGES: tuple[tuple[int, int], ...] = (
@@ -43,24 +36,21 @@ _UNIGRAM_CHAR = rf"(?=[^\W_])[{_U}]"
 _SCRIPT_RUNS = rf"{_UNIGRAM_CHAR}|[^\W_{_U}]+"
 
 
+# kept for perfbench/spans.py:probe_tokenization, which times it; ROADMAP item 1 frees it
 def detect_policy(text: str) -> str:
-    """``unigram`` when unsegmented-script characters are the majority of the
-    alphanumerics of ``text``, else ``whitespace`` (also for a text without any).
+    """``"unigram"`` when unsegmented-script characters are the majority of the
+    alphanumerics of ``text``, else ``"whitespace"`` (also for a text without any).
     """
     unigram = len(re.findall(_UNIGRAM_CHAR, text))
-    return UNIGRAM if unigram > len(re.findall(r"[^\W_]", text)) - unigram else WHITESPACE
+    return "unigram" if unigram > len(re.findall(r"[^\W_]", text)) - unigram else "whitespace"
 
 
+# script_policy is kept for perfbench/spans.py:probe_tokenization, which passes AUTO; ROADMAP item 1 frees it
 def tokenize(text: str, script_policy: str = AUTO) -> list[str]:
-    """Case-fold and segment ``text`` into tokens under the given policy.
+    """Case-fold ``text`` and segment it by script run.
 
     Empty input yields an empty list; no token is ever the empty string.
     """
-    if script_policy not in POLICIES:
+    if script_policy != AUTO:
         raise ValueError(f"unknown script policy: {script_policy!r}")
-    folded = text.casefold()
-    if script_policy == AUTO:
-        return re.findall(_SCRIPT_RUNS, folded)
-    if script_policy == UNIGRAM:
-        return [ch for ch in folded if ch.isalnum()]
-    return _WORD_RE.findall(folded)
+    return re.findall(_SCRIPT_RUNS, text.casefold())

@@ -252,20 +252,20 @@ def oracle_draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
     return perm[: min(count, m)]
 
 
-def oracle_lexical_score(text: str, budget: int, script_policy: str) -> float:
+def oracle_lexical_score(text: str, budget: int) -> float:
     """The lexical baseline as first written: truncate the whole pair text,
     split it at the separators, then tokenize query and title + body again."""
-    if len(tokenize(text, script_policy)) > budget:
+    if len(tokenize(text)) > budget:
         query, title, body = text.split(" [SEP] ")
-        room = max(budget - len(tokenize(query, script_policy)) - 2 * len(tokenize("[SEP]", script_policy)), 0)
-        title_tokens = tokenize(title, script_policy)[:room]
-        body_tokens = tokenize(body, script_policy)[: room - len(title_tokens)]
+        room = max(budget - len(tokenize(query)) - 2 * len(tokenize("[SEP]")), 0)
+        title_tokens = tokenize(title)[:room]
+        body_tokens = tokenize(body)[: room - len(title_tokens)]
         text = f"{query} [SEP] {' '.join(title_tokens)} [SEP] {' '.join(body_tokens)}"
     query, title, body = text.split(" [SEP] ")
-    query_tokens = set(tokenize(query, script_policy))
+    query_tokens = set(tokenize(query))
     if not query_tokens:
         return 0.0
-    return len(query_tokens & set(tokenize(f"{title} {body}", script_policy))) / len(query_tokens)
+    return len(query_tokens & set(tokenize(f"{title} {body}"))) / len(query_tokens)
 
 
 def oracle_pair_text(query: str, title: str, body: str) -> str:

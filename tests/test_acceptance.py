@@ -142,8 +142,7 @@ def test_criterion_4_negative_sampling_exclusion_and_determinism():
         pairs = sample_negatives(pool, qrels, n, seed)
         positives = qrels.positives("q1")
         for pair in pairs:
-            grade = qrels.grade(pair.qid, pair.docid)
-            assert grade is None or grade == 0
+            assert qrels.judged_docids(pair.qid).get(pair.docid, 0) == 0
             assert pair.docid not in positives
         assert sample_negatives(pool, qrels, n, seed) == pairs
 

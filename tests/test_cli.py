@@ -466,6 +466,7 @@ class TestConfig:
             "fuse.weights = 0.5",
             "fuse.weights = nan,1",
             "script_policy = klingon",
+            "script_policy = unigram",
             "dense.metric = l2",
             "rerank.scorer = oracle",
         ],

@@ -102,7 +102,7 @@ class TestLoadQrels:
     def test_basic(self, tmp_path):
         path = write_lines(tmp_path / "q.txt", ["q1 Q0 d7 1"])
         qrels = load_qrels(path)
-        assert qrels.grade("q1", "d7") == 1
+        assert qrels.judged_docids("q1") == {"d7": 1}
 
     def test_non_integer_grade_line_1(self, tmp_path):
         path = write_lines(tmp_path / "q.txt", ["q1 Q0 d7 x"])

@@ -180,7 +180,8 @@ class TestBoundsAndOracle:
         for perm in itertools.permutations(docs):
             run = Run.from_scores({"q": {d: float(len(perm) - i) for i, d in enumerate(perm)}})
             best = max(best, ndcg_at_k(run, qrels, 6).per_query["q"])
-        ideal_order = sorted(docs, key=lambda d: -(qrels.grade("q", d) or 0))
+        grades = qrels.judged_docids("q")
+        ideal_order = sorted(docs, key=lambda d: -grades.get(d, 0))
         ideal_run = Run.from_scores(
             {"q": {d: float(len(ideal_order) - i) for i, d in enumerate(ideal_order)}}
         )

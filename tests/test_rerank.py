@@ -23,7 +23,7 @@ from rankpipe.rerank import (
     unescape_text,
 )
 from rankpipe.runs import Run, read_run, write_run
-from rankpipe.tokenization import POLICIES, tokenize
+from rankpipe.tokenization import tokenize
 
 
 def simple_pool(docids, qid="q1"):
@@ -120,10 +120,10 @@ class TestTruncation:
         assert [lexical_score(pair(q, "ta tb tc", body, budget=8)) for q in ("tc", "w1", "w2")] == [1.0, 1.0, 0.0]
 
     def test_cjk_unigram_budget(self):
-        # unigram: 2 query + 2 × 3 separator ("s", "e", "p") leave 56 body characters
-        body = "正" * 55 + "查询" + "正文" * 300
-        assert lexical_score(pair("查询", "", body, budget=64), "unigram") == 0.5
-        assert lexical_score(pair("查询", "", body, budget=65), "unigram") == 1.0
+        # one token per Han character: 2 query + 2 separator ("sep") leave 60 body characters
+        body = "正" * 59 + "查询" + "正文" * 300
+        assert lexical_score(pair("查询", "", body, budget=64)) == 0.5
+        assert lexical_score(pair("查询", "", body, budget=65)) == 1.0
 
 
 class TestLexicalScore:
@@ -170,32 +170,30 @@ _SEGMENT = st.text(st.sampled_from("aAbZ9 ._-[]SEP北京タ한กßǰİΣς\u030
 
 class TestLexicalScoreOnTokenLists:
     @settings(max_examples=400, deadline=None)
-    @given(_SEGMENT, _SEGMENT, _SEGMENT, st.integers(1, 30), st.sampled_from(POLICIES))
-    def test_scores_as_the_truncate_and_split_path(self, query, title, body, budget, policy):
+    @given(_SEGMENT, _SEGMENT, _SEGMENT, st.integers(1, 30))
+    def test_scores_as_the_truncate_and_split_path(self, query, title, body, budget):
         built = next(build_pairs(simple_pool(["d"], qid="q"), {"q": query}, {"d": Document("d", title, body)}, budget))
-        assert lexical_score(built, policy) == oracle_lexical_score(built.text, budget, policy)
+        assert lexical_score(built) == oracle_lexical_score(built.text, budget)
 
 
 class TestLexicalScriptPolicy:
-    # whitespace segmentation keeps "北京大学" one word, so the Han query
-    # only matches character by character under unigram
+    # "北京大学" is one run of Han characters, so it matches the Han query
+    # only because each of them is a token of its own
     PAIR = PairInput("q1", "d1", "北京", "", "北京大学 is a university in the capital")
 
-    @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
-    def test_score_pairs_uses_the_configured_policy(self, policy, expected):
-        run = score_pairs([self.PAIR], ScorerHandle("lexical_baseline"), script_policy=policy)
-        assert run.scores("q1")["d1"] == expected == lexical_score(self.PAIR, policy)
+    def test_score_pairs_segments_han_per_character(self):
+        run = score_pairs([self.PAIR], ScorerHandle("lexical_baseline"))
+        assert run.scores("q1")["d1"] == 1.0 == lexical_score(self.PAIR)
 
-    @pytest.mark.parametrize("policy, expected", [("whitespace", 0.0), ("unigram", 1.0)])
-    def test_cli_rerank_passes_the_policy(self, tmp_path, policy, expected):
+    def test_cli_rerank_segments_han_per_character(self, tmp_path):
         query, title, body = self.PAIR.query, self.PAIR.title, self.PAIR.body
         corpus, topics, pool, out = (tmp_path / n for n in ("c.jsonl", "t.tsv", "pool.trec", "rerank.trec"))
         corpus.write_text(json.dumps({"docid": "d1", "title": title, "text": body}) + "\n", encoding="utf-8")
         topics.write_text(f"q1\t{query}\n", encoding="utf-8")
         write_run(Run.from_scores({"q1": {"d1": 1.0}}, tag="pool"), str(pool))
         assert main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
-                     "--script-policy", policy, "--out", str(out)]) == 0
-        assert read_run(str(out)).scores("q1")["d1"] == expected
+                     "--out", str(out)]) == 0
+        assert read_run(str(out)).scores("q1")["d1"] == 1.0
 
 
 class TestScorerHandle:

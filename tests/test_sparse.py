@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from helpers import oracle_bm25, random_corpus
+from rankpipe.cli import main
 from rankpipe.corpus import Document
 from rankpipe.errors import DataError, FormatError
 from rankpipe.sparse import Bm25Params, bm25_search, build_index, idf, load_index, save_index
@@ -19,12 +21,13 @@ class TestBuildIndex:
     def test_df_equals_postings_length(self):
         docs = [Document("d1", "", "a b"), Document("d2", "", "a c")]
         index = build_index(docs)
-        assert index.df("a") == len(index.postings["a"]) == 2
-        assert index.df("b") == 1
+        for term, plist in index.postings.items():
+            assert len(plist) == sum(term in (doc.title + " " + doc.text).split() for doc in docs)
+        assert len(index.postings["a"]) == 2 and len(index.postings["b"]) == 1
 
     def test_title_is_indexed(self):
         index = build_index([Document("d1", "hello", "world")])
-        assert "hello" in index and "world" in index
+        assert "hello" in index.postings and "world" in index.postings
 
     def test_postings_sorted_by_ordinal_once_per_doc(self):
         rng = np.random.default_rng(3)
@@ -32,7 +35,6 @@ class TestBuildIndex:
         for term, plist in index.postings.items():
             ordinals = [o for o, _ in plist]
             assert ordinals == sorted(set(ordinals))
-            assert len(plist) == index.df(term)
 
     def test_duplicate_docid_rejected(self):
         docs = [Document("d1", "", "a"), Document("d1", "", "b")]
@@ -173,7 +175,21 @@ class TestPersistence:
             load_index(str(path))
 
     def test_script_policy_survives(self, tmp_path):
-        index = build_index([Document("d1", "", "你好 世界")], "unigram")
+        # the header after the magic names the one tokenization, length first
         path = tmp_path / "zh.rpidx"
-        save_index(index, str(path))
-        assert load_index(str(path)).script_policy == "unigram"
+        save_index(build_index([Document("d1", "", "你好 世界")]), str(path))
+        assert path.read_bytes()[8:16] == struct.pack("<I", 4) + b"auto"
+        assert load_index(str(path)).script_policy == "auto"
+
+    def test_index_of_a_removed_policy_asks_for_a_rebuild(self, tmp_path, capsys):
+        path, topics = tmp_path / "zh.rpidx", tmp_path / "topics.tsv"
+        save_index(build_index([Document("d1", "", "你好 世界")]), str(path))
+        path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", 7) + b"unigram" + path.read_bytes()[16:])
+        with pytest.raises(FormatError, match="rebuild it with `rankpipe index build`") as exc:
+            load_index(str(path))
+        assert exc.value.path == str(path)
+        topics.write_text("q1\t你好\n", encoding="utf-8")
+        out = tmp_path / "bm25.trec"
+        assert main(["retrieve", "bm25", "--index", str(path), "--topics", str(topics), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()

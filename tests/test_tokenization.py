@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from rankpipe.corpus import Document
 from rankpipe.sparse import bm25_search, build_index
-from rankpipe.tokenization import AUTO, UNIGRAM, WHITESPACE, detect_policy, tokenize
+from rankpipe.tokenization import AUTO, detect_policy, tokenize
 
 # the unsegmented scripts, one token per character: Thai, Hangul jamo,
 # kana, Hangul compatibility jamo, CJK extension A and unified ideographs,
@@ -43,31 +45,32 @@ MIXED_TEXT = st.text(
 
 
 class TestWhitespacePolicy:
+    """Text without unsegmented scripts: each alphanumeric run is one word."""
+
     def test_case_fold_and_punctuation_split(self):
-        assert tokenize("The Quick, quick fox", WHITESPACE) == ["the", "quick", "quick", "fox"]
+        assert tokenize("The Quick, quick fox") == ["the", "quick", "quick", "fox"]
 
     def test_empty_string(self):
-        assert tokenize("", WHITESPACE) == []
+        assert tokenize("") == []
 
     def test_punctuation_only(self):
-        assert tokenize("...!?--", WHITESPACE) == []
+        assert tokenize("...!?--") == []
 
     def test_underscore_is_a_separator(self):
-        assert tokenize("foo_bar", WHITESPACE) == ["foo", "bar"]
+        assert tokenize("foo_bar") == ["foo", "bar"]
 
     def test_digits_kept(self):
-        assert tokenize("bm25 top-200", WHITESPACE) == ["bm25", "top", "200"]
+        assert tokenize("bm25 top-200") == ["bm25", "top", "200"]
 
 
 class TestUnigramPolicy:
+    """Text of unsegmented scripts: each alphanumeric character is one token."""
+
     def test_three_cjk_characters(self):
-        assert tokenize("你好吗", UNIGRAM) == ["你", "好", "吗"]
+        assert tokenize("你好吗") == ["你", "好", "吗"]
 
     def test_punctuation_dropped(self):
-        assert tokenize("你，好。", UNIGRAM) == ["你", "好"]
-
-    def test_latin_also_split_per_character(self):
-        assert tokenize("ab", UNIGRAM) == ["a", "b"]
+        assert tokenize("你，好。") == ["你", "好"]
 
 
 class TestAutoPolicy:
@@ -80,12 +83,12 @@ class TestAutoPolicy:
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ("ひらがな", UNIGRAM),
-            ("カタカナ", UNIGRAM),
-            ("한국어입니다", UNIGRAM),
-            ("ภาษาไทย", UNIGRAM),
-            ("swahili na kiingereza", WHITESPACE),
-            ("", WHITESPACE),
+            ("ひらがな", "unigram"),
+            ("カタカナ", "unigram"),
+            ("한국어입니다", "unigram"),
+            ("ภาษาไทย", "unigram"),
+            ("swahili na kiingereza", "whitespace"),
+            ("", "whitespace"),
         ],
     )
     def test_script_detection(self, text, expected):
@@ -97,12 +100,13 @@ class TestAutoPolicy:
 
     def test_detect_policy_majority(self):
         # 4 Han characters vs 3 Latin ones
-        assert detect_policy("检索系统 abc") == UNIGRAM
-        assert detect_policy("检索 abcdef") == WHITESPACE
+        assert detect_policy("检索系统 abc") == "unigram"
+        assert detect_policy("检索 abcdef") == "whitespace"
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            tokenize("x", "stemming")
+        for policy in ("stemming", "whitespace", "unigram"):
+            with pytest.raises(ValueError):
+                tokenize("x", policy)
 
 
 class TestTokenStreamInvariants:
@@ -111,8 +115,7 @@ class TestTokenStreamInvariants:
         pool = list("abc ABC 12 ,.!?-_\t\n") + ["你", "好", "ไ", "ท", "한"]
         for _ in range(300):
             text = "".join(rng.choice(pool, size=rng.integers(0, 40)))
-            for policy in (WHITESPACE, UNIGRAM, AUTO):
-                assert all(tok for tok in tokenize(text, policy))
+            assert all(tok for tok in tokenize(text))
 
     def test_deterministic(self):
         text = "Mixed 检索 Text ース 123"
@@ -129,13 +132,13 @@ class TestScriptRuns:
     @given(MIXED_TEXT)
     def test_auto_is_whitespace_without_unsegmented_script(self, text):
         text = "".join(ch for ch in text.casefold() if not unsegmented(ch))
-        assert tokenize(text, AUTO) == tokenize(text, WHITESPACE)
+        assert tokenize(text) == re.findall(r"[^\W_]+", text.casefold())
 
     @settings(max_examples=300, deadline=None)
     @given(MIXED_TEXT)
     def test_auto_is_unigram_when_every_alphanumeric_is_unsegmented(self, text):
         text = "".join(ch for ch in text.casefold() if unsegmented(ch) or not ch.isalnum())
-        assert tokenize(text, AUTO) == tokenize(text, UNIGRAM)
+        assert tokenize(text) == [ch for ch in text.casefold() if ch.isalnum()]
 
     @settings(max_examples=200, deadline=None)
     @given(MIXED_TEXT)
