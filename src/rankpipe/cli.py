@@ -184,8 +184,10 @@ def _cmd_ensemble(args) -> int:
     from . import ensemble
     from .runs import read_run, write_run
 
-    runs = [read_run(path) for path in args.runs]
+    # usage errors before data errors: the config is checked before any run is read
     config = ensemble.EnsembleConfig(args.base_weights, **_given(args, "lam"))
+    config.check_run_count(len(args.runs))
+    runs = [read_run(path) for path in args.runs]
     weights = ensemble.adjust_weights(config, ensemble.correlation_matrix(runs))
     combined = ensemble.ensemble_runs(runs, weights)
     write_run(combined, args.out)

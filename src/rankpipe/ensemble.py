@@ -34,6 +34,10 @@ class EnsembleConfig:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
 
+    def check_run_count(self, n_runs: int) -> None:
+        if len(self.base_weights) != n_runs:
+            raise ValueError(f"{len(self.base_weights)} base weights for {n_runs} runs")
+
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; tied values share the mean of the ranks they span,
@@ -104,8 +108,7 @@ def adjust_weights(config: EnsembleConfig, corr: Sequence[Sequence[float]]) -> l
     every weight damps to 0 the normalized base weights are returned.
     """
     n = len(corr)
-    if len(config.base_weights) != n:
-        raise ValueError(f"{len(config.base_weights)} base weights for {n} runs")
+    config.check_run_count(n)
     base = [float(w) for w in config.base_weights]
     try:  # a damped weight is at most its base, so only this sum can overflow
         base_total = math.fsum(base)

@@ -94,14 +94,16 @@ class TestSubcommands:
         write_tiny_project(tmp_path)
         index_path = tmp_path / "idx.rpidx"
         assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(index_path)]) == 0
-        index_path.write_bytes(b"RPIDX001" + index_path.read_bytes()[8:])
-        assert main(
-            ["retrieve", "bm25", "--index", str(index_path), "--topics", str(tmp_path / "topics.tsv"),
-             "--out", str(tmp_path / "bm25.trec")]
-        ) == 2
-        err = capsys.readouterr().err
-        assert str(index_path) in err and "rebuild it with `rankpipe index build`" in err
-        assert not (tmp_path / "bm25.trec").exists()
+        current = index_path.read_bytes()
+        for magic in (b"RPIDX001", b"RPIDX002"):
+            index_path.write_bytes(magic + current[8:])
+            assert main(
+                ["retrieve", "bm25", "--index", str(index_path), "--topics", str(tmp_path / "topics.tsv"),
+                 "--out", str(tmp_path / "bm25.trec")]
+            ) == 2
+            err = capsys.readouterr().err
+            assert str(index_path) in err and "rebuild it with `rankpipe index build`" in err
+            assert not (tmp_path / "bm25.trec").exists()
 
     def test_retrieve_dense_and_fuse(self, tmp_path):
         write_tiny_project(tmp_path)
@@ -373,6 +375,25 @@ class TestExitCodes:
         run.write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")
         out = tmp_path / "o.trec"
         argv = ["ensemble", "--runs", *[str(run)] * n_runs, "--base-weights", base_weights, "--out", str(out)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "second_run, flags, message",
+        [
+            ("b.trec", ["--base-weights", "1"], "1 base weights for 2 runs"),
+            ("missing.trec", ["--base-weights", "0.5,0.5", "--lambda", "2"], "lambda must be in [0, 1]"),
+        ],
+    )
+    def test_ensemble_reports_a_usage_error_before_reading_any_run(
+        self, tmp_path, capsys, second_run, flags, message
+    ):
+        # a.trec and b.trec share no query, and missing.trec does not exist: both data errors
+        (tmp_path / "a.trec").write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")
+        (tmp_path / "b.trec").write_text("q2 Q0 d1 1 1.0 b\nq2 Q0 d2 2 0.5 b\n")
+        out = tmp_path / "o.trec"
+        argv = ["ensemble", "--runs", str(tmp_path / "a.trec"), str(tmp_path / second_run), *flags, "--out", str(out)]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,28 @@ from helpers import oracle_bm25, random_corpus
 from rankpipe.cli import main
 from rankpipe.corpus import Document
 from rankpipe.errors import DataError, FormatError
-from rankpipe.sparse import Bm25Params, bm25_search, build_index, idf, load_index, save_index
+from rankpipe.sparse import (
+    Bm25Params, InvertedIndex, Postings, bm25_search, build_index, idf, load_index, save_index,
+)
+from rankpipe.tokenization import tokenize
+
+
+def oracle_postings(docs: list[Document]) -> dict[str, list[tuple[int, int]]]:
+    """Each term's (ordinal, tf) pairs, counted from the indexed text."""
+    expected: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, doc in enumerate(docs):
+        for term, tf in Counter(tokenize(doc.title + " " + doc.text)).items():
+            expected.setdefault(term, []).append((ordinal, tf))
+    return expected
+
+
+def pairs(index: InvertedIndex) -> dict[str, list[tuple[int, int]]]:
+    return {term: list(plist) for term, plist in index.postings.items()}
+
+
+def header_widths(path) -> tuple[int, int, int]:
+    """The widths of the doc lengths, ordinals and tfs, after the magic and ``auto``."""
+    return tuple(path.read_bytes()[16:19])
 
 
 class TestBuildIndex:
@@ -150,15 +172,56 @@ class TestBm25Params:
 class TestPersistence:
     def test_round_trip_preserves_search(self, tmp_path):
         rng = np.random.default_rng(21)
-        docs = random_corpus(rng, 40)
+        docs = random_corpus(rng, 40) + [Document("zh", "北京 Flights", "到北京 w3")]
+        expected = oracle_postings(docs)
         index = build_index(docs)
         path = tmp_path / "corpus.rpidx"
         save_index(index, str(path))
         loaded = load_index(str(path))
-        # the same lists of (ordinal, tf) int tuples; the file keeps terms sorted
-        assert repr(loaded.postings) == repr(dict(sorted(index.postings.items())))
-        for query in ("w0", "w1 w5", "w2 w3 w29"):
+        assert pairs(index) == expected
+        assert pairs(loaded) == expected
+        assert list(loaded.postings) == sorted(expected)  # the file keeps terms sorted
+        assert list(loaded.doc_lengths) == index.doc_lengths and loaded.docids == index.docids
+        for query in ("w0", "w1 w5", "w2 w3 w29", "北京 flights"):
             assert bm25_search(loaded, query, 15) == bm25_search(index, query, 15)
+
+    @pytest.mark.parametrize(
+        "texts,widths",
+        [
+            (["a"] * 256, (1, 1, 1)),
+            (["a"] * 257, (1, 2, 1)),
+            (["a " * 255, "b"], (1, 1, 1)),
+            (["a " * 256, "b"], (2, 1, 2)),
+            ([" ".join(f"t{i}" for i in range(256)), "t0"], (2, 1, 1)),
+            (["a " * 65_535, "a b"], (2, 1, 2)),
+            (["a " * 65_536, "a b"], (4, 1, 4)),
+        ],
+        ids=["256-docs", "257-docs", "tf-255", "tf-256", "doc-length-256", "tf-65535", "tf-65536"],
+    )
+    def test_each_column_takes_the_narrowest_width_that_holds_it(self, tmp_path, texts, widths):
+        docs = [Document(f"d{i}", "", text) for i, text in enumerate(texts)]
+        index = build_index(docs)
+        path = tmp_path / "w.rpidx"
+        save_index(index, str(path))
+        assert header_widths(path) == widths
+        loaded = load_index(str(path))
+        assert pairs(loaded) == pairs(index) == oracle_postings(docs)
+        assert list(loaded.doc_lengths) == index.doc_lengths
+        for query in [*index.postings, "a b t0 t255"]:
+            assert bm25_search(loaded, query, 300) == bm25_search(index, query, 300)
+
+    def test_four_byte_ordinals(self, tmp_path):
+        n = 65_537
+        postings = {"a": Postings([0, 65_535, n - 1], [1, 3, 2]), "b": Postings([n - 2], [1])}
+        index = InvertedIndex(postings, [1] * (n - 2) + [2, 3], [f"d{i}" for i in range(n)])
+        path = tmp_path / "big.rpidx"
+        save_index(index, str(path))
+        assert header_widths(path) == (1, 4, 1)
+        loaded = load_index(str(path))
+        assert pairs(loaded) == pairs(index)
+        assert loaded.docids == index.docids and list(loaded.doc_lengths) == index.doc_lengths
+        for query in ("a", "b", "a b"):
+            assert bm25_search(loaded, query, 10) == bm25_search(index, query, 10)
 
     def test_reload_reserializes_identically(self, tmp_path):
         index = build_index([Document("d1", "标题", "正文内容"), Document("d2", "t", "a b c")])
@@ -193,3 +256,44 @@ class TestPersistence:
         assert main(["retrieve", "bm25", "--index", str(path), "--topics", str(topics), "--out", str(out)]) == 2
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCorruptIndex:
+    def test_every_truncation_and_byte_flip_is_a_format_error_or_a_searchable_index(self, tmp_path, capsys):
+        good = tmp_path / "good.rpidx"
+        save_index(build_index([Document("d1", "标题", "a b b"), Document("d2", "", "b c")]), str(good))
+        original = good.read_bytes()
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("q1\ta b c 标\n", encoding="utf-8")
+        path, resaved, out = tmp_path / "bad.rpidx", tmp_path / "resaved.rpidx", tmp_path / "bm25.trec"
+
+        def outcome(data: bytes) -> str:
+            path.write_bytes(data)
+            code = main(["retrieve", "bm25", "--index", str(path), "--topics", str(topics), "--out", str(out)])
+            assert code in (0, 2), data
+            try:
+                index = load_index(str(path))
+            except FormatError as exc:
+                assert exc.path == str(path)
+                assert code == 2
+                return "error"
+            save_index(index, str(resaved))  # an accepted file is the one serialization of what it loads
+            assert resaved.read_bytes() == data
+            for term, plist in index.postings.items():
+                ordinals = list(plist.ordinals)
+                assert ordinals == sorted(set(ordinals)) and ordinals[-1] < index.doc_count
+                assert len(plist.tfs) == len(ordinals) and min(plist.tfs) >= 1
+                bm25_search(index, term, 10)
+            return "loaded"
+
+        assert outcome(original) == "loaded"
+        assert outcome(original + b"\0") == "error"
+        for size in range(len(original)):
+            assert outcome(original[:size]) == "error", size
+        flips = Counter(
+            outcome(original[:i] + bytes([original[i] ^ mask]) + original[i + 1:])
+            for i in range(len(original))
+            for mask in (0x01, 0x02, 0x04, 0x80, 0xFF)
+        )
+        assert flips["error"] > 0 and sum(flips.values()) == 5 * len(original)
+        capsys.readouterr()
