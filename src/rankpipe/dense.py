@@ -9,6 +9,7 @@ computes either, with the same checks for every caller.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,16 @@ class EmbeddingStore:
         bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             raise DataError(f"non-finite components in vector {self.ids[int(bad[0])]!r}")
+
+    @cached_property
+    def _cosine_norms(self) -> np.ndarray:
+        """Every vector's L2 norm, computed once per store; a zero vector,
+        which has no direction, is a DataError that names it."""
+        norms = np.linalg.norm(self.matrix, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DataError(f"zero vector {self.ids[int(zero[0])]!r} not allowed under cosine")
+        return norms
 
     @property
     def dim(self) -> int:
@@ -96,12 +107,9 @@ def similarities(queries: EmbeddingStore, docs: EmbeddingStore, query_id: str, m
         scores = docs.matrix @ qvec
         if metric == COSINE:
             qnorm = np.linalg.norm(qvec)
-            dnorms = np.linalg.norm(docs.matrix, axis=1)
-            zero = np.flatnonzero(dnorms == 0.0)
-            if qnorm == 0.0 or zero.size:
-                vid = query_id if qnorm == 0.0 else docs.ids[int(zero[0])]
-                raise DataError(f"zero vector {vid!r} not allowed under cosine")
-            scores = scores / (dnorms * qnorm)
+            if qnorm == 0.0:
+                raise DataError(f"zero vector {query_id!r} not allowed under cosine")
+            scores = scores / (docs._cosine_norms * qnorm)
     if not np.isfinite(scores).all():
         raise DataError(f"similarity overflow for query {query_id!r}: scores are not finite")
     return scores

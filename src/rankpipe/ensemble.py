@@ -110,10 +110,7 @@ def adjust_weights(config: EnsembleConfig, corr: Sequence[Sequence[float]]) -> l
     n = len(corr)
     config.check_run_count(n)
     base = [float(w) for w in config.base_weights]
-    try:  # a damped weight is at most its base, so only this sum can overflow
-        base_total = math.fsum(base)
-    except OverflowError:
-        raise ValueError(f"base weights {base} sum past the float range") from None
+    base_total = math.fsum(base)  # finite by check_weights, and a damped weight is at most its base
     if base_total <= 0:
         raise DataError("base weights sum to zero")
     weights = []

@@ -92,6 +92,8 @@ def load_config(path: str) -> ExperimentConfig:
     languages = [lang.strip() for lang in values["languages"].split(",") if lang.strip()]
     if not languages:
         raise DataError(f"{path}: no languages configured")
+    if len(set(languages)) != len(languages):  # summary.tsv would macro-average a language twice
+        raise FormatError(f"languages {values['languages']!r} repeat a language", path=path, line=lines["languages"])
     base_dir = Path(path).resolve().parent
     try:
         seed = int(values["seed"])

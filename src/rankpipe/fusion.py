@@ -39,9 +39,15 @@ def normalize_run(run: Run) -> Run:
 
 def check_weights(weights: Sequence[float]) -> None:
     """The one rule for fusion and ensemble weights: each is finite and >= 0,
-    and their sum is positive; a ValueError names the values otherwise."""
-    if not (all(math.isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
-        raise ValueError(f"weights {list(weights)} must be finite and >= 0 with a positive sum")
+    and their sum is positive and inside the float range, since a candidate
+    at the top of every min-max normalized run scores that sum; a
+    ValueError names the values otherwise."""
+    try:
+        valid = all(math.isfinite(w) and w >= 0 for w in weights) and math.fsum(weights) > 0
+    except OverflowError:  # fsum's exact sum passes the float range
+        valid = False
+    if not valid:
+        raise ValueError(f"weights {list(weights)} must be finite and >= 0 with a positive sum inside the float range")
 
 
 def parse_weights(raw: str) -> list[float]:

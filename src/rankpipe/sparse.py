@@ -8,9 +8,11 @@ The scoring function is the Lucene-style variant
 with ``idf(t) = ln(1 + (N - df(t) + 0.5) / (df(t) + 0.5))``, which is
 nonnegative for every term. Defaults k1=0.9, b=0.4.
 
-An index file (``RPIDX003``) stores each term's postings as two columns,
-doc ordinals then term frequencies, each value at the narrowest of 1, 2 or
-4 bytes that holds the file's largest; ``save_index`` gives the layout.
+An index file (``RPIDX004``) stores each term's postings as d-gaps (the
+first doc ordinal, then the difference to the one before) and term
+frequencies, each column at the narrowest of 1, 2 or 4 bytes that holds its
+largest value, the tfs not at all where every one is 1; ``save_index``
+gives the layout.
 """
 from __future__ import annotations
 
@@ -21,19 +23,23 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import lt
+from itertools import accumulate
+from operator import sub
 
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run
 from .tokenization import AUTO, tokenize
 
-_MAGIC = b"RPIDX003"
-# RPIDX001 segmented auto text by majority script; RPIDX002 spent a u32 on every ordinal and tf
-_OLD_MAGICS = {b"RPIDX001": "an older auto tokenization", b"RPIDX002": "an older layout"}
-_HEADER = struct.Struct("<3BI")  # the widths of doc lengths, ordinals and tfs; the doc count
+_MAGIC = b"RPIDX004"
+# RPIDX001 segmented auto text by majority script; RPIDX002 spent a u32 on every ordinal and tf;
+# RPIDX003 stored ordinals, not d-gaps, at one width per file
+_OLD_MAGICS = {b"RPIDX001": "an older auto tokenization", b"RPIDX002": "an older layout",
+               b"RPIDX003": "an older layout"}
+_HEADER = struct.Struct("<4BI")  # the widths of doc lengths, docid sizes, term sizes and dfs; the doc count
 _TYPECODES = {1: "B", 2: "H", 4: "I"}  # column width in bytes -> array typecode
 _U32 = struct.Struct("<I")
+_ONE = array("B", b"\x01")  # the tf of a posting whose term stores no tfs
 
 
 @dataclass(frozen=True)
@@ -50,19 +56,20 @@ class Bm25Params:
 
 @dataclass(slots=True, eq=False)  # a list column and an array column never compare equal
 class Postings:
-    """One term's postings as two equal-length columns: the ascending doc
-    ordinals, and the term's frequency (>= 1) in each document; lists when
-    built, arrays when loaded. ``len()`` is the term's document frequency,
-    and iterating yields (ordinal, tf) pairs."""
+    """One term's postings as two equal-length columns: d-gaps, the first
+    doc ordinal and then each ordinal minus the one before (so every gap
+    after the first is >= 1), and the term's frequency (>= 1) in each
+    document; lists when built, arrays when loaded. ``len()`` is the term's
+    document frequency, and iterating yields (ordinal, tf) pairs."""
 
-    ordinals: Sequence[int]
+    gaps: Sequence[int]
     tfs: Sequence[int]
 
     def __len__(self) -> int:
-        return len(self.ordinals)
+        return len(self.gaps)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.ordinals, self.tfs)
+        return zip(accumulate(self.gaps), self.tfs)
 
 
 class InvertedIndex:
@@ -109,10 +116,13 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
             plist = postings.get(term)
             if plist is None:
                 plist = postings[term] = Postings([], [])
-            plist.ordinals.append(ordinal)
+            plist.gaps.append(ordinal)  # an ordinal until the stream ends
             plist.tfs.append(tf)
     if not docids:
         raise DataError("cannot build an index from an empty corpus")
+    for plist in postings.values():
+        ordinals = plist.gaps
+        plist.gaps = [ordinals[0], *map(sub, ordinals[1:], ordinals)]
     return InvertedIndex(postings, doc_lengths, docids)
 
 
@@ -183,50 +193,69 @@ def _array(values: Iterable[int], width: int) -> array:
     return arr
 
 
-def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as ``RPIDX003``.
+def _postings_width(plist: Postings) -> int:
+    """A term's postings-width byte: its tf width << 4 | its gap width, with
+    a tf width of 0 where every tf is 1 and none is stored."""
+    top = max(plist.tfs, default=1)
+    return (top > 1 and _width(top)) << 4 | _width(max(plist.gaps, default=0))
 
-    Layout: the magic; the tokenization's name; three width bytes (doc
-    lengths, ordinals, tfs); a u32 doc count, the docids and the doc lengths;
-    a u32 term count and, per term in sorted order, its name, a u32 df, its
-    df ordinals and its df tfs. A string is a u32 byte count and its UTF-8
-    bytes. Nothing follows the last term, and two builds over the same
-    stream serialize to identical bytes.
+
+def save_index(index: InvertedIndex, path: str) -> None:
+    """Persist the index as ``RPIDX004``.
+
+    Layout, every integer little-endian: the magic; the tokenization's name
+    as a u32 byte count and its UTF-8 bytes; four width bytes (doc lengths,
+    docid sizes, term sizes, dfs) and a u32 doc count; the docid sizes, the
+    docids' UTF-8 bytes back to back and the doc lengths; a u32 term count,
+    then per term in sorted order its size, its df and its postings-width
+    byte, each as one column, and the terms' UTF-8 bytes back to back; then
+    per term its df d-gaps and, unless its tf width is 0, its df tfs. Each
+    column's width is the narrowest of 1, 2 or 4 bytes that holds its
+    largest value. Nothing follows the last term, and two builds over the
+    same stream serialize to identical bytes.
     """
-    length_w = _width(max(index.doc_lengths, default=0))
-    ordinal_w = _width(index.doc_count - 1)
-    tf_w = _width(max((max(plist.tfs, default=0) for plist in index.postings.values()), default=0))
-    u32 = _U32.pack
     policy = AUTO.encode("utf-8")
-    chunks: list = [_MAGIC, u32(len(policy)), policy, _HEADER.pack(length_w, ordinal_w, tf_w, index.doc_count)]
-    for docid in index.docids:
-        name = docid.encode("utf-8")
-        chunks += (u32(len(name)), name)
-    chunks += (_array(index.doc_lengths, length_w), u32(len(index.postings)))
-    for term in sorted(index.postings):
-        plist = index.postings[term]
-        name = term.encode("utf-8")
-        ordinals = _array(plist.ordinals, ordinal_w)
-        chunks += (u32(len(name)), name, u32(len(ordinals)), ordinals, _array(plist.tfs, tf_w))
+    docids = [docid.encode("utf-8") for docid in index.docids]
+    terms = sorted(index.postings)
+    names = [term.encode("utf-8") for term in terms]
+    plists = [index.postings[term] for term in terms]
+    docid_sizes, term_sizes, dfs = list(map(len, docids)), list(map(len, names)), list(map(len, plists))
+    widths = [_width(max(column, default=0)) for column in (index.doc_lengths, docid_sizes, term_sizes, dfs)]
+    length_w, docid_w, term_w, df_w = widths
+    postings_widths = bytes(map(_postings_width, plists))
+    chunks: list = [_MAGIC, _U32.pack(len(policy)), policy, _HEADER.pack(*widths, index.doc_count),
+                    _array(docid_sizes, docid_w), *docids, _array(index.doc_lengths, length_w),
+                    _U32.pack(len(terms)), _array(term_sizes, term_w), _array(dfs, df_w), postings_widths, *names]
+    for plist, width in zip(plists, postings_widths):
+        chunks.append(_array(plist.gaps, width & 15))
+        if width >> 4:
+            chunks.append(_array(plist.tfs, width >> 4))
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
-def _strings(data: bytes, pos: int, count: int) -> tuple[list[str], int]:
-    """``count`` strings stored back to back from ``pos``, and the offset after them."""
-    strings = []
-    for _ in range(count):
-        (size,) = _U32.unpack_from(data, pos)
-        start, pos = pos + 4, pos + 4 + size
-        if pos > len(data):
-            raise EOFError
-        strings.append(data[start:pos].decode("utf-8"))
-    return strings, pos
+def _read_column(data: bytes, pos: int, count: int, width: int) -> tuple[array, int]:
+    """``count`` values of ``width`` bytes from ``pos``, and the offset after them."""
+    if width not in _TYPECODES:
+        raise ValueError(f"a column width of {width} bytes is not 1, 2 or 4")
+    end = pos + count * width
+    if end > len(data):
+        raise EOFError
+    return _array(data[pos:end], width), end  # bytes go to array.frombytes
+
+
+def _read_strings(data: bytes, pos: int, sizes: Iterable[int]) -> tuple[list[str], int]:
+    """Strings of the given byte ``sizes`` stored back to back from ``pos``, and the offset after them."""
+    ends = list(accumulate(sizes, initial=pos))
+    if ends[-1] > len(data):
+        raise EOFError
+    return [data[start:end].decode("utf-8") for start, end in zip(ends, ends[1:])], ends[-1]
 
 
 def load_index(path: str) -> InvertedIndex:
-    """Read an ``RPIDX003`` file; a break of its layout or of the invariants
-    of ``Postings`` is a ``FormatError`` naming ``path``."""
+    """Read an ``RPIDX004`` file; a break of its layout or of the invariants
+    of ``Postings``, or a docid that is empty, holds whitespace or repeats,
+    is a ``FormatError`` naming ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:len(_MAGIC)]
@@ -235,51 +264,44 @@ def load_index(path: str) -> InvertedIndex:
                           "rebuild it with `rankpipe index build`", path=path)
     if magic != _MAGIC:
         raise FormatError(f"not a {_MAGIC.decode()} index file", path=path)
-    end = len(data)
-    u32 = _U32.unpack_from
     try:
-        (policy,), pos = _strings(data, len(_MAGIC), 1)
+        (policy,), pos = _read_strings(data, len(_MAGIC) + 4, _U32.unpack_from(data, len(_MAGIC)))
         if policy != AUTO:
             raise FormatError(f"index tokenized by {policy!r}, not {AUTO!r}; "
                               "rebuild it with `rankpipe index build`", path=path)
-        length_w, ordinal_w, tf_w, doc_count = _HEADER.unpack_from(data, pos)
-        if not {length_w, ordinal_w, tf_w} <= _TYPECODES.keys():
-            raise FormatError(f"column widths {length_w, ordinal_w, tf_w} are not each 1, 2 or 4 bytes", path=path)
-        docids, pos = _strings(data, pos + _HEADER.size, doc_count)
-        start, pos = pos, pos + doc_count * length_w
-        if pos > end:
-            raise EOFError
-        doc_lengths = _array(data[start:pos], length_w)  # bytes go to array.frombytes
-        (n_terms,) = u32(data, pos)
-        pos += 4
+        length_w, docid_w, term_w, df_w, doc_count = _HEADER.unpack_from(data, pos)
+        docid_sizes, pos = _read_column(data, pos + _HEADER.size, doc_count, docid_w)
+        docids, pos = _read_strings(data, pos, docid_sizes)
+        doc_lengths, pos = _read_column(data, pos, doc_count, length_w)
+        (n_terms,) = _U32.unpack_from(data, pos)
+        term_sizes, pos = _read_column(data, pos + 4, n_terms, term_w)
+        dfs, pos = _read_column(data, pos, n_terms, df_w)
+        postings_widths, pos = _read_column(data, pos, n_terms, 1)
+        terms, pos = _read_strings(data, pos, term_sizes)
+        if " ".join(docids).split() != docids:  # each docid is a run line's column, as in validate._run_id
+            bad = next(docid for docid in docids if docid.split() != [docid])
+            raise ValueError(f"docid {bad!r} is empty or contains whitespace")
+        if len(set(docids)) != doc_count:
+            raise ValueError("a docid is repeated")
         postings: dict[str, Postings] = {}
         previous = ""
-        for _ in range(n_terms):
-            (size,) = u32(data, pos)
-            start, pos = pos + 4, pos + 4 + size
-            if pos > end:
-                raise EOFError
-            term = data[start:pos].decode("utf-8")
+        for term, df, width in zip(terms, dfs, postings_widths):
             if term <= previous:
-                raise FormatError(f"term {term!r} is out of sorted order or repeated", path=path)
+                raise ValueError(f"term {term!r} is out of sorted order or repeated")
             previous = term
-            (df,) = u32(data, pos)
-            start = pos + 4
-            middle = start + df * ordinal_w
-            pos = middle + df * tf_w
-            if pos > end:
-                raise EOFError
-            ordinals = _array(data[start:middle], ordinal_w)
-            tfs = _array(data[middle:pos], tf_w)
-            if df and (ordinals[-1] >= doc_count or (df > 1 and not all(map(lt, ordinals, ordinals[1:])))):
-                raise FormatError(f"ordinals of term {term!r} are not ascending below {doc_count}", path=path)
+            gaps, pos = _read_column(data, pos, df, width & 15)
+            tfs, pos = _read_column(data, pos, df, width >> 4) if width >> 4 else (_ONE * df, pos)
+            postings[term] = Postings(gaps, tfs)
+            if df and (0 in gaps[1:] or sum(gaps) >= doc_count):
+                raise ValueError(f"d-gaps of term {term!r} do not give ascending ordinals below {doc_count}")
             if 0 in tfs:
-                raise FormatError(f"term {term!r} has a term frequency of 0", path=path)
-            postings[term] = Postings(ordinals, tfs)
+                raise ValueError(f"term {term!r} has a term frequency of 0")
     except (EOFError, struct.error):  # unpack_from raises struct.error past the end
         raise FormatError("truncated index file", path=path) from None
     except UnicodeDecodeError:
         raise FormatError("a docid or term is not valid UTF-8", path=path) from None
-    if pos != end:
-        raise FormatError(f"{end - pos} bytes after the last term", path=path)
+    except ValueError as exc:  # a check above names what the file breaks
+        raise FormatError(str(exc), path=path) from None
+    if pos != len(data):
+        raise FormatError(f"{len(data) - pos} bytes after the last term", path=path)
     return InvertedIndex(postings, doc_lengths, docids)

@@ -66,6 +66,14 @@ def write_tiny_project(root: Path) -> Path:
     return root / "exp.cfg"
 
 
+def exit_code(argv: list[str]) -> int:
+    """The exit code of a CLI call, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def tree_digest(root: Path) -> dict[str, str]:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -95,7 +103,7 @@ class TestSubcommands:
         index_path = tmp_path / "idx.rpidx"
         assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(index_path)]) == 0
         current = index_path.read_bytes()
-        for magic in (b"RPIDX001", b"RPIDX002"):
+        for magic in (b"RPIDX001", b"RPIDX002", b"RPIDX003"):
             index_path.write_bytes(magic + current[8:])
             assert main(
                 ["retrieve", "bm25", "--index", str(index_path), "--topics", str(tmp_path / "topics.tsv"),
@@ -352,6 +360,7 @@ class TestExitCodes:
             (["fuse", "--weights=-1,2"], "[-1.0, 2.0]"),
             (["fuse", "--weights=0,0"], "[0.0, 0.0]"),
             (["ensemble", "--base-weights=0,0"], "[0.0, 0.0]"),
+            (["fuse", "--weights=1e308,1e308"], "[1e+308, 1e+308]"),
         ],
     )
     def test_weights_breaking_the_rule_are_a_usage_error_naming_them(self, tmp_path, capsys, argv, named):
@@ -365,7 +374,7 @@ class TestExitCodes:
         [
             (1, "0.5,0.5", "2 base weights for 1 runs"),
             (1, "0.5,0.5,7", "3 base weights for 1 runs"),
-            (2, "1e308,1e308", "base weights [1e+308, 1e+308] sum past the float range"),
+            (2, "1e308,1e308", "weights [1e+308, 1e+308] must be finite and >= 0 with a positive sum inside"),
         ],
     )
     def test_base_weights_that_cannot_weigh_the_runs_are_a_usage_error(
@@ -375,7 +384,7 @@ class TestExitCodes:
         run.write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")
         out = tmp_path / "o.trec"
         argv = ["ensemble", "--runs", *[str(run)] * n_runs, "--base-weights", base_weights, "--out", str(out)]
-        assert main(argv) == 1
+        assert exit_code(argv) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -384,6 +393,7 @@ class TestExitCodes:
         [
             ("b.trec", ["--base-weights", "1"], "1 base weights for 2 runs"),
             ("missing.trec", ["--base-weights", "0.5,0.5", "--lambda", "2"], "lambda must be in [0, 1]"),
+            ("missing.trec", ["--base-weights", "1e308,1e308"], "with a positive sum inside the float range"),
         ],
     )
     def test_ensemble_reports_a_usage_error_before_reading_any_run(
@@ -394,7 +404,7 @@ class TestExitCodes:
         (tmp_path / "b.trec").write_text("q2 Q0 d1 1 1.0 b\nq2 Q0 d2 2 0.5 b\n")
         out = tmp_path / "o.trec"
         argv = ["ensemble", "--runs", str(tmp_path / "a.trec"), str(tmp_path / second_run), *flags, "--out", str(out)]
-        assert main(argv) == 1
+        assert exit_code(argv) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -519,6 +529,16 @@ class TestConfig:
         cfg_path.write_text("".join(kept) + line + "\n", encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         assert f"{cfg_path}:{len(kept) + 1}: bad value" in capsys.readouterr().err
+
+    def test_repeated_language_is_a_data_error_at_its_line(self, tmp_path, capsys):
+        cfg_path = write_tiny_project(tmp_path)
+        lines = cfg_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if line.split()[0] == "languages")
+        lines[lineno - 1] = "languages = xx, yy,xx\n"
+        cfg_path.write_text("".join(lines), encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert f"{cfg_path}:{lineno}: languages 'xx, yy,xx' repeat a language" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
         cfg_path = write_tiny_project(tmp_path)

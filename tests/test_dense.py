@@ -3,9 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import oracle_q2q2d
 from rankpipe.cli import main
+from rankpipe.corpus import load_qrels, load_topics
 from rankpipe.dense import EmbeddingStore, dense_search, load_embeddings, write_embeddings
 from rankpipe.errors import DataError, FormatError
+from rankpipe.forge import AugmentationParams, write_pairs
 from rankpipe.runs import read_run
 
 
@@ -186,3 +189,49 @@ def test_cli_cosine_and_dot_rank_differently_and_each_as_brute_force(tmp_path):
             assert run.scores(qid) == pytest.approx(expected, abs=1e-12)
         rankings[metric] = {qid: run.docids(qid) for qid in queries}
     assert rankings["dot"]["q1"][0] == "long" and rankings["cosine"]["q1"][0] == "aligned"
+
+
+def test_cosine_outputs_equal_the_per_query_formula_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(17)
+    queries = EmbeddingStore([f"q{i}" for i in range(8)] + [f"s{i}" for i in range(40)], rng.normal(size=(48, 16)))
+    docs = EmbeddingStore([f"d{i:03d}" for i in range(300)], rng.normal(size=(300, 16)))
+    write_embeddings(queries, str(tmp_path / "q.vec.tsv"))
+    write_embeddings(docs, str(tmp_path / "d.vec.tsv"))
+    queries, docs = load_embeddings(str(tmp_path / "q.vec.tsv")), load_embeddings(str(tmp_path / "d.vec.tsv"))
+    out = tmp_path / "dense.trec"
+    assert main(["retrieve", "dense", "--queries", str(tmp_path / "q.vec.tsv"), "--docs", str(tmp_path / "d.vec.tsv"),
+                 "--metric", "cosine", "-k", "40", "--out", str(out)]) == 0
+    run = read_run(str(out))
+    for qid in queries.ids:
+        qvec = queries.vector(qid)
+        scores = docs.matrix @ qvec / (np.linalg.norm(docs.matrix, axis=1) * np.linalg.norm(qvec))
+        order = np.lexsort((np.array(docs.ids), -scores))[:40]
+        assert repr(run.entries[qid]) == repr([(docs.ids[i], float(scores[i])) for i in order])
+
+    (tmp_path / "test.tsv").write_text("".join(f"q{i}\ttarget {i}\n" for i in range(8)), encoding="utf-8")
+    (tmp_path / "train.tsv").write_text("".join(f"s{i}\tsource {i}\n" for i in range(40)), encoding="utf-8")
+    (tmp_path / "train.qrels").write_text("".join(f"s{i} 0 d{i % 7} {i % 3}\n" for i in range(40)), encoding="utf-8")
+    pairs, expected = tmp_path / "q2q2d.pairs.tsv", tmp_path / "oracle.pairs.tsv"
+    assert main(["forge", "q2q2d", "--test-topics", str(tmp_path / "test.tsv"), "--train-topics",
+                 str(tmp_path / "train.tsv"), "--train-qrels", str(tmp_path / "train.qrels"), "--query-vectors",
+                 str(tmp_path / "q.vec.tsv"), "--tau", "-1", "--top-m", "5", "--out", str(pairs)]) == 0
+    write_pairs(oracle_q2q2d(load_topics(str(tmp_path / "test.tsv")), load_topics(str(tmp_path / "train.tsv")),
+                             load_qrels(str(tmp_path / "train.qrels")), queries, AugmentationParams(top_m=5, tau=-1.0)),
+                str(expected))
+    assert pairs.read_bytes() == expected.read_bytes() and pairs.stat().st_size > 0
+
+
+def test_cosine_norms_are_computed_once_per_store(monkeypatch):
+    rng = np.random.default_rng(3)
+    queries = EmbeddingStore([f"q{i}" for i in range(10)], rng.normal(size=(10, 4)))
+    docs = EmbeddingStore([f"d{i}" for i in range(50)], rng.normal(size=(50, 4)))
+    norm, calls = np.linalg.norm, []
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for qid in queries.ids:
+        dense_search(queries, docs, qid, 5, "cosine")
+    assert calls.count((50, 4)) == 1 and calls.count((4,)) == 10

@@ -177,11 +177,11 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse([Run.from_scores({"q": {"d": 1.0}})], [0.5, 0.5])
 
-    @pytest.mark.parametrize("weight", ["1e10", "1e308"])
-    def test_overflowing_weighted_sum_is_a_data_error(self, tmp_path, capsys, weight):
+    @pytest.mark.parametrize("weight, top", [("1e10", "1e300"), ("1", "1e308")], ids=["1e10", "1e308"])
+    def test_overflowing_weighted_sum_is_a_data_error(self, tmp_path, capsys, weight, top):
         # 1e10 * 1e300 overflows a product; 1e308 + 1e308 overflows fsum's partial sum
         run = tmp_path / "a.trec"
-        run.write_text("q1 Q0 d1 1 1e300 s\nq1 Q0 d2 2 1.0 s\n")
+        run.write_text(f"q1 Q0 d1 1 {top} s\nq1 Q0 d2 2 1.0 s\n")
         out = tmp_path / "o.trec"
         argv = ["fuse", "--runs", str(run), str(run), "--normalize", "none", "--weights", f"{weight},{weight}"]
         assert main(argv + ["--out", str(out)]) == 2

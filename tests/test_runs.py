@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import oracle_dense_search, oracle_fuse, oracle_write_run
 from rankpipe.dense import EmbeddingStore, dense_search
 from rankpipe.errors import DataError
-from rankpipe.fusion import fuse
+from rankpipe.fusion import check_weights, fuse
 from rankpipe.runs import Run, rank_sorted, write_run
 from rankpipe.validate import METRICS
 
@@ -91,6 +91,14 @@ _PART = st.one_of(_FLOAT, st.sampled_from([8.98846567431158e307, -8.988465674311
 _WEIGHT = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1e308]))
 
 
+def _follows_the_weight_rule(weights: list[float]) -> bool:
+    try:
+        check_weights(weights)
+    except ValueError:
+        return False
+    return True
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     runs=st.lists(
@@ -101,7 +109,7 @@ _WEIGHT = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, 0.5, 1.0,
 )
 def test_fuse_sums_each_candidate_as_fsum_does(runs, data):
     runs = [Run(entries={q: list(docs.items()) for q, docs in run.items()}) for run in runs]
-    weights = data.draw(st.lists(_WEIGHT, min_size=len(runs), max_size=len(runs)).filter(lambda w: sum(w) > 0))
+    weights = data.draw(st.lists(_WEIGHT, min_size=len(runs), max_size=len(runs)).filter(_follows_the_weight_rule))
     outcomes = []
     for combine in (fuse, oracle_fuse):
         try:

@@ -1,9 +1,13 @@
 import math
 import struct
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_bm25, random_corpus
 from rankpipe.cli import main
@@ -28,9 +32,56 @@ def pairs(index: InvertedIndex) -> dict[str, list[tuple[int, int]]]:
     return {term: list(plist) for term, plist in index.postings.items()}
 
 
-def header_widths(path) -> tuple[int, int, int]:
-    """The widths of the doc lengths, ordinals and tfs, after the magic and ``auto``."""
-    return tuple(path.read_bytes()[16:19])
+def gaps(ordinals: list[int]) -> list[int]:
+    """The first ordinal, then each ordinal minus the one before."""
+    return [b - a for a, b in zip([0, *ordinals], ordinals)]
+
+
+def file_widths(path) -> tuple[tuple[int, ...], dict[str, int]]:
+    """The header's four widths (doc lengths, docid sizes, term sizes, dfs)
+    and each term's postings-width byte, found by walking the layout."""
+    data = path.read_bytes()
+    typecode = {1: "B", 2: "H", 4: "I"}
+    length_w, docid_w, term_w, df_w, doc_count = struct.unpack_from("<4BI", data, 16)
+    docid_sizes = struct.unpack_from(f"<{doc_count}{typecode[docid_w]}", data, 24)
+    pos = 24 + doc_count * (docid_w + length_w) + sum(docid_sizes)
+    (n_terms,) = struct.unpack_from("<I", data, pos)
+    term_sizes = struct.unpack_from(f"<{n_terms}{typecode[term_w]}", data, pos + 4)
+    pos += 4 + n_terms * (term_w + df_w)
+    widths, pos = data[pos:pos + n_terms], pos + n_terms
+    terms = []
+    for size in term_sizes:
+        terms.append(data[pos:pos + size].decode("utf-8"))
+        pos += size
+    return (length_w, docid_w, term_w, df_w), dict(zip(terms, widths))
+
+
+# 65,537 documents; (ordinals, tfs) per term: between them every gap width
+# (1, 2, 4) and every tf width (0 where every tf is 1, then 1, 2, 4)
+ALL_WIDTHS = {
+    "a": ([0, 65_536], [1, 1]),
+    "b": ([300, 301], [2, 256]),
+    "c": ([5], [70_000]),
+    "d": ([1, 2], [3, 1]),
+}
+ALL_WIDTHS_BYTES = {"a": 0x04, "b": 0x22, "c": 0x41, "d": 0x11}
+_TERMS = st.text(alphabet="abcé", min_size=1, max_size=3) | st.sampled_from(["文", "字"])
+_TFS = st.integers(1, 3) | st.sampled_from([255, 256, 65_535, 65_536, 70_000])
+
+
+@st.composite
+def random_postings(draw) -> tuple[list[str], list[int], dict[str, tuple[list[int], list[int]]]]:
+    """Docids, doc lengths and each term's ascending ordinals and tfs."""
+    doc_count = draw(st.integers(1, 300) | st.sampled_from([256, 257, 65_536, 65_537]))
+    prefix = draw(st.sampled_from(["d", "文档", "é-"]))
+    top = draw(st.integers(0, 70_000))
+    postings = {}
+    for term in draw(st.sets(_TERMS, min_size=1, max_size=5)):
+        ordinals = draw(st.sets(st.integers(0, doc_count - 1) | st.sampled_from([0, doc_count - 1]), min_size=1,
+                                max_size=6))
+        tfs = draw(st.just([1] * len(ordinals)) | st.lists(_TFS, min_size=len(ordinals), max_size=len(ordinals)))
+        postings[term] = (sorted(ordinals), tfs)
+    return [f"{prefix}{i}" for i in range(doc_count)], [i * 7919 % (top + 1) for i in range(doc_count)], postings
 
 
 class TestBuildIndex:
@@ -185,43 +236,80 @@ class TestPersistence:
         for query in ("w0", "w1 w5", "w2 w3 w29", "北京 flights"):
             assert bm25_search(loaded, query, 15) == bm25_search(index, query, 15)
 
+    def test_layout(self, tmp_path):
+        path = tmp_path / "tiny.rpidx"
+        save_index(build_index([Document("d1", "", "b a b"), Document("doc2", "", "b c")]), str(path))
+        assert path.read_bytes() == b"".join([
+            b"RPIDX004", struct.pack("<I", 4), b"auto",
+            bytes([1, 1, 1, 1]), struct.pack("<I", 2),  # widths: doc lengths, docid sizes, term sizes, dfs
+            bytes([2, 4]), b"d1doc2", bytes([3, 2]),  # docid sizes, docids, doc lengths
+            struct.pack("<I", 3), bytes([1, 1, 1]), bytes([1, 2, 1]), bytes([0x01, 0x11, 0x01]), b"abc",
+            bytes([0]), bytes([0, 1]), bytes([2, 1]), bytes([1]),  # a: gap; b: gaps, tfs; c: gap
+        ])
+
     @pytest.mark.parametrize(
-        "texts,widths",
+        "texts,widths,postings_widths",
         [
-            (["a"] * 256, (1, 1, 1)),
-            (["a"] * 257, (1, 2, 1)),
-            (["a " * 255, "b"], (1, 1, 1)),
-            (["a " * 256, "b"], (2, 1, 2)),
-            ([" ".join(f"t{i}" for i in range(256)), "t0"], (2, 1, 1)),
-            (["a " * 65_535, "a b"], (2, 1, 2)),
-            (["a " * 65_536, "a b"], (4, 1, 4)),
+            (["a"] * 255, (1, 1, 1, 1), {"a": 0x01}),
+            (["a"] * 256, (1, 1, 1, 2), {"a": 0x01}),
+            (["x"] * 256 + ["a"], (1, 1, 1, 2), {"a": 0x02, "x": 0x01}),
+            (["a " * 255, "b"], (1, 1, 1, 1), {"a": 0x11, "b": 0x01}),
+            (["a " * 256, "b"], (2, 1, 1, 1), {"a": 0x21, "b": 0x01}),
+            ([" ".join(f"t{i}" for i in range(256)), "t0"], (2, 1, 1, 1), {"t0": 0x01, "t255": 0x01}),
+            (["a " * 65_535, "a b"], (2, 1, 1, 1), {"a": 0x21, "b": 0x01}),
+            (["a " * 65_536, "a b"], (4, 1, 1, 1), {"a": 0x41, "b": 0x01}),
+            (["x" * 255], (1, 1, 1, 1), {"x" * 255: 0x01}),
+            (["x" * 256], (1, 1, 2, 1), {"x" * 256: 0x01}),
         ],
-        ids=["256-docs", "257-docs", "tf-255", "tf-256", "doc-length-256", "tf-65535", "tf-65536"],
+        ids=["255-docs", "256-docs", "257-docs", "tf-255", "tf-256", "doc-length-256", "tf-65535", "tf-65536",
+             "term-255-bytes", "term-256-bytes"],
     )
-    def test_each_column_takes_the_narrowest_width_that_holds_it(self, tmp_path, texts, widths):
+    def test_each_column_takes_the_narrowest_width_that_holds_it(self, tmp_path, texts, widths, postings_widths):
         docs = [Document(f"d{i}", "", text) for i, text in enumerate(texts)]
         index = build_index(docs)
         path = tmp_path / "w.rpidx"
         save_index(index, str(path))
-        assert header_widths(path) == widths
+        header, per_term = file_widths(path)
+        assert header == widths
+        assert postings_widths.items() <= per_term.items()
         loaded = load_index(str(path))
         assert pairs(loaded) == pairs(index) == oracle_postings(docs)
         assert list(loaded.doc_lengths) == index.doc_lengths
-        for query in [*index.postings, "a b t0 t255"]:
+        for query in [*postings_widths, "a b t0 t255"]:
             assert bm25_search(loaded, query, 300) == bm25_search(index, query, 300)
 
+    def test_docid_sizes_take_two_bytes_past_255(self, tmp_path):
+        path = tmp_path / "long.rpidx"
+        save_index(build_index([Document("d" * 256, "", "a"), Document("e", "", "a b")]), str(path))
+        assert file_widths(path)[0] == (1, 2, 1, 1)
+        assert load_index(str(path)).docids == ["d" * 256, "e"]
+
     def test_four_byte_ordinals(self, tmp_path):
+        # ordinals past 65,535 and the terms of ALL_WIDTHS: every gap and tf width
         n = 65_537
-        postings = {"a": Postings([0, 65_535, n - 1], [1, 3, 2]), "b": Postings([n - 2], [1])}
-        index = InvertedIndex(postings, [1] * (n - 2) + [2, 3], [f"d{i}" for i in range(n)])
+        postings = {term: Postings(gaps(ordinals), tfs) for term, (ordinals, tfs) in ALL_WIDTHS.items()}
         path = tmp_path / "big.rpidx"
-        save_index(index, str(path))
-        assert header_widths(path) == (1, 4, 1)
-        loaded = load_index(str(path))
-        assert pairs(loaded) == pairs(index)
-        assert loaded.docids == index.docids and list(loaded.doc_lengths) == index.doc_lengths
-        for query in ("a", "b", "a b"):
-            assert bm25_search(loaded, query, 10) == bm25_search(index, query, 10)
+        save_index(InvertedIndex(postings, [3] * n, [f"d{i}" for i in range(n)]), str(path))
+        assert file_widths(path) == ((1, 1, 1, 1), ALL_WIDTHS_BYTES)
+        assert pairs(load_index(str(path))) == {t: list(zip(*columns)) for t, columns in ALL_WIDTHS.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_postings())
+    @example(([f"d{i}" for i in range(65_537)], [3] * 65_537, ALL_WIDTHS))
+    def test_random_postings_round_trip(self, case):
+        docids, doc_lengths, expected = case
+        postings = {term: Postings(gaps(ordinals), tfs) for term, (ordinals, tfs) in expected.items()}
+        index = InvertedIndex(postings, doc_lengths, docids)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.rpidx"), Path(tmp, "second.rpidx")
+            save_index(index, str(first))
+            loaded = load_index(str(first))
+            save_index(loaded, str(second))
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.docids == docids and list(loaded.doc_lengths) == doc_lengths
+        assert pairs(loaded) == pairs(index) == {t: list(zip(*columns)) for t, columns in expected.items()}
+        for query in [*expected, " ".join(expected)]:
+            assert repr(bm25_search(loaded, query, 10)) == repr(bm25_search(index, query, 10))
 
     def test_reload_reserializes_identically(self, tmp_path):
         index = build_index([Document("d1", "标题", "正文内容"), Document("d2", "t", "a b c")])
@@ -279,10 +367,12 @@ class TestCorruptIndex:
                 return "error"
             save_index(index, str(resaved))  # an accepted file is the one serialization of what it loads
             assert resaved.read_bytes() == data
+            assert all(docid.split() == [docid] for docid in index.docids)
+            assert len(set(index.docids)) == index.doc_count
             for term, plist in index.postings.items():
-                ordinals = list(plist.ordinals)
+                ordinals = [ordinal for ordinal, _ in plist]
                 assert ordinals == sorted(set(ordinals)) and ordinals[-1] < index.doc_count
-                assert len(plist.tfs) == len(ordinals) and min(plist.tfs) >= 1
+                assert len(plist.tfs) == len(plist.gaps) and min(plist.tfs) >= 1
                 bm25_search(index, term, 10)
             return "loaded"
 
@@ -297,3 +387,24 @@ class TestCorruptIndex:
         )
         assert flips["error"] > 0 and sum(flips.values()) == 5 * len(original)
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "docids, message",
+        [
+            (["d 1", "d2"], "docid 'd 1' is empty or contains whitespace"),
+            (["d1", ""], "docid '' is empty or contains whitespace"),
+            (["d1", "d\u30002"], r"docid 'd\\u30002' is empty or contains whitespace"),
+            (["d1", "d1"], "a docid is repeated"),
+        ],
+        ids=["space", "empty", "ideographic-space", "repeated"],
+    )
+    def test_a_docid_that_cannot_be_a_run_column_is_a_format_error(self, tmp_path, capsys, docids, message):
+        path, topics, out = tmp_path / "bad.rpidx", tmp_path / "topics.tsv", tmp_path / "bm25.trec"
+        save_index(InvertedIndex({"a": Postings([0], [1])}, [1, 1], docids), str(path))
+        with pytest.raises(FormatError, match=message) as exc:
+            load_index(str(path))
+        assert exc.value.path == str(path)
+        topics.write_text("q1\ta\n", encoding="utf-8")
+        assert main(["retrieve", "bm25", "--index", str(path), "--topics", str(topics), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
