@@ -11,8 +11,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from rankpipe.expconfig import load_config
-from rankpipe.pipeline import run_pipeline
+from rankpipe.pipeline import load_config, run_pipeline
 
 DESK = Path(__file__).resolve().parent.parent / "tests" / "data" / "desk"
 

@@ -219,25 +219,24 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _split_pairs(raw: list[str], flag: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for item in raw:
-        if "=" not in item:
-            raise DataError(f"{flag} expects SPLIT=PATH, got {item!r}")
-        split, _, path = item.partition("=")
-        out[split] = path
-    return out
+def _split_path(raw: str) -> tuple[str, str]:
+    from .corpus import SPLITS
+
+    split, equals, path = raw.partition("=")
+    if not equals or split not in SPLITS:
+        raise argparse.ArgumentTypeError(f"expected SPLIT=PATH with SPLIT one of {', '.join(SPLITS)}, got {raw!r}")
+    return split, path
 
 
 def _cmd_stats(args) -> int:
     from .corpus import corpus_stats, load_corpus, load_qrels, load_topics
 
     language = _given(args, "language")
-    topics = {
-        split: load_topics(path, split=split, **language)
-        for split, path in _split_pairs(args.topics, "--topics").items()
-    }
-    qrels = {split: load_qrels(path) for split, path in _split_pairs(args.qrels, "--qrels").items()}
+    for flag, pairs in (("--topics", args.topics), ("--qrels", args.qrels)):  # usage errors before any read
+        if len(dict(pairs)) != len(pairs):
+            raise ValueError(f"{flag} gives a split twice")
+    topics = {split: load_topics(path, split=split, **language) for split, path in args.topics}
+    qrels = {split: load_qrels(path) for split, path in args.qrels}
     row = corpus_stats(load_corpus(args.corpus), topics, qrels, **language)
     splits = sorted(set(row.queries) | set(row.judgments))
     print("language\t" + "\t".join(f"{s}.queries\t{s}.judgments" for s in splits) + "\tpassages\tarticles")
@@ -261,8 +260,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .expconfig import load_config
-    from .pipeline import run_pipeline
+    from .pipeline import load_config, run_pipeline
 
     config = load_config(args.config)
     reports = run_pipeline(config)
@@ -377,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="collection statistics for one language")
     p_stats.add_argument("--corpus", required=True)
     p_stats.add_argument("--language")
-    p_stats.add_argument("--topics", action="append", default=[], metavar="SPLIT=PATH")
-    p_stats.add_argument("--qrels", action="append", default=[], metavar="SPLIT=PATH")
+    p_stats.add_argument("--topics", action="append", type=_split_path, default=[], metavar="SPLIT=PATH")
+    p_stats.add_argument("--qrels", action="append", type=_split_path, default=[], metavar="SPLIT=PATH")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_validate = sub.add_parser("validate", help="check artifact files against their formats")

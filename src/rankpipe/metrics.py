@@ -33,7 +33,7 @@ class MetricReport:
     def mean(self) -> float:
         if not self.per_query:
             return 0.0
-        return sum(self.per_query.values()) / len(self.per_query)
+        return math.fsum(self.per_query.values()) / len(self.per_query)
 
 
 def _dcg(grades: Iterable[int], k: int) -> float:
@@ -86,4 +86,4 @@ def macro_average(reports: Iterable[MetricReport]) -> float:
     means = [report.mean for report in reports]
     if not means:
         raise ValueError("macro_average needs at least one report")
-    return sum(means) / len(means)
+    return math.fsum(means) / len(means)

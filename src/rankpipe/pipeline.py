@@ -1,4 +1,11 @@
-"""Stage orchestration: index -> retrieve -> fuse -> pool -> rerank -> eval.
+"""Experiment configs and stage orchestration: index -> retrieve -> fuse ->
+pool -> rerank -> eval.
+
+A config is diffable provenance: ``key = value`` lines, ``#`` comments and a
+mandatory ``schema = rankpipe-exp-1``; relative paths resolve against its
+directory. ``ExperimentConfig.get`` reads every value. Each value the
+configured stages read, input files included, is checked before the first
+stage runs, and a bad one names the config's ``path:line``.
 
 Requested stages run in canonical dependency order per language; every
 intermediate is written in the documented formats with a provenance header
@@ -11,20 +18,125 @@ evaluates or fuses starts without numpy.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from . import fusion
 from .corpus import load_qrels
-from .errors import DataError
-from .expconfig import SCHEMA, STAGES, ExperimentConfig
+from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run, read_run, write_run
 from .tokenization import AUTO
-from .validate import DOT, METRICS
+from .validate import DOT, METRICS, data_lines
 
 if TYPE_CHECKING:
     from .metrics import MetricReport
     from .sparse import InvertedIndex
+
+SCHEMA = "rankpipe-exp-1"
+
+STAGES = ("index", "bm25", "dense", "fuse", "pool", "rerank", "eval")
+
+# a default of ExperimentConfig.get: the key must be set
+REQUIRED = object()
+
+
+def _names(raw: str, known: tuple[str, ...] = ()) -> list[str]:
+    """The names of a comma-separated list, each one of ``known`` when given."""
+    names = [name.strip() for name in raw.split(",") if name.strip()]
+    for name in names:
+        if known and name not in known:
+            raise ValueError(f"unknown name {name!r} (known: {', '.join(known)})")
+    return names
+
+
+def _languages(raw: str) -> list[str]:
+    languages = _names(raw)
+    if not languages or len(set(languages)) != len(languages):  # summary.tsv would average a language twice
+        raise ValueError("expected one or more languages, each named once")
+    return languages
+
+
+@dataclass
+class ExperimentConfig:
+    """A config's values and the lines they are set on; construction checks the structural keys."""
+
+    base_dir: Path
+    values: dict[str, str]
+    path: str | None = None
+    lines: dict[str, int] = field(default_factory=dict)  # key -> line it is set on
+    seed: int = field(init=False)
+    languages: list[str] = field(init=False)
+    stages: list[str] = field(init=False)
+    output_dir: Path = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.get("schema", REQUIRED, choices=(SCHEMA,))
+        self.seed = self.get("seed", REQUIRED, int)
+        self.languages = self.get("languages", REQUIRED, _languages)
+        self.stages = self.get("stages", REQUIRED, lambda raw: _names(raw, STAGES))
+        self.output_dir = self.base_dir / self.get("output_dir", REQUIRED)
+
+    def get(
+        self,
+        key: str,
+        default: Any = None,
+        parse: Callable[[str], Any] = str,
+        choices: tuple = (),
+        minimum: float | None = None,
+    ) -> Any:
+        """The value of ``key`` through ``parse``, ``default`` when unset; an unset key
+        whose default is REQUIRED is a FormatError naming the config's path. A value
+        outside ``choices`` (when given), one that ``parse`` rejects with a ValueError,
+        or one below ``minimum`` (when given) is a FormatError at its line."""
+        raw = self.values.get(key)
+        if raw is None:
+            if default is REQUIRED:
+                raise FormatError(f"missing required key {key!r}", path=self.path)
+            return default
+        try:
+            if choices and raw not in choices:
+                raise ValueError(f"expected one of {', '.join(choices)}")
+            value = parse(raw)
+            if minimum is not None and value < minimum:
+                raise ValueError(f"must be >= {minimum}")
+            return value
+        except ValueError as exc:
+            raise FormatError(f"bad value {raw!r} for {key!r}: {exc}", path=self.path, line=self.lines.get(key)) from None
+
+    def lang_path(self, key: str, language: str) -> Path:
+        """The input file that ``key.language`` names, resolved against the
+        config's directory; a path that names no file is a bad value."""
+
+        def existing(raw: str) -> Path:
+            path = self.base_dir / raw
+            if not path.is_file():
+                raise ValueError(f"no file at {path}")
+            return path
+
+        return self.get(f"{key}.{language}", REQUIRED, existing)
+
+    def out_path(self, language: str, name: str) -> Path:
+        return self.output_dir / language / name
+
+
+def load_config(path: str) -> ExperimentConfig:
+    values: dict[str, str] = {}
+    lines: dict[str, int] = {}
+    for lineno, line in data_lines(path):
+        key, equals, value = line.partition("=")
+        key = key.strip()
+        if not equals:
+            raise FormatError("expected 'key = value'", path=path, line=lineno)
+        if not key:
+            raise FormatError("empty key", path=path, line=lineno)
+        if key in values:
+            raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
+        values[key] = value.strip()
+        lines[key] = lineno
+    return ExperimentConfig(Path(path).resolve().parent, values, path, lines)
+
 
 # artifact filenames per language directory
 INDEX_FILE = "index.rpidx"
@@ -44,6 +156,9 @@ EVAL_RUNS = {
 }
 # the runs the fuse stage combines, in the order of the fuse.weights values
 FUSE_LEGS = ("bm25", "dense")
+# the per-language input files each stage reads, by config key prefix
+INPUTS = {"index": ("corpus",), "bm25": ("topics",), "dense": ("query_vectors", "doc_vectors"),
+          "rerank": ("topics", "corpus"), "eval": ("qrels",)}
 METRICS_FILE = "metrics.tsv"
 SUMMARY_FILE = "summary.tsv"
 
@@ -64,7 +179,7 @@ def _require_artifact(path: Path) -> Path:
 # the runs and the index written so far for one language, keyed by artifact filename
 Held = dict[str, "Run | InvertedIndex"]
 # the parsed config values the configured stages read, keyed by config key;
-# "bm25" holds the parameters bm25.k1 and bm25.b
+# "bm25" holds the parameters bm25.k1 and bm25.b, "corpus.en" its file's path
 Values = dict[str, Any]
 
 
@@ -86,20 +201,11 @@ def _fuse_weights(raw: str) -> list[float]:
     return weights
 
 
-def _eval_target_names(raw: str | None) -> list[str] | None:
-    if not raw:  # every run the language has
-        return None
-    names = [t.strip() for t in raw.split(",") if t.strip()]
-    for name in names:
-        if name not in EVAL_RUNS:
-            raise DataError(f"unknown eval target {name!r} (known: {', '.join(EVAL_RUNS)})")
-    return names
-
-
 def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
-    """Every config value that ``stages`` read, parsed before the first of
-    them runs, so a bad value stops the call before any artifact is written.
-    An error names the value's line, as ``ExperimentConfig.get`` does."""
+    """Every config value that ``stages`` read, input paths included, parsed
+    before the first of them runs, so a bad value stops the call before any
+    artifact is written. An error names the value's line, as
+    ``ExperimentConfig.get`` does."""
     get = config.get
     values: Values = {}
     if {"index", "rerank"} & stages:  # checked, not used: a config naming a removed policy stops here
@@ -127,15 +233,18 @@ def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
     if "eval" in stages:
         values["eval.k"] = get("eval.k", 10, int, minimum=1)
         values["eval.recall_k"] = get("eval.recall_k", values["pool.k"], int, minimum=0)
-        values["eval.targets"] = _eval_target_names(get("eval.targets"))
+        # unset or empty: every run the language has
+        values["eval.targets"] = get("eval.targets", None, lambda raw: _names(raw, tuple(EVAL_RUNS))) or None
+    for key in [key for stage, keys in INPUTS.items() if stage in stages for key in keys]:
+        for language in config.languages:
+            values[f"{key}.{language}"] = str(config.lang_path(key, language))
     return values
 
 
 def _stage_index(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import sparse
 
-    corpus, out = config.lang_path("corpus", language), config.out_path(language, INDEX_FILE)
-    held[INDEX_FILE] = sparse.index_corpus(str(corpus), str(out))
+    held[INDEX_FILE] = sparse.index_corpus(values[f"corpus.{language}"], str(config.out_path(language, INDEX_FILE)))
 
 
 def _stage_bm25(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
@@ -145,19 +254,15 @@ def _stage_bm25(config: ExperimentConfig, language: str, held: Held, values: Val
     index = held.pop(INDEX_FILE, None)
     if index is None:
         index = sparse.load_index(str(_require_artifact(config.out_path(language, INDEX_FILE))))
-    run = sparse.retrieve_bm25(index, str(config.lang_path("topics", language)), values["retrieve.k"], values["bm25"])
+    run = sparse.retrieve_bm25(index, values[f"topics.{language}"], values["retrieve.k"], values["bm25"])
     _save_run(config, language, "bm25", run, held)
 
 
 def _stage_dense(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import dense
 
-    run = dense.retrieve_dense(
-        str(config.lang_path("query_vectors", language)),
-        str(config.lang_path("doc_vectors", language)),
-        values["retrieve.k"],
-        values["dense.metric"],
-    )
+    vectors = values[f"query_vectors.{language}"], values[f"doc_vectors.{language}"]
+    run = dense.retrieve_dense(*vectors, values["retrieve.k"], values["dense.metric"])
     _save_run(config, language, "dense", run, held)
 
 
@@ -175,14 +280,9 @@ def _stage_pool(config: ExperimentConfig, language: str, held: Held, values: Val
 def _stage_rerank(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
     from . import rerank
 
-    run = rerank.rerank_pool(
-        _load_run(config, language, RUN_FILES["pool"], held),
-        str(config.lang_path("topics", language)),
-        str(config.lang_path("corpus", language)),
-        values["rerank.scorer"],
-        values["pool.k"],
-        values["rerank.budget"],
-    )
+    pool = _load_run(config, language, RUN_FILES["pool"], held)
+    texts = values[f"topics.{language}"], values[f"corpus.{language}"]
+    run = rerank.rerank_pool(pool, *texts, values["rerank.scorer"], values["pool.k"], values["rerank.budget"])
     _save_run(config, language, "rerank", run, held)
 
 
@@ -198,7 +298,7 @@ def _eval_targets(config: ExperimentConfig, language: str, names: list[str] | No
 def _stage_eval(config: ExperimentConfig, language: str, held: Held, values: Values) -> dict[tuple, MetricReport]:
     from . import metrics
 
-    qrels = load_qrels(str(config.lang_path("qrels", language)))
+    qrels = load_qrels(values[f"qrels.{language}"])
     ndcg_k, recall_k = values["eval.k"], values["eval.recall_k"]
     reports: dict[tuple[str, str, int], MetricReport] = {}
     for name, filename in _eval_targets(config, language, values["eval.targets"]):

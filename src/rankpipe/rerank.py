@@ -157,20 +157,17 @@ def unescape_text(text: str) -> str:
 
 def _read_score_file(path: str) -> dict[tuple[str, str], float]:
     scores: dict[tuple[str, str], float] = {}
-    try:
-        for lineno, line in data_lines(path):
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"expected 'qid docid score', got {len(parts)} columns", path=path, line=lineno)
-            qid, docid, score_str = parts
-            if (qid, docid) in scores:
-                raise FormatError(f"duplicate score for ({qid}, {docid})", path=path, line=lineno)
-            try:
-                scores[(qid, docid)] = float(score_str)
-            except ValueError:
-                raise FormatError(f"non-numeric score {score_str!r}", path=path, line=lineno) from None
-    except OSError as exc:
-        raise ProtocolError(f"cannot open score file {path!r}: {exc}") from None
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"expected 'qid docid score', got {len(parts)} columns", path=path, line=lineno)
+        qid, docid, score_str = parts
+        if (qid, docid) in scores:
+            raise FormatError(f"duplicate score for ({qid}, {docid})", path=path, line=lineno)
+        try:
+            scores[(qid, docid)] = float(score_str)
+        except ValueError:
+            raise FormatError(f"non-numeric score {score_str!r}", path=path, line=lineno) from None
     return scores
 
 

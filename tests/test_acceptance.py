@@ -24,7 +24,6 @@ from helpers import (
 from rankpipe.corpus import Document, JudgmentSet, Query, corpus_stats, load_corpus, load_qrels, load_topics, write_qrels
 from rankpipe.dense import EmbeddingStore, load_embeddings, write_embeddings
 from rankpipe.ensemble import EnsembleConfig, adjust_weights, ensemble_runs
-from rankpipe.expconfig import load_config
 from rankpipe.forge import (
     AugmentationParams,
     pseudo_label,
@@ -35,7 +34,7 @@ from rankpipe.forge import (
 )
 from rankpipe.fusion import cut_pool, fuse, normalize_run
 from rankpipe.metrics import macro_average, ndcg_at_k, recall_at_k
-from rankpipe.pipeline import run_pipeline
+from rankpipe.pipeline import load_config, run_pipeline
 from rankpipe.runs import Run, read_run, write_run
 from rankpipe.sparse import Bm25Params, bm25_search, build_index
 from rankpipe.validate import validate_artifacts

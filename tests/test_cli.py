@@ -12,9 +12,8 @@ from rankpipe import cli, dense, ensemble, forge, sparse, validate
 from rankpipe.cli import main
 from rankpipe.corpus import load_corpus, load_qrels, load_topics
 from rankpipe.errors import DataError
-from rankpipe.expconfig import load_config
 from rankpipe.fusion import cut_pool
-from rankpipe.pipeline import run_pipeline
+from rankpipe.pipeline import load_config, run_pipeline
 from rankpipe.rerank import rerank_pool
 from rankpipe.runs import read_run, write_run
 
@@ -458,6 +457,40 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "'magic'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_score_file_that_cannot_be_opened_is_two_naming_it(self, tmp_path, capsys, where):
+        write_tiny_project(tmp_path)
+        pool_path = tmp_path / "pool.trec"
+        pool_path.write_text("q1 Q0 d1 1 3.0 hybrid\n")
+        scores = tmp_path / "no-such.tsv" if where == "missing" else tmp_path
+        code = main(
+            ["rerank", "--pool", str(pool_path), "--topics", str(tmp_path / "topics.tsv"),
+             "--corpus", str(tmp_path / "corpus.jsonl"), "--scorer", f"file:{scores}",
+             "--out", str(tmp_path / "r.trec")]
+        )
+        assert code == 2
+        assert str(scores) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--topics", "dev"],
+            ["--topics", "bogus=topics.tsv"],
+            ["--qrels", "bogus=qrels.txt"],
+            ["--topics", "dev=a.tsv", "--topics", "dev=b.tsv"],
+            ["--qrels", "dev=a.txt", "--qrels", "dev=b.txt"],
+        ],
+        ids=["no-equals", "unknown-topics-split", "unknown-qrels-split", "topics-split-twice", "qrels-split-twice"],
+    )
+    def test_stats_split_flag_is_a_usage_error_before_any_read(self, tmp_path, flags):
+        # no file exists: a read would be a data error, exit 2
+        argv = ["stats", "--corpus", str(tmp_path / "corpus.jsonl"), *flags]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+
     def test_protocol_error_is_three(self, tmp_path):
         write_tiny_project(tmp_path)
         pool_path = tmp_path / "pool.trec"
@@ -500,6 +533,11 @@ class TestConfig:
             "script_policy = unigram",
             "dense.metric = l2",
             "rerank.scorer = oracle",
+            "seed = x",
+            "stages = index,bm26",
+            "schema = rankpipe-exp-0",
+            "languages = ,",
+            "eval.targets = bm25,hybird",
         ],
     )
     def test_value_that_does_not_parse_is_a_data_error_at_its_line(self, tmp_path, capsys, line):
@@ -537,7 +575,9 @@ class TestConfig:
         lines[lineno - 1] = "languages = xx, yy,xx\n"
         cfg_path.write_text("".join(lines), encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
-        assert f"{cfg_path}:{lineno}: languages 'xx, yy,xx' repeat a language" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"{cfg_path}:{lineno}: bad value 'xx, yy,xx' for 'languages': "
+                "expected one or more languages, each named once") in err
         assert not (tmp_path / "out").exists()
 
     def test_paths_resolve_relative_to_config(self, tmp_path):

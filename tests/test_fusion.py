@@ -11,10 +11,9 @@ from helpers import random_qrels, random_run
 from rankpipe.cli import main
 from rankpipe.ensemble import EnsembleConfig
 from rankpipe.errors import DataError, FormatError
-from rankpipe.expconfig import ExperimentConfig
 from rankpipe.fusion import cut_pool, fuse, normalize_run, parse_weights
 from rankpipe.metrics import recall_at_k
-from rankpipe.pipeline import FUSE_LEGS, RUN_FILES, run_pipeline
+from rankpipe.pipeline import FUSE_LEGS, RUN_FILES, SCHEMA, ExperimentConfig, run_pipeline
 from rankpipe.runs import Run, read_run, write_run
 from rankpipe.validate import validate_artifacts
 
@@ -213,10 +212,9 @@ def _pipeline_accepts(raw: str) -> bool:
         (out / "xx").mkdir(parents=True)
         for i, leg in enumerate(FUSE_LEGS):  # disjoint legs: no weighted sum can overflow
             (out / "xx" / RUN_FILES[leg]).write_text(f"q Q0 d{i} 1 1.0 {leg}\n")
-        config = ExperimentConfig(
-            base_dir=Path(tmp), seed=0, languages=["xx"], stages=["fuse"], output_dir=out,
-            values={"fuse.weights": raw}, path="exp.cfg", lines={"fuse.weights": 3},
-        )
+        values = {"schema": SCHEMA, "seed": "0", "languages": "xx", "stages": "fuse", "output_dir": "out",
+                  "fuse.weights": raw}
+        config = ExperimentConfig(Path(tmp), values, path="exp.cfg", lines={"fuse.weights": 6})
         return _accepts(lambda: run_pipeline(config), FormatError)
 
 

@@ -120,7 +120,7 @@ def test_cli_loads_numpy_only_where_a_subcommand_needs_it(tmp_path, cli_imports)
         imported = cli_imports(argv, tmp_path)
         unwanted = {"numpy", "scipy", "logging"}
         if label in LIGHT:
-            unwanted |= {"rankpipe.sparse", "rankpipe.rerank", "rankpipe.expconfig"}
+            unwanted |= {"rankpipe.sparse", "rankpipe.rerank", "rankpipe.pipeline"}
         heavy[label] = sorted(imported & unwanted)
     assert heavy == {label: [] for label in calls}
     # the probe does see numpy where a subcommand computes with it

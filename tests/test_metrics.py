@@ -210,3 +210,9 @@ class TestMacroAverage:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             macro_average([])
+
+    def test_means_are_exact_sums_on_every_interpreter(self):
+        # the built-in float sum gives 0.9999999999999999 here before Python 3.12
+        report = MetricReport(metric="ndcg", k=10, per_query={f"q{i}": 0.1 for i in range(10)})
+        assert report.mean == 0.1
+        assert macro_average([MetricReport(metric="ndcg", k=10, per_query={"q": 0.1})] * 10) == 0.1

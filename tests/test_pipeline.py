@@ -15,7 +15,7 @@ import pytest
 
 from rankpipe import pipeline, sparse
 from rankpipe.cli import main
-from rankpipe.expconfig import STAGES, load_config
+from rankpipe.pipeline import STAGES, load_config
 from rankpipe.runs import read_run
 
 from test_cli import DESK, tree_digest, write_tiny_project
@@ -121,3 +121,22 @@ def test_bad_config_value_stops_the_call_before_any_artifact(tmp_path, capsys, k
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert f"{cfg}:{line}: bad value {value!r} for {key!r}" in capsys.readouterr().err
     assert [p for p in (desk / "out").rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("fault", ["key", "file"])
+def test_second_language_input_fault_stops_the_call_before_any_artifact(tmp_path, capsys, fault):
+    desk = tmp_path / "desk"
+    shutil.copytree(DESK, desk, ignore=shutil.ignore_patterns("out"))
+    cfg = desk / "desk.cfg"
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith("topics.sw ="))
+    if fault == "key":
+        del lines[line - 1]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = f"{cfg}: missing required key 'topics.sw'"
+    else:
+        (desk / "sw" / "topics.tsv").unlink()
+        expected = f"{cfg}:{line}: bad value 'sw/topics.tsv' for 'topics.sw': no file at"
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert expected in capsys.readouterr().err
+    assert not (desk / "out").exists()

@@ -1,4 +1,5 @@
-"""The README's CLI tour runs as written, so it cannot keep a flag the parser has dropped."""
+"""The README's CLI tour runs as written, so it cannot keep a flag the parser has dropped,
+and its Layout block lists exactly the package's modules."""
 import shlex
 import shutil
 from pathlib import Path
@@ -25,3 +26,10 @@ def test_cli_tour_runs_on_the_desk_collection(tmp_path, monkeypatch):
     for line in commands:
         argv = [arg.replace("/tmp/", f"{tmp_path}/") for arg in shlex.split(line)[1:]]
         assert main(argv) == 0, line
+
+
+def test_layout_lists_every_module():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Layout\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ") and line.split()[0].endswith(".py")}
+    assert listed == {path.name for path in (ROOT / "src" / "rankpipe").glob("*.py")}
