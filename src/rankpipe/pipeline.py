@@ -14,12 +14,15 @@ byte-identical. Within one call a stage hands the run or index it wrote to
 the later stages of its language in memory; a stage whose upstream ran in an
 earlier call reads the artifact, and a missing one names the stage to run
 first. Each stage imports the modules it computes with, so a call that only
-evaluates or fuses starts without numpy.
+evaluates or fuses starts without numpy. The languages run in parallel, in a
+forked worker per CPU (``run_pipeline``), with the same bytes as in one process.
 """
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -105,17 +108,17 @@ class ExperimentConfig:
         except ValueError as exc:
             raise FormatError(f"bad value {raw!r} for {key!r}: {exc}", path=self.path, line=self.lines.get(key)) from None
 
+    def input_file(self, raw: str) -> Path:
+        """The file that ``raw`` names, resolved against the config's directory;
+        a ValueError when there is none, which ``get`` reports as a bad value."""
+        path = self.base_dir / raw
+        if not path.is_file():
+            raise ValueError(f"no file at {path}")
+        return path
+
     def lang_path(self, key: str, language: str) -> Path:
-        """The input file that ``key.language`` names, resolved against the
-        config's directory; a path that names no file is a bad value."""
-
-        def existing(raw: str) -> Path:
-            path = self.base_dir / raw
-            if not path.is_file():
-                raise ValueError(f"no file at {path}")
-            return path
-
-        return self.get(f"{key}.{language}", REQUIRED, existing)
+        """The input file that ``key.language`` names."""
+        return self.get(f"{key}.{language}", REQUIRED, self.input_file)
 
     def out_path(self, language: str, name: str) -> Path:
         return self.output_dir / language / name
@@ -228,7 +231,13 @@ def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
     if "rerank" in stages:
         from . import rerank
 
-        values["rerank.scorer"] = get("rerank.scorer", rerank.ScorerHandle(), rerank.ScorerHandle.parse)
+        def scorer(raw: str) -> rerank.ScorerHandle:
+            handle = rerank.ScorerHandle.parse(raw)
+            if handle.kind == rerank.SCORE_FILE:  # a score file resolves as the input paths do
+                handle = replace(handle, location=str(config.input_file(handle.location)))
+            return handle
+
+        values["rerank.scorer"] = get("rerank.scorer", rerank.ScorerHandle(), scorer)
         values["rerank.budget"] = get("rerank.budget", rerank.DEFAULT_BUDGET, int, minimum=1)
     if "eval" in stages:
         values["eval.k"] = get("eval.k", 10, int, minimum=1)
@@ -326,24 +335,151 @@ _STAGE_FUNCS = {
 }
 
 
+def _run_language(config: ExperimentConfig, language: str, stages: list[str], values: Values) -> dict:
+    """Run ``stages`` for one language; its eval reports, empty without an eval stage."""
+    config.out_path(language, "x").parent.mkdir(parents=True, exist_ok=True)
+    held: Held = {}
+    reports: dict[tuple, MetricReport] = {}
+    for stage in stages:
+        if stage == "eval":
+            reports = _stage_eval(config, language, held, values)
+        else:
+            _STAGE_FUNCS[stage](config, language, held, values)
+    return reports
+
+
+# per language, its eval reports or the error that stopped it
+Results = dict[str, "dict | BaseException"]
+# a forked worker: its pid, the read end of its result pipe and its languages
+Worker = tuple[int, int, list[str]]
+
+
+def _run_share(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values) -> Results:
+    """Run each of ``languages`` to its end or to its own first error."""
+    results: Results = {}
+    for language in languages:
+        try:
+            results[language] = _run_language(config, language, stages, values)
+        except Exception as exc:  # kept with its traceback; run_pipeline raises it once every language ran
+            results[language] = exc
+    return results
+
+
+def _worker_count(languages: int) -> int:
+    """One worker per CPU this process may run on, at most one per language;
+    one where the platform does not say which CPUs those are."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(languages, len(affinity(0))) if affinity else 1
+
+
+def _picklable(error: BaseException) -> BaseException:
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return DataError(f"{type(error).__name__}: {error}")
+    return error
+
+
+def _fork_worker(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values) -> Worker:
+    """Fork a process that runs ``languages`` and writes their results, pickled,
+    to a pipe. The child never returns into its caller: it ends in ``os._exit``,
+    past the caller's frames and atexit handlers."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd, languages
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            results = _run_share(config, languages, stages, values)
+        except BaseException as exc:  # an interrupt: the parent raises it for each of these languages
+            results = dict.fromkeys(languages, exc)
+        results = {lang: _picklable(r) if isinstance(r, BaseException) else r for lang, r in results.items()}
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(results))
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _reap(workers: list[Worker]) -> Results:
+    """Read every worker's results and wait for it to end. A worker that ends
+    without results, killed say, fails each of its languages with a
+    ChildProcessError, which the CLI reports as a data error."""
+    import pickle
+
+    results: Results = {}
+    for pid, read_fd, languages in workers:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        try:
+            results.update(pickle.loads(data))
+        except Exception:  # nothing or a part of the results came through
+            error = ChildProcessError(
+                f"the worker running {', '.join(languages)} ended without a result "
+                f"(wait status {status}, exit code {os.waitstatus_to_exitcode(status)})"
+            )
+            results.update(dict.fromkeys(languages, error))
+    return results
+
+
 def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
     """Run the configured stages for every language and write a summary.
 
     Returns {language: {(run, metric, k): MetricReport}} for languages where
     the eval stage ran, plus macro averages in the summary file.
+
+    The languages are dealt round-robin over one process per CPU this process
+    may run on, at most one per language: the caller runs ``languages[0::W]``
+    and W - 1 forked workers the rest, so that with one CPU or one language
+    nothing is forked. Each language runs to its end or to its own first
+    error; the error of the first failing language in config order is raised
+    once every language has run, and the summary is written only when none
+    failed. The artifacts do not depend on W.
     """
     stages = [s for s in STAGES if s in config.stages]
     values = _read_values(config, set(stages))
-    all_reports: dict[str, dict] = {}
-    for language in config.languages:
-        config.out_path(language, "x").parent.mkdir(parents=True, exist_ok=True)
-        held: Held = {}
-        all_reports[language] = {}
-        for stage in stages:
-            if stage == "eval":
-                all_reports[language] = _stage_eval(config, language, held, values)
-            else:
-                _STAGE_FUNCS[stage](config, language, held, values)
+    languages = config.languages
+    count = _worker_count(len(languages))
+    if count > 1:
+        if "dense" in stages:  # once, not in each worker
+            import numpy  # noqa: F401
+        sys.stdout.flush()  # else each child would write the buffered text again
+        sys.stderr.flush()
+    workers: list[Worker] = []
+    results: Results = {}
+    try:
+        for i in range(1, count):
+            workers.append(_fork_worker(config, languages[i::count], stages, values))
+        results = _run_share(config, languages[::count], stages, values)
+    except BaseException:  # an interrupt: the workers' results would be discarded
+        import signal
+
+        for pid, _, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        results.update(_reap(workers))
+    for language in languages:
+        if isinstance(results[language], BaseException):
+            raise results[language]
+    all_reports = {language: results[language] for language in languages}
 
     if "eval" in stages:
         from .metrics import macro_average

@@ -7,8 +7,11 @@ artifacts back from disk.
 """
 from __future__ import annotations
 
+import os
 import re
 import shutil
+import time
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -30,38 +33,48 @@ def _set_stages(cfg: Path, stages: str) -> Path:
     return cfg
 
 
-def _desk_with_unmatched_topic(root: Path) -> Path:
+def _desk(root: Path) -> Path:
     desk = root / "desk"
     shutil.copytree(DESK, desk, ignore=shutil.ignore_patterns("out"))
-    with open(desk / "en" / "topics.tsv", "a", encoding="utf-8") as fh:
-        fh.write(UNMATCHED_TOPIC)
     return desk / "desk.cfg"
 
 
-def _count_load_index(monkeypatch) -> list[str]:
-    calls: list[str] = []
-    load_index = sparse.load_index
+def _desk_with_unmatched_topic(root: Path) -> Path:
+    cfg = _desk(root)
+    with open(cfg.parent / "en" / "topics.tsv", "a", encoding="utf-8") as fh:
+        fh.write(UNMATCHED_TOPIC)
+    return cfg
 
-    def counting_load_index(path):
-        calls.append(Path(path).parent.name)
-        return load_index(path)
 
-    monkeypatch.setattr(sparse, "load_index", counting_load_index)
-    return calls
+def _count_calls(monkeypatch, module, name: str, log: Path) -> Callable[[], list[str]]:
+    """Patch ``module.name`` to append the file name of its path argument and
+    that of its directory to ``log`` on each call, so that the calls of forked
+    workers count too; returns a reader of the logged names, sorted, since
+    workers log in no fixed order."""
+    original = getattr(module, name)
+
+    def counting(path, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{Path(path).parent.name}/{Path(path).name}\n")
+        return original(path, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    log.touch()
+    return lambda: sorted(log.read_text(encoding="utf-8").split())
 
 
 def test_one_call_equals_one_stage_per_call(tmp_path, monkeypatch):
-    loads = _count_load_index(monkeypatch)
+    loads = _count_calls(monkeypatch, sparse, "load_index", tmp_path / "load_index.log")
     whole = _desk_with_unmatched_topic(tmp_path / "whole")
     pipeline.run_pipeline(load_config(str(whole)))
     # the bm25 stage scores with the index the index stage built
-    assert loads == []
+    assert loads() == []
 
     staged = _desk_with_unmatched_topic(tmp_path / "staged")
     for stage in STAGES:
         pipeline.run_pipeline(load_config(str(_set_stages(staged, stage))))
     # the bm25 stage alone reads each language's index file once
-    assert loads == ["en", "sw", "zh"]
+    assert loads() == ["en/index.rpidx", "sw/index.rpidx", "zh/index.rpidx"]
 
     out = whole.parent / "out"
     assert tree_digest(out) == tree_digest(staged.parent / "out")
@@ -71,29 +84,169 @@ def test_one_call_equals_one_stage_per_call(tmp_path, monkeypatch):
     assert "en-q-none" not in read_run(str(out / "en" / "bm25.trec")).entries
 
 
-def _count_read_run(monkeypatch) -> list[str]:
-    calls: list[str] = []
-
-    def counting_read_run(path):
-        calls.append(Path(path).name)
-        return read_run(path)
-
-    monkeypatch.setattr(pipeline, "read_run", counting_read_run)
-    return calls
-
-
 def test_full_call_reads_no_run_back(tmp_path, monkeypatch):
-    calls = _count_read_run(monkeypatch)
-    pipeline.run_pipeline(load_config(str(write_tiny_project(tmp_path))))
-    assert calls == []
+    calls = _count_calls(monkeypatch, pipeline, "read_run", tmp_path / "read_run.log")
+    pipeline.run_pipeline(load_config(str(_desk(tmp_path))))
+    assert calls() == []
 
 
 def test_stage_alone_reads_its_upstream_artifacts(tmp_path, monkeypatch):
     cfg = write_tiny_project(tmp_path)
     pipeline.run_pipeline(load_config(str(_set_stages(cfg, "index,bm25,dense"))))
-    calls = _count_read_run(monkeypatch)
+    calls = _count_calls(monkeypatch, pipeline, "read_run", tmp_path / "read_run.log")
     pipeline.run_pipeline(load_config(str(_set_stages(cfg, "fuse"))))
-    assert calls == ["bm25.trec", "dense.trec"]
+    assert calls() == ["xx/bm25.trec", "xx/dense.trec"]
+
+
+def _cpus(monkeypatch, count: int) -> list[int]:
+    """Make the pipeline see ``count`` CPUs; returns the pids it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    forked: list[int] = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_changes_no_byte(tmp_path, monkeypatch, capsys):
+    cfg = _desk(tmp_path)
+    out = cfg.parent / "out"
+    digests, stdouts, forks = [], [], []
+    for cpus in (1, 3):
+        forked = _cpus(monkeypatch, cpus)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        digests.append(tree_digest(out))
+        stdouts.append(capsys.readouterr().out)
+        forks.append(len(forked))
+        _assert_no_child_left()
+    # one CPU forks nothing; three run en here and sw and zh in two workers
+    assert forks == [0, 2]
+    assert digests[0] == digests[1]
+    assert stdouts[0] == stdouts[1]
+    assert "summary.tsv" in digests[0]
+
+
+def _break_docid(cfg: Path, language: str) -> Path:
+    corpus = cfg.parent / language / "corpus.jsonl"
+    text = corpus.read_text(encoding="utf-8")
+    corpus.write_text(text.replace(f'"{language}-dl0"', f'"{language} dl0"', 1), encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_failing_language_leaves_the_others_complete(tmp_path, monkeypatch, capsys, cpus):
+    clean = _desk(tmp_path / "clean")
+    assert main(["pipeline", "--config", str(clean)]) == 0
+    capsys.readouterr()
+    forked = _cpus(monkeypatch, cpus)
+
+    cfg = _desk(tmp_path / "sw")
+    corpus = _break_docid(cfg, "sw")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert f"{corpus}:1: docid 'sw dl0'" in capsys.readouterr().err
+    _assert_no_child_left()
+    out, clean_out = cfg.parent / "out", clean.parent / "out"
+    # the languages after the failing one run to their end as in a clean run
+    for language in ("en", "zh"):
+        assert tree_digest(out / language) == tree_digest(clean_out / language), language
+    assert not (out / "summary.tsv").exists()
+
+    # the error raised is that of the first failing language in config order
+    cfg = _desk(tmp_path / "en-zh")
+    en, zh = _break_docid(cfg, "en"), _break_docid(cfg, "zh")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{en}:1: docid 'en dl0'" in err and str(zh) not in err
+    assert tree_digest(cfg.parent / "out" / "sw") == tree_digest(clean_out / "sw")
+    _assert_no_child_left()
+    assert len(forked) == (0 if cpus == 1 else 4)
+
+
+def test_crashed_worker_is_an_error_naming_its_languages(tmp_path, monkeypatch, capsys):
+    forked = _cpus(monkeypatch, 3)
+    bm25 = pipeline._STAGE_FUNCS["bm25"]
+    caller = os.getpid()
+
+    def crashing_bm25(config, language, held, values):
+        if language == "zh" and os.getpid() != caller:  # never ends the test process
+            os._exit(9)
+        bm25(config, language, held, values)
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "bm25", crashing_bm25)
+    cfg = _desk(tmp_path)
+    start = time.monotonic()
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert time.monotonic() - start < 60
+    err = capsys.readouterr().err
+    assert "error: the worker running zh ended without a result" in err and "exit code 9" in err
+    assert "Traceback" not in err
+    assert len(forked) == 2
+    _assert_no_child_left()
+    assert (cfg.parent / "out" / "sw" / "metrics.tsv").exists()
+    assert not (cfg.parent / "out" / "summary.tsv").exists()
+
+
+def test_interrupt_kills_the_workers(tmp_path, monkeypatch):
+    forked = _cpus(monkeypatch, 3)
+    bm25 = pipeline._STAGE_FUNCS["bm25"]
+    caller = os.getpid()
+
+    def slow_bm25(config, language, held, values):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        bm25(config, language, held, values)
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "bm25", slow_bm25)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_pipeline(load_config(str(_desk(tmp_path))))
+    assert time.monotonic() - start < 30
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("present", [True, False])
+def test_score_file_resolves_against_the_config_directory(tmp_path, monkeypatch, capsys, present):
+    cfg = _desk(tmp_path)
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith("rerank.scorer ="))
+    lines[line - 1] = "rerank.scorer = file:scores.tsv"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lexical = _desk(tmp_path / "lexical")
+    if present:  # the lexical scorer's scores, so the reranked runs match its runs
+        assert main(["pipeline", "--config", str(lexical)]) == 0
+        with open(cfg.parent / "scores.tsv", "w", encoding="utf-8") as fh:
+            for language in ("en", "sw", "zh"):
+                run = read_run(str(lexical.parent / "out" / language / "rerank.trec"))
+                for qid in run.entries:
+                    fh.writelines(f"{qid}\t{docid}\t{score!r}\n" for docid, score in run.entries[qid])
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    if present:
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        for language in ("en", "sw", "zh"):
+            reranked = read_run(str(cfg.parent / "out" / language / "rerank.trec"))
+            assert reranked.entries == read_run(str(lexical.parent / "out" / language / "rerank.trec")).entries
+    else:
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        expected = f"{cfg}:{line}: bad value 'file:scores.tsv' for 'rerank.scorer': no file at {cfg.parent / 'scores.tsv'}"
+        assert expected in capsys.readouterr().err
+        assert not (cfg.parent / "out").exists()
 
 
 def test_fusion_overflow_is_blamed_on_the_scores(tmp_path, capsys):
