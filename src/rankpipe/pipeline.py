@@ -14,13 +14,12 @@ byte-identical. Within one call a stage hands the run or index it wrote to
 the later stages of its language in memory; a stage whose upstream ran in an
 earlier call reads the artifact, and a missing one names the stage to run
 first. Each stage imports the modules it computes with, so a call that only
-evaluates or fuses starts without numpy. The languages run in parallel, in a
-forked worker per CPU (``run_pipeline``), with the same bytes as in one process.
+evaluates or fuses starts without numpy. The languages run in parallel, one
+forked ``multiprocessing`` worker per CPU, with the bytes of one process.
 """
 from __future__ import annotations
 
 import os
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,6 +33,8 @@ from .tokenization import AUTO
 from .validate import DOT, METRICS, data_lines
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
     from .metrics import MetricReport
     from .sparse import InvertedIndex
 
@@ -350,8 +351,6 @@ def _run_language(config: ExperimentConfig, language: str, stages: list[str], va
 
 # per language, its eval reports or the error that stopped it
 Results = dict[str, "dict | BaseException"]
-# a forked worker: its pid, the read end of its result pipe and its languages
-Worker = tuple[int, int, list[str]]
 
 
 def _run_share(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values) -> Results:
@@ -382,61 +381,13 @@ def _picklable(error: BaseException) -> BaseException:
     return error
 
 
-def _fork_worker(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values) -> Worker:
-    """Fork a process that runs ``languages`` and writes their results, pickled,
-    to a pipe. The child never returns into its caller: it ends in ``os._exit``,
-    past the caller's frames and atexit handlers."""
-    import pickle
-
-    read_fd, write_fd = os.pipe()
+def _work(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values, pipe: Connection) -> None:
+    """A forked worker's body: run ``languages`` and send their results through ``pipe``."""
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd, languages
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            results = _run_share(config, languages, stages, values)
-        except BaseException as exc:  # an interrupt: the parent raises it for each of these languages
-            results = dict.fromkeys(languages, exc)
-        results = {lang: _picklable(r) if isinstance(r, BaseException) else r for lang, r in results.items()}
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(results))
-        status = 0
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-
-
-def _reap(workers: list[Worker]) -> Results:
-    """Read every worker's results and wait for it to end. A worker that ends
-    without results, killed say, fails each of its languages with a
-    ChildProcessError, which the CLI reports as a data error."""
-    import pickle
-
-    results: Results = {}
-    for pid, read_fd, languages in workers:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        try:
-            results.update(pickle.loads(data))
-        except Exception:  # nothing or a part of the results came through
-            error = ChildProcessError(
-                f"the worker running {', '.join(languages)} ended without a result "
-                f"(wait status {status}, exit code {os.waitstatus_to_exitcode(status)})"
-            )
-            results.update(dict.fromkeys(languages, error))
-    return results
+        results = _run_share(config, languages, stages, values)
+    except BaseException as exc:  # an interrupt: the caller raises it for each of these languages
+        results = dict.fromkeys(languages, exc)
+    pipe.send({lang: _picklable(r) if isinstance(r, BaseException) else r for lang, r in results.items()})
 
 
 def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
@@ -447,35 +398,47 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
 
     The languages are dealt round-robin over one process per CPU this process
     may run on, at most one per language: the caller runs ``languages[0::W]``
-    and W - 1 forked workers the rest, so that with one CPU or one language
-    nothing is forked. Each language runs to its end or to its own first
-    error; the error of the first failing language in config order is raised
-    once every language has run, and the summary is written only when none
-    failed. The artifacts do not depend on W.
+    and W - 1 forked ``multiprocessing`` workers the rest, so one CPU or one
+    language forks nothing. Each language runs to its end or to its own first
+    error; once all have run, the error of the first failing language in
+    config order is raised (a worker that ends without results, killed say,
+    is a ChildProcessError naming its exit code), and the summary is written
+    only when none failed. The artifacts do not depend on W.
     """
     stages = [s for s in STAGES if s in config.stages]
     values = _read_values(config, set(stages))
     languages = config.languages
     count = _worker_count(len(languages))
-    if count > 1:
-        if "dense" in stages:  # once, not in each worker
-            import numpy  # noqa: F401
-        sys.stdout.flush()  # else each child would write the buffered text again
-        sys.stderr.flush()
-    workers: list[Worker] = []
+    workers = []  # (process, read end of its pipe, its languages)
     results: Results = {}
     try:
-        for i in range(1, count):
-            workers.append(_fork_worker(config, languages[i::count], stages, values))
+        if count > 1:
+            import multiprocessing
+
+            if "dense" in stages:  # once, not in each worker
+                import numpy  # noqa: F401
+            context = multiprocessing.get_context("fork")
+            for i in range(1, count):
+                reader, writer = context.Pipe(duplex=False)
+                with writer:  # the caller keeps only the read end, so a dead worker is an EOFError
+                    worker = context.Process(target=_work, args=(config, languages[i::count], stages, values, writer))
+                    worker.start()
+                workers.append((worker, reader, languages[i::count]))
         results = _run_share(config, languages[::count], stages, values)
     except BaseException:  # an interrupt: the workers' results would be discarded
-        import signal
-
-        for pid, _, _ in workers:
-            os.kill(pid, signal.SIGKILL)
+        for worker, _, _ in workers:
+            worker.kill()
         raise
     finally:
-        results.update(_reap(workers))
+        for worker, reader, share in workers:
+            with reader:
+                try:
+                    got = reader.recv()
+                except (EOFError, OSError):  # nothing or a part of the results came through
+                    got = None
+            worker.join()
+            results.update(got or dict.fromkeys(share, ChildProcessError(
+                f"the worker running {', '.join(share)} ended without a result (exit code {worker.exitcode})")))
     for language in languages:
         if isinstance(results[language], BaseException):
             raise results[language]

@@ -48,8 +48,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        if not (math.isfinite(self.k1) and self.k1 > 0):  # nan > 0 is False too
+            raise ValueError("k1 must be finite and > 0")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 
@@ -212,7 +212,10 @@ def save_index(index: InvertedIndex, path: str) -> None:
     per term its df d-gaps and, unless its tf width is 0, its df tfs. Each
     column's width is the narrowest of 1, 2 or 4 bytes that holds its
     largest value. Nothing follows the last term, and two builds over the
-    same stream serialize to identical bytes.
+    same stream serialize to identical bytes. ``load_index`` does not check
+    the widths, so a file with a column wider than that loads and saves back
+    narrower: a file is the one serialization of its index only when this
+    function wrote it.
     """
     policy = AUTO.encode("utf-8")
     docids = [docid.encode("utf-8") for docid in index.docids]

@@ -339,6 +339,24 @@ class TestExitCodes:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k1", "nan"], "k1 must be finite and > 0"),
+            (["--k1", "inf"], "k1 must be finite and > 0"),
+            (["--k1", "-1"], "k1 must be finite and > 0"),
+            (["--b", "nan"], "b must be in [0, 1]"),
+        ],
+        ids=["k1-nan", "k1-inf", "k1-negative", "b-nan"],
+    )
+    def test_bm25_parameter_out_of_range_is_a_usage_error_before_any_read(self, tmp_path, capsys, flags, message):
+        # no index exists: a read would be a data error, exit 2
+        out = tmp_path / "r.trec"
+        argv = ["retrieve", "bm25", "--index", str(tmp_path / "i.rpidx"), "--topics", str(tmp_path / "t.tsv"), *flags]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, bad",
         [
             (["fuse", "--weights", "inf,1"], "inf"),
@@ -556,6 +574,8 @@ class TestConfig:
             "eval.k = 0",
             "eval.recall_k = -3",
             "bm25.k1 = -1",
+            "bm25.k1 = nan",
+            "bm25.k1 = inf",
             "bm25.b = 2",
             "rerank.budget = 0",
         ],

@@ -150,3 +150,16 @@ def test_pipeline_imports_numpy_only_for_the_stages_that_use_it(tmp_path, cli_im
         config.write_text(re.sub(r"(?m)^stages = .*$", f"stages = {stages}", text), encoding="utf-8")
         imported = cli_imports(["pipeline", "--config", config], tmp_path)
         assert imported & {"numpy", "rankpipe.dense", "rankpipe.sparse", "rankpipe.rerank"} == set(), stages
+
+
+def test_one_language_pipeline_imports_no_multiprocessing(tmp_path, cli_imports):
+    desk = tmp_path / "desk"
+    shutil.copytree(DESK.parent, desk, ignore=shutil.ignore_patterns("out"))
+    config = desk / "desk.cfg"
+    text = config.read_text(encoding="utf-8")
+    config.write_text(re.sub(r"(?m)^languages = .*$", "languages = en", text), encoding="utf-8")
+    assert "multiprocessing" not in cli_imports(["pipeline", "--config", config], tmp_path)
+    # the probe does see it where the languages are dealt over more than one process
+    config.write_text(text, encoding="utf-8")
+    if len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1:
+        assert "multiprocessing" in cli_imports(["pipeline", "--config", config], tmp_path)

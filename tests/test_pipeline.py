@@ -218,6 +218,50 @@ def test_interrupt_kills_the_workers(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+class UnpicklableError(Exception):
+    """An error that does not survive pickling: it holds a lambda."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+def test_unpicklable_worker_error_is_a_data_error_naming_its_type(tmp_path, monkeypatch, capsys):
+    forked = _cpus(monkeypatch, 3)
+    bm25 = pipeline._STAGE_FUNCS["bm25"]
+
+    def failing_bm25(config, language, held, values):
+        if language == "zh":  # run by the second worker
+            raise UnpicklableError("zh cannot be scored")
+        bm25(config, language, held, values)
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "bm25", failing_bm25)
+    cfg = _desk(tmp_path)
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: UnpicklableError: zh cannot be scored" in err
+    assert "Traceback" not in err
+    assert len(forked) == 2
+    _assert_no_child_left()
+    assert not (cfg.parent / "out" / "summary.tsv").exists()
+
+
+def test_platform_without_cpu_affinity_forks_nothing(tmp_path, monkeypatch, capsys):
+    cfg = _desk(tmp_path)
+    out = cfg.parent / "out"
+    forked = _cpus(monkeypatch, 3)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    digest, stdout = tree_digest(out), capsys.readouterr().out
+    shutil.rmtree(out)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    # only the call at 3 CPUs forked its two workers
+    assert len(forked) == 2
+    assert tree_digest(out) == digest
+    assert capsys.readouterr().out == stdout
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("present", [True, False])
 def test_score_file_resolves_against_the_config_directory(tmp_path, monkeypatch, capsys, present):
     cfg = _desk(tmp_path)

@@ -214,7 +214,9 @@ class TestBm25Params:
         params = Bm25Params()
         assert (params.k1, params.b) == (0.9, 0.4)
 
-    @pytest.mark.parametrize("k1,b", [(0.0, 0.4), (-1.0, 0.4), (0.9, -0.1), (0.9, 1.1)])
+    @pytest.mark.parametrize(
+        "k1,b", [(0.0, 0.4), (-1.0, 0.4), (float("nan"), 0.4), (float("inf"), 0.4), (0.9, -0.1), (0.9, 1.1)]
+    )
     def test_invalid_rejected(self, k1, b):
         with pytest.raises(ValueError):
             Bm25Params(k1=k1, b=b)
