@@ -106,12 +106,16 @@ def _cmd_retrieve_dense(args) -> int:
 
 def _cmd_fuse(args) -> int:
     from . import fusion
-    from .runs import read_run, write_run
+    from .runs import check_k, read_run, write_run
 
+    # usage errors before data errors: the weights and k are checked before any run is read
+    weights = args.weights if "weights" in args else [1.0 / len(args.runs)] * len(args.runs)
+    fusion.check_legs(len(args.runs), weights)
+    if "k" in args:
+        check_k(args.k)
     runs = [read_run(path) for path in args.runs]
     if args.normalize == "minmax":
         runs = [fusion.normalize_run(run) for run in runs]
-    weights = args.weights if "weights" in args else [1.0 / len(runs)] * len(runs)
     fused = fusion.fuse(runs, weights)
     if "k" in args:
         fused = fusion.cut_pool(fused, args.k)
@@ -126,6 +130,8 @@ def _cmd_forge_negatives(args) -> int:
     from .fusion import cut_pool
     from .runs import read_run
 
+    if "from_corpus" in args and "pool_k" in args:  # a usage error, before any read
+        raise ValueError("--pool-k applies to --pool only, not to --from-corpus")
     qrels = load_qrels(args.qrels)
     texts = _topics_lookup(args)
     if "from_corpus" in args:

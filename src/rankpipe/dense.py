@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .runs import DEFAULT_K, Run
+from .runs import DEFAULT_K, Run, check_k
 from .validate import COSINE, DOT, METRICS, parse_vectors
 
 
@@ -127,8 +127,7 @@ def dense_search(
     Ties break by ascending docid, and k beyond the store size returns the
     whole store.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     scores = similarities(queries, docs, query_id, metric)
     # primary key score descending, secondary key docid ascending
     top = np.lexsort((docs._id_rank, -scores))[:k]
@@ -137,6 +136,7 @@ def dense_search(
 
 def retrieve_dense(queries_path: str, docs_path: str, k: int = DEFAULT_K, metric: str = DOT, tag: str = "dense") -> Run:
     """The dense stage: the top-k documents of every query vector."""
+    check_k(k)  # before the reads, so that a file without vectors cannot hide a bad k
     queries = load_embeddings(queries_path)
     docs = load_embeddings(docs_path)
     return Run(entries={qid: dense_search(queries, docs, qid, k, metric) for qid in queries.ids}, tag=tag)

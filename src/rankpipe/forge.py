@@ -66,6 +66,8 @@ class AugmentationParams:
             raise ValueError("tau must be in [-1, 1]")
         if not 0.0 < self.pseudo_fraction <= 1.0:
             raise ValueError("pseudo_fraction must be in (0, 1]")
+        if not 0.0 < self.pseudo_scale <= 1.0:
+            raise ValueError("pseudo_scale must be in (0, 1]")
 
 
 def draw(m: int, count: int, seed: int, *scope: str) -> list[int]:

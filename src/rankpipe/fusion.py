@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from operator import itemgetter
 
 from .errors import DataError
-from .runs import Run, rank_sorted
+from .runs import Run, check_k, rank_sorted
 
 DEFAULT_POOL_K = 200
 
@@ -66,6 +66,13 @@ def parse_weights(raw: str) -> list[float]:
     return weights
 
 
+def check_legs(n_runs: int, weights: Sequence[float]) -> None:
+    """Weights that pass ``check_weights``, one per run; a ValueError otherwise."""
+    if n_runs != len(weights):
+        raise ValueError(f"{n_runs} runs but {len(weights)} weights")
+    check_weights(weights)
+
+
 def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
     """Weighted per-(qid, docid) sum over the union of run candidates.
 
@@ -73,9 +80,7 @@ def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
     that break ``check_weights`` or do not match the runs one to one are a
     ValueError; a weighted sum past the float range is a DataError.
     """
-    if len(runs) != len(weights):
-        raise ValueError(f"{len(runs)} runs but {len(weights)} weights")
-    check_weights(weights)
+    check_legs(len(runs), weights)
     entries: dict[str, list[tuple[str, float]]] = {}
     for qid in dict.fromkeys(qid for run in runs for qid in run.entries):
         legs = [(run.entries.get(qid, ()), weight) for run, weight in zip(runs, weights)]
@@ -109,6 +114,5 @@ def _weighted_sums(legs: list[tuple[Sequence[tuple[str, float]], float]]) -> dic
 
 def cut_pool(run: Run, k: int = DEFAULT_POOL_K) -> Run:
     """Keep the first min(k, len) entries per query, preserving run order and tag."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     return Run(entries={qid: ranked[:k] for qid, ranked in run.entries.items()}, tag=run.tag)

@@ -7,7 +7,9 @@ directory. ``ExperimentConfig.get`` reads every value. Each value the
 configured stages read, input files included, is checked before the first
 stage runs, and a bad one names the config's ``path:line``.
 
-Requested stages run in canonical dependency order per language; every
+A stage is declared once, in ``STAGE_TABLE``: its name, the artifact it
+writes in each language directory, its per-language input keys and its
+body. Requested stages run in the table's order per language; every
 intermediate is written in the documented formats with a provenance header
 (config schema + seed, never timestamps), so rerunning the same config is
 byte-identical. Within one call a stage hands the run or index it wrote to
@@ -39,8 +41,6 @@ if TYPE_CHECKING:
     from .sparse import InvertedIndex
 
 SCHEMA = "rankpipe-exp-1"
-
-STAGES = ("index", "bm25", "dense", "fuse", "pool", "rerank", "eval")
 
 # a default of ExperimentConfig.get: the key must be set
 REQUIRED = object()
@@ -121,8 +121,9 @@ class ExperimentConfig:
         """The input file that ``key.language`` names."""
         return self.get(f"{key}.{language}", REQUIRED, self.input_file)
 
-    def out_path(self, language: str, name: str) -> Path:
-        return self.output_dir / language / name
+    def out_path(self, language: str, stage: str) -> Path:
+        """The artifact that ``stage`` writes for ``language``."""
+        return self.output_dir / language / _ARTIFACTS[stage]
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -142,60 +143,34 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(Path(path).resolve().parent, values, path, lines)
 
 
-# artifact filenames per language directory
-INDEX_FILE = "index.rpidx"
-RUN_FILES = {
-    "bm25": "bm25.trec",
-    "dense": "dense.trec",
-    "fuse": "hybrid.trec",
-    "pool": "pool.trec",
-    "rerank": "rerank.trec",
-}
-# run names under which eval reports each artifact
-EVAL_RUNS = {
-    "bm25": RUN_FILES["bm25"],
-    "dense": RUN_FILES["dense"],
-    "hybrid": RUN_FILES["fuse"],
-    "rerank": RUN_FILES["rerank"],
-}
 # the runs the fuse stage combines, in the order of the fuse.weights values
 FUSE_LEGS = ("bm25", "dense")
-# the per-language input files each stage reads, by config key prefix
-INPUTS = {"index": ("corpus",), "bm25": ("topics",), "dense": ("query_vectors", "doc_vectors"),
-          "rerank": ("topics", "corpus"), "eval": ("qrels",)}
-METRICS_FILE = "metrics.tsv"
+# the stage whose run eval reports under each name
+EVAL_RUNS = {"bm25": "bm25", "dense": "dense", "hybrid": "fuse", "rerank": "rerank"}
 SUMMARY_FILE = "summary.tsv"
-
-_PRODUCER = {name: stage for stage, name in {"index": INDEX_FILE, **RUN_FILES}.items()}
 
 
 def _header(config: ExperimentConfig, stage: str) -> str:
     return f"schema={SCHEMA} stage={stage} seed={config.seed}"
 
 
-def _require_artifact(path: Path) -> Path:
-    if not path.exists():
-        stage = _PRODUCER.get(path.name, "an earlier stage")
-        raise DataError(f"missing artifact {path}; run stage {stage!r} first")
-    return path
-
-
-# the runs and the index written so far for one language, keyed by artifact filename
-Held = dict[str, "Run | InvertedIndex"]
+# what one language's stages returned so far by stage name: runs as written, the index, eval reports
+Held = dict[str, Any]
 # the parsed config values the configured stages read, keyed by config key;
 # "bm25" holds the parameters bm25.k1 and bm25.b, "corpus.en" its file's path
 Values = dict[str, Any]
 
 
-def _load_run(config: ExperimentConfig, language: str, name: str, held: Held) -> Run:
-    if name in held:
-        return held[name]
-    return read_run(str(_require_artifact(config.out_path(language, name))))
+def _upstream(config: ExperimentConfig, language: str, stage: str) -> str:
+    """The artifact an earlier call's ``stage`` wrote, which must exist."""
+    path = config.out_path(language, stage)
+    if not path.exists():
+        raise DataError(f"missing artifact {path}; run stage {stage!r} first")
+    return str(path)
 
 
-def _save_run(config: ExperimentConfig, language: str, stage: str, run: Run, held: Held) -> None:
-    name = RUN_FILES[stage]
-    held[name] = write_run(run, str(config.out_path(language, name)), header=_header(config, stage))
+def _load_run(config: ExperimentConfig, language: str, held: Held, stage: str) -> Run:
+    return held[stage] if stage in held else read_run(_upstream(config, language, stage))
 
 
 def _fuse_weights(raw: str) -> list[float]:
@@ -243,117 +218,116 @@ def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
     if "eval" in stages:
         values["eval.k"] = get("eval.k", 10, int, minimum=1)
         values["eval.recall_k"] = get("eval.recall_k", values["pool.k"], int, minimum=0)
-        # unset or empty: every run the language has
-        values["eval.targets"] = get("eval.targets", None, lambda raw: _names(raw, tuple(EVAL_RUNS))) or None
-    for key in [key for stage, keys in INPUTS.items() if stage in stages for key in keys]:
+        values["eval.targets"] = get("eval.targets", None, lambda raw: _names(raw, tuple(EVAL_RUNS)))
+    for key in dict.fromkeys(key for stage in STAGE_TABLE if stage.name in stages for key in stage.inputs):
         for language in config.languages:
             values[f"{key}.{language}"] = str(config.lang_path(key, language))
     return values
 
 
-def _stage_index(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
+def _index(config: ExperimentConfig, language: str, held: Held, values: Values) -> InvertedIndex:
     from . import sparse
 
-    held[INDEX_FILE] = sparse.index_corpus(values[f"corpus.{language}"], str(config.out_path(language, INDEX_FILE)))
+    return sparse.index_corpus(values[f"corpus.{language}"], str(config.out_path(language, "index")))
 
 
-def _stage_bm25(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
+def _bm25(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
     from . import sparse
 
     # a built index scores as its saved file does; no later stage needs it
-    index = held.pop(INDEX_FILE, None)
-    if index is None:
-        index = sparse.load_index(str(_require_artifact(config.out_path(language, INDEX_FILE))))
-    run = sparse.retrieve_bm25(index, values[f"topics.{language}"], values["retrieve.k"], values["bm25"])
-    _save_run(config, language, "bm25", run, held)
+    index = held.pop("index") if "index" in held else sparse.load_index(_upstream(config, language, "index"))
+    return sparse.retrieve_bm25(index, values[f"topics.{language}"], values["retrieve.k"], values["bm25"])
 
 
-def _stage_dense(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
+def _dense(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
     from . import dense
 
     vectors = values[f"query_vectors.{language}"], values[f"doc_vectors.{language}"]
-    run = dense.retrieve_dense(*vectors, values["retrieve.k"], values["dense.metric"])
-    _save_run(config, language, "dense", run, held)
+    return dense.retrieve_dense(*vectors, values["retrieve.k"], values["dense.metric"])
 
 
-def _stage_fuse(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
-    legs = [_load_run(config, language, RUN_FILES[leg], held) for leg in FUSE_LEGS]
-    fused = fusion.fuse([fusion.normalize_run(leg) for leg in legs], values["fuse.weights"])
-    _save_run(config, language, "fuse", fused, held)
+def _fuse(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
+    legs = [_load_run(config, language, held, leg) for leg in FUSE_LEGS]
+    return fusion.fuse([fusion.normalize_run(leg) for leg in legs], values["fuse.weights"])
 
 
-def _stage_pool(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
-    pool = fusion.cut_pool(_load_run(config, language, RUN_FILES["fuse"], held), values["pool.k"])
-    _save_run(config, language, "pool", pool, held)
+def _pool(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
+    return fusion.cut_pool(_load_run(config, language, held, "fuse"), values["pool.k"])
 
 
-def _stage_rerank(config: ExperimentConfig, language: str, held: Held, values: Values) -> None:
+def _rerank(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
     from . import rerank
 
-    pool = _load_run(config, language, RUN_FILES["pool"], held)
+    pool = _load_run(config, language, held, "pool")
     texts = values[f"topics.{language}"], values[f"corpus.{language}"]
-    run = rerank.rerank_pool(pool, *texts, values["rerank.scorer"], values["pool.k"], values["rerank.budget"])
-    _save_run(config, language, "rerank", run, held)
+    return rerank.rerank_pool(pool, *texts, values["rerank.scorer"], values["pool.k"], values["rerank.budget"])
 
 
-def _eval_targets(config: ExperimentConfig, language: str, names: list[str] | None) -> list[tuple[str, str]]:
-    if names is not None:
-        return [(name, EVAL_RUNS[name]) for name in names]
-    found = [(name, filename) for name, filename in EVAL_RUNS.items() if config.out_path(language, filename).exists()]
-    if not found:
-        raise DataError(f"no runs to evaluate for {language!r}; run a retrieval stage first")
-    return found
-
-
-def _stage_eval(config: ExperimentConfig, language: str, held: Held, values: Values) -> dict[tuple, MetricReport]:
+def _eval(config: ExperimentConfig, language: str, held: Held, values: Values) -> dict[tuple, MetricReport]:
     from . import metrics
 
     qrels = load_qrels(values[f"qrels.{language}"])
+    # eval.targets unset or empty: every run the language has
+    names = values["eval.targets"] or [n for n, stage in EVAL_RUNS.items() if config.out_path(language, stage).exists()]
+    if not names:
+        raise DataError(f"no runs to evaluate for {language!r}; run a retrieval stage first")
     ndcg_k, recall_k = values["eval.k"], values["eval.recall_k"]
     reports: dict[tuple[str, str, int], MetricReport] = {}
-    for name, filename in _eval_targets(config, language, values["eval.targets"]):
-        run = _load_run(config, language, filename, held)
+    for name in names:
+        run = _load_run(config, language, held, EVAL_RUNS[name])
         reports[(name, metrics.NDCG, ndcg_k)] = metrics.ndcg_at_k(run, qrels, ndcg_k)
         reports[(name, metrics.RECALL, recall_k)] = metrics.recall_at_k(run, qrels, recall_k)
-    out = config.out_path(language, METRICS_FILE)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(config.out_path(language, "eval"), "w", encoding="utf-8") as fh:
         fh.write(f"# {_header(config, 'eval')}\n")
         fh.write("run\tmetric\tk\tmean\tevaluated\tskipped\n")
         for (name, metric, k), report in sorted(reports.items()):
-            fh.write(
-                f"{name}\t{metric}\t{k}\t{report.mean!r}\t{report.evaluated_queries}\t{report.skipped_queries}\n"
-            )
+            fh.write(f"{name}\t{metric}\t{k}\t{report.mean!r}\t{report.evaluated_queries}\t{report.skipped_queries}\n")
     return reports
 
 
-_STAGE_FUNCS = {
-    "index": _stage_index,
-    "bm25": _stage_bm25,
-    "dense": _stage_dense,
-    "fuse": _stage_fuse,
-    "pool": _stage_pool,
-    "rerank": _stage_rerank,
-}
+@dataclass(frozen=True)
+class Stage:
+    """A stage: its artifact in each language directory, the key prefixes of
+    its per-language input files, and its body, which returns what later
+    stages use; the runner writes a returned Run, other bodies their own file."""
+
+    name: str
+    artifact: str
+    inputs: tuple[str, ...]
+    body: Callable[[ExperimentConfig, str, Held, Values], Any]
 
 
-def _run_language(config: ExperimentConfig, language: str, stages: list[str], values: Values) -> dict:
+# every stage, in run order
+STAGE_TABLE = (
+    Stage("index", "index.rpidx", ("corpus",), _index),
+    Stage("bm25", "bm25.trec", ("topics",), _bm25),
+    Stage("dense", "dense.trec", ("query_vectors", "doc_vectors"), _dense),
+    Stage("fuse", "hybrid.trec", (), _fuse),
+    Stage("pool", "pool.trec", (), _pool),
+    Stage("rerank", "rerank.trec", ("topics", "corpus"), _rerank),
+    Stage("eval", "metrics.tsv", ("qrels",), _eval),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+_ARTIFACTS = {stage.name: stage.artifact for stage in STAGE_TABLE}
+
+
+def _run_language(config: ExperimentConfig, language: str, stages: list[Stage], values: Values) -> dict:
     """Run ``stages`` for one language; its eval reports, empty without an eval stage."""
-    config.out_path(language, "x").parent.mkdir(parents=True, exist_ok=True)
+    (config.output_dir / language).mkdir(parents=True, exist_ok=True)
     held: Held = {}
-    reports: dict[tuple, MetricReport] = {}
     for stage in stages:
-        if stage == "eval":
-            reports = _stage_eval(config, language, held, values)
-        else:
-            _STAGE_FUNCS[stage](config, language, held, values)
-    return reports
+        result = stage.body(config, language, held, values)
+        if isinstance(result, Run):
+            result = write_run(result, str(config.out_path(language, stage.name)), header=_header(config, stage.name))
+        held[stage.name] = result
+    return held.get("eval", {})
 
 
 # per language, its eval reports or the error that stopped it
 Results = dict[str, "dict | BaseException"]
 
 
-def _run_share(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values) -> Results:
+def _run_share(config: ExperimentConfig, languages: list[str], stages: list[Stage], values: Values) -> Results:
     """Run each of ``languages`` to its end or to its own first error."""
     results: Results = {}
     for language in languages:
@@ -381,7 +355,7 @@ def _picklable(error: BaseException) -> BaseException:
     return error
 
 
-def _work(config: ExperimentConfig, languages: list[str], stages: list[str], values: Values, pipe: Connection) -> None:
+def _work(config: ExperimentConfig, languages: list[str], stages: list[Stage], values: Values, pipe: Connection) -> None:
     """A forked worker's body: run ``languages`` and send their results through ``pipe``."""
     try:
         results = _run_share(config, languages, stages, values)
@@ -405,8 +379,9 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
     is a ChildProcessError naming its exit code), and the summary is written
     only when none failed. The artifacts do not depend on W.
     """
-    stages = [s for s in STAGES if s in config.stages]
-    values = _read_values(config, set(stages))
+    stages = [stage for stage in STAGE_TABLE if stage.name in config.stages]
+    names = {stage.name for stage in stages}
+    values = _read_values(config, names)
     languages = config.languages
     count = _worker_count(len(languages))
     workers = []  # (process, read end of its pipe, its languages)
@@ -415,7 +390,7 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
         if count > 1:
             import multiprocessing
 
-            if "dense" in stages:  # once, not in each worker
+            if "dense" in names:  # once, not in each worker
                 import numpy  # noqa: F401
             context = multiprocessing.get_context("fork")
             for i in range(1, count):
@@ -444,7 +419,7 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
             raise results[language]
     all_reports = {language: results[language] for language in languages}
 
-    if "eval" in stages:
+    if "eval" in names:
         from .metrics import macro_average
 
         keys = sorted({key for reports in all_reports.values() for key in reports})

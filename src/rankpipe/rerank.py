@@ -291,7 +291,10 @@ def rerank_pool(
     budget: int = DEFAULT_BUDGET,
 ) -> Run:
     """The rerank stage: score the first ``pool_k`` candidates of every pool query."""
+    if budget < 1:  # budget and pool_k are checked before the reads, so that an empty pool cannot hide them
+        raise ValueError("budget must be >= 1")
+    pool = cut_pool(pool, pool_k)
     topics = {q.qid: q.text for q in load_topics(topics_path)}
     corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
-    pairs = build_pairs(cut_pool(pool, pool_k), topics, corpus_lookup, budget)
+    pairs = build_pairs(pool, topics, corpus_lookup, budget)
     return score_pairs(pairs, scorer)

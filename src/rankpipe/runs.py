@@ -18,6 +18,12 @@ from .validate import parse_run
 DEFAULT_K = 1000  # results per query a retrieval run keeps
 
 
+def check_k(k: int) -> None:
+    """A cut-off below 1 is a ValueError."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def _canonical(pairs: list) -> bool:
     """Whether ``pairs`` are (docid, float) tuples in canonical order already:
     every producer emits that order, and a check of adjacent entries in C

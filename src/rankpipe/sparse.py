@@ -28,7 +28,7 @@ from operator import sub
 
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
-from .runs import DEFAULT_K, Run
+from .runs import DEFAULT_K, Run, check_k
 from .tokenization import AUTO, tokenize
 
 _MAGIC = b"RPIDX004"
@@ -149,8 +149,7 @@ def bm25_search(
     contribute nothing), sorted by score descending with ties broken by
     ascending docid.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     terms = sorted(set(tokenize(query)))
     if not terms:
         return []
@@ -176,6 +175,7 @@ def retrieve_bm25(
     index: InvertedIndex, topics_path: str, k: int = DEFAULT_K, params: Bm25Params = Bm25Params(), tag: str = "bm25"
 ) -> Run:
     """The bm25 stage: the top-k BM25 results of every topic, [] where none match."""
+    check_k(k)  # before the read, so that a topics file without topics cannot hide a bad k
     return Run(entries={q.qid: bm25_search(index, q.text, k, params) for q in load_topics(topics_path)}, tag=tag)
 
 

@@ -425,6 +425,37 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fuse", "--runs", "TMP/nope1.trec", "TMP/nope2.trec", "--weights", "1"], "2 runs but 1 weights"),
+            (["fuse", "--runs", "TMP/nope1.trec", "TMP/nope2.trec", "-k", "0"], "k must be >= 1"),
+            (["retrieve", "bm25", "--index", "TMP/i.rpidx", "--topics", "TMP/empty.tsv", "-k", "0"], "k must be >= 1"),
+            (["retrieve", "dense", "--queries", "TMP/nope.tsv", "--docs", "TMP/nope.tsv", "-k", "0"], "k must be >= 1"),
+            (["rerank", "--pool", "TMP/empty.trec", "--topics", "DESK/topics.tsv", "--corpus", "DESK/corpus.jsonl",
+              "--budget", "0"], "budget must be >= 1"),
+            (["forge", "pseudo", "--run", "TMP/low.trec", "--scale", "2"], "pseudo_scale must be in (0, 1]"),
+            (["forge", "pseudo", "--run", "TMP/low.trec", "--scale", "-0.0"], "pseudo_scale must be in (0, 1]"),
+            (["forge", "pseudo", "--run", "TMP/empty.trec", "--scale", "5"], "pseudo_scale must be in (0, 1]"),
+            (["forge", "negatives", "--from-corpus", "DESK/corpus.jsonl", "--qrels", "DESK/qrels.txt", "-n", "2",
+              "--pool-k", "0"], "--pool-k"),
+        ],
+        ids=["fuse-weight-count", "fuse-k-0", "bm25-k-0", "dense-k-0", "rerank-budget-0", "pseudo-scale-2",
+             "pseudo-scale-minus-0", "pseudo-scale-5", "negatives-corpus-pool-k"],
+    )
+    def test_bad_flag_is_a_usage_error_that_its_input_cannot_hide(self, tmp_path, capsys, argv, message):
+        # a missing input would be a data error, exit 2; an empty topics file, pool or run
+        # gives a value nothing to be checked on
+        sparse.index_corpus(str(DESK / "en" / "corpus.jsonl"), str(tmp_path / "i.rpidx"))
+        (tmp_path / "empty.tsv").write_text("")
+        (tmp_path / "empty.trec").write_text("")
+        (tmp_path / "low.trec").write_text("q1 Q0 d1 1 0.1 x\nq1 Q0 d2 2 0.05 x\n")
+        out = tmp_path / "o.out"
+        argv = [arg.replace("TMP", str(tmp_path)).replace("DESK", str(DESK / "en")) for arg in argv]
+        assert exit_code([*argv, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_run_ensembles_with_all_the_weight(self, tmp_path, capsys):
         run = tmp_path / "a.trec"
         run.write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")
@@ -629,14 +660,20 @@ class TestPipeline:
         run_pipeline(load_config(str(cfg_path)))
         assert tree_digest(tmp_path / "out") == first
 
-    def test_missing_upstream_names_stage(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stage, upstream",
+        [("bm25", "index"), ("fuse", "bm25"), ("pool", "fuse"), ("rerank", "pool"), ("eval", "rerank")],
+        ids=["bm25", "fuse", "pool", "rerank", "eval"],
+    )
+    def test_missing_upstream_names_stage(self, tmp_path, stage, upstream):
         cfg_path = write_tiny_project(tmp_path)
         text = cfg_path.read_text().replace(
-            "stages = index,bm25,dense,fuse,pool,rerank,eval", "stages = fuse"
+            "stages = index,bm25,dense,fuse,pool,rerank,eval", f"stages = {stage}\neval.targets = rerank"
         )
         cfg_path.write_text(text)
-        with pytest.raises(DataError, match="bm25"):
+        with pytest.raises(DataError, match=f"; run stage '{upstream}' first"):
             run_pipeline(load_config(str(cfg_path)))
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
     def test_docid_with_whitespace_is_blamed_on_the_corpus(self, tmp_path, capsys):
         desk = tmp_path / "desk"

@@ -13,7 +13,7 @@ from rankpipe.ensemble import EnsembleConfig
 from rankpipe.errors import DataError, FormatError
 from rankpipe.fusion import cut_pool, fuse, normalize_run, parse_weights
 from rankpipe.metrics import recall_at_k
-from rankpipe.pipeline import FUSE_LEGS, RUN_FILES, SCHEMA, ExperimentConfig, run_pipeline
+from rankpipe.pipeline import FUSE_LEGS, SCHEMA, STAGE_TABLE, ExperimentConfig, run_pipeline
 from rankpipe.runs import Run, read_run, write_run
 from rankpipe.validate import validate_artifacts
 
@@ -210,8 +210,9 @@ def _pipeline_accepts(raw: str) -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         (out / "xx").mkdir(parents=True)
+        artifacts = {stage.name: stage.artifact for stage in STAGE_TABLE}
         for i, leg in enumerate(FUSE_LEGS):  # disjoint legs: no weighted sum can overflow
-            (out / "xx" / RUN_FILES[leg]).write_text(f"q Q0 d{i} 1 1.0 {leg}\n")
+            (out / "xx" / artifacts[leg]).write_text(f"q Q0 d{i} 1 1.0 {leg}\n")
         values = {"schema": SCHEMA, "seed": "0", "languages": "xx", "stages": "fuse", "output_dir": "out",
                   "fuse.weights": raw}
         config = ExperimentConfig(Path(tmp), values, path="exp.cfg", lines={"fuse.weights": 6})

@@ -12,6 +12,7 @@ import re
 import shutil
 import time
 from collections.abc import Callable
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,16 @@ def test_stage_alone_reads_its_upstream_artifacts(tmp_path, monkeypatch):
     assert calls() == ["xx/bm25.trec", "xx/dense.trec"]
 
 
+def _body(name: str) -> Callable:
+    return next(stage.body for stage in pipeline.STAGE_TABLE if stage.name == name)
+
+
+def _set_body(monkeypatch, name: str, body: Callable) -> None:
+    """Make the pipeline run ``body`` for stage ``name``."""
+    table = tuple(replace(stage, body=body) if stage.name == name else stage for stage in pipeline.STAGE_TABLE)
+    monkeypatch.setattr(pipeline, "STAGE_TABLE", table)
+
+
 def _cpus(monkeypatch, count: int) -> list[int]:
     """Make the pipeline see ``count`` CPUs; returns the pids it forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -176,15 +187,15 @@ def test_failing_language_leaves_the_others_complete(tmp_path, monkeypatch, caps
 
 def test_crashed_worker_is_an_error_naming_its_languages(tmp_path, monkeypatch, capsys):
     forked = _cpus(monkeypatch, 3)
-    bm25 = pipeline._STAGE_FUNCS["bm25"]
+    bm25 = _body("bm25")
     caller = os.getpid()
 
     def crashing_bm25(config, language, held, values):
         if language == "zh" and os.getpid() != caller:  # never ends the test process
             os._exit(9)
-        bm25(config, language, held, values)
+        return bm25(config, language, held, values)
 
-    monkeypatch.setitem(pipeline._STAGE_FUNCS, "bm25", crashing_bm25)
+    _set_body(monkeypatch, "bm25", crashing_bm25)
     cfg = _desk(tmp_path)
     start = time.monotonic()
     assert main(["pipeline", "--config", str(cfg)]) == 2
@@ -200,16 +211,16 @@ def test_crashed_worker_is_an_error_naming_its_languages(tmp_path, monkeypatch, 
 
 def test_interrupt_kills_the_workers(tmp_path, monkeypatch):
     forked = _cpus(monkeypatch, 3)
-    bm25 = pipeline._STAGE_FUNCS["bm25"]
+    bm25 = _body("bm25")
     caller = os.getpid()
 
     def slow_bm25(config, language, held, values):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(60)
-        bm25(config, language, held, values)
+        return bm25(config, language, held, values)
 
-    monkeypatch.setitem(pipeline._STAGE_FUNCS, "bm25", slow_bm25)
+    _set_body(monkeypatch, "bm25", slow_bm25)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         pipeline.run_pipeline(load_config(str(_desk(tmp_path))))
@@ -228,14 +239,14 @@ class UnpicklableError(Exception):
 
 def test_unpicklable_worker_error_is_a_data_error_naming_its_type(tmp_path, monkeypatch, capsys):
     forked = _cpus(monkeypatch, 3)
-    bm25 = pipeline._STAGE_FUNCS["bm25"]
+    bm25 = _body("bm25")
 
     def failing_bm25(config, language, held, values):
         if language == "zh":  # run by the second worker
             raise UnpicklableError("zh cannot be scored")
-        bm25(config, language, held, values)
+        return bm25(config, language, held, values)
 
-    monkeypatch.setitem(pipeline._STAGE_FUNCS, "bm25", failing_bm25)
+    _set_body(monkeypatch, "bm25", failing_bm25)
     cfg = _desk(tmp_path)
     assert main(["pipeline", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err

@@ -1,10 +1,12 @@
 """The README's CLI tour runs as written, so it cannot keep a flag the parser has dropped,
-and its Layout block lists exactly the package's modules."""
+its Layout block lists exactly the package's modules, and its stage table is the pipeline's."""
+import re
 import shlex
 import shutil
 from pathlib import Path
 
 from rankpipe.cli import main
+from rankpipe.pipeline import STAGE_TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +35,10 @@ def test_layout_lists_every_module():
     block = section.split("```\n", 1)[1].split("```", 1)[0]
     listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ") and line.split()[0].endswith(".py")}
     assert listed == {path.name for path in (ROOT / "src" / "rankpipe").glob("*.py")}
+
+
+def test_stage_table_lists_every_stage():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Experiment configs\n", 1)[1]
+    rows = [line.split("|")[1:-1] for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    listed = [tuple(re.findall(r"`([^`]+)`", cell) for cell in row) for row in rows]
+    assert listed == [([stage.name], list(stage.inputs), [stage.artifact]) for stage in STAGE_TABLE]
