@@ -24,8 +24,8 @@ print(f"loaded {len(docs)} documents, first: {docs[0]}")
 
 # --- topics: qid<TAB>query text ------------------------------------------
 (scratch / "topics.tsv").write_text("q1\twhat is bm25\nq2\thybrid retrieval\n", encoding="utf-8")
-topics = load_topics(scratch / "topics.tsv", language="en", split="train")
-print(f"{len(topics)} queries, e.g. {topics[0].qid!r}: {topics[0].text!r}")
+topics = load_topics(scratch / "topics.tsv")  # qid -> query text, in file order
+print(f"{len(topics)} queries, e.g. 'q1': {topics['q1']!r}")
 
 # --- qrels: qid Q0 docid grade --------------------------------------------
 (scratch / "qrels.txt").write_text("q1 Q0 d1 1\nq1 Q0 d2 0\nq2 Q0 d3 1\n", encoding="utf-8")
@@ -43,5 +43,4 @@ row = corpus_stats(
     {"train": qrels},
     language="en",
 )
-print(f"stats: {row.queries['train']} queries, {row.judgments['train']} judgments, "
-      f"{row.passages} passages (articles: {row.articles})")
+print(f"stats: {row.queries['train']} queries, {row.judgments['train']} judgments, {row.passages} passages")

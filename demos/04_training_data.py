@@ -16,7 +16,6 @@ from rankpipe import (
     AugmentationParams,
     EmbeddingStore,
     JudgmentSet,
-    Query,
     Run,
     cut_pool,
     pseudo_label,
@@ -51,8 +50,8 @@ vectors = EmbeddingStore(
 train_qrels = JudgmentSet({("known-q", "d42"): 1, ("known-q", "d43"): 0})
 params = AugmentationParams(alpha=0.9, top_m=1, tau=0.75, seed=0)
 augmented = q2q2d_augment(
-    [Query("new-q", "fresh unseen question")],
-    [Query("known-q", "annotated question")],
+    {"new-q": "fresh unseen question"},  # target and source topics: qid -> text, as load_topics returns them
+    {"known-q": "annotated question"},
     train_qrels,
     vectors,
     params,

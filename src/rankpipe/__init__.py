@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _SUBMODULE_EXPORTS = {
-    "corpus": ("Document", "JudgmentSet", "Query", "StatsRow", "corpus_stats", "load_corpus", "load_qrels",
-               "load_topics", "write_qrels"),
-    "dense": ("EmbeddingStore", "dense_search", "load_embeddings", "write_embeddings"),
+    "corpus": ("Document", "JudgmentSet", "StatsRow", "corpus_stats", "load_corpus", "load_qrels", "load_topics",
+               "write_qrels"),
+    "dense": ("EmbeddingStore", "dense_search", "load_embeddings"),
     "ensemble": ("EnsembleConfig", "adjust_weights", "correlation_matrix", "ensemble_runs"),
     "errors": ("DataError", "FormatError", "ProtocolError"),
     "forge": ("AugmentationParams", "TrainingPair", "pseudo_label", "q2q2d_augment", "read_pairs",

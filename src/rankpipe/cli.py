@@ -67,14 +67,6 @@ def _tag(raw: str) -> str:
     return raw
 
 
-def _topics_lookup(args: argparse.Namespace) -> dict[str, str] | None:
-    if "topics" not in args:
-        return None
-    from .corpus import load_topics
-
-    return {q.qid: q.text for q in load_topics(args.topics)}
-
-
 def _cmd_index(args) -> int:
     from .sparse import index_corpus
 
@@ -85,9 +77,11 @@ def _cmd_index(args) -> int:
 
 def _cmd_retrieve_bm25(args) -> int:
     from . import sparse
-    from .runs import write_run
+    from .runs import check_k, write_run
 
     params = sparse.Bm25Params(**_given(args, "k1", "b"))
+    if "k" in args:  # before the index is read
+        check_k(args.k)
     run = sparse.retrieve_bm25(sparse.load_index(args.index), args.topics, params=params, **_given(args, "k", "tag"))
     write_run(run, args.out)
     print(f"wrote {len(run)} results for {len(run.entries)} queries -> {args.out}")
@@ -125,15 +119,19 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_forge_negatives(args) -> int:
-    from .corpus import load_corpus, load_qrels
+    from .corpus import load_corpus, load_qrels, load_topics
     from .forge import sample_negatives, sample_negatives_corpus, write_pairs
     from .fusion import cut_pool
-    from .runs import read_run
+    from .runs import check_k, read_run
 
-    if "from_corpus" in args and "pool_k" in args:  # a usage error, before any read
+    # usage errors before data errors: the flags are checked before any input is read
+    if "from_corpus" in args and "pool_k" in args:
         raise ValueError("--pool-k applies to --pool only, not to --from-corpus")
+    check_k(args.n, 0, "n")
+    if "pool_k" in args:
+        check_k(args.pool_k)
     qrels = load_qrels(args.qrels)
-    texts = _topics_lookup(args)
+    texts = load_topics(args.topics) if "topics" in args else None
     if "from_corpus" in args:
         ids = [doc.docid for doc in load_corpus(args.from_corpus)]
         pairs = sample_negatives_corpus(ids, qrels, args.n, args.seed, texts)
@@ -162,12 +160,13 @@ def _cmd_forge_q2q2d(args) -> int:
 
 
 def _cmd_forge_pseudo(args) -> int:
+    from .corpus import load_topics
     from .forge import AugmentationParams, pseudo_label, write_pairs
     from .runs import read_run
 
     params = AugmentationParams(**_given(args, "seed", fraction="pseudo_fraction", scale="pseudo_scale"))
     run = read_run(args.run)
-    pairs = pseudo_label(run, _topics_lookup(args), params)
+    pairs = pseudo_label(run, load_topics(args.topics) if "topics" in args else None, params)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} pseudo-labeled pairs -> {args.out}")
     return EXIT_OK
@@ -175,8 +174,13 @@ def _cmd_forge_pseudo(args) -> int:
 
 def _cmd_rerank(args) -> int:
     from . import rerank
-    from .runs import read_run, write_run
+    from .runs import check_k, read_run, write_run
 
+    # usage errors before data errors: the flags are checked before the pool is read
+    if "budget" in args:
+        check_k(args.budget, name="budget")
+    if "pool_k" in args:
+        check_k(args.pool_k)
     scorer = args.scorer if "scorer" in args else rerank.ScorerHandle()
     run = rerank.rerank_pool(
         read_run(args.pool), args.topics, args.corpus, scorer, **_given(args, "pool_k", "budget")
@@ -205,8 +209,9 @@ def _cmd_ensemble(args) -> int:
 def _cmd_eval(args) -> int:
     from . import metrics
     from .corpus import load_qrels
-    from .runs import read_run
+    from .runs import check_k, read_run
 
+    check_k(args.k, 0 if args.metric == metrics.RECALL else 1)  # before any read; recall@0 is defined
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
     report = (metrics.ndcg_at_k if args.metric == metrics.NDCG else metrics.recall_at_k)(run, qrels, args.k)
@@ -241,15 +246,15 @@ def _cmd_stats(args) -> int:
     for flag, pairs in (("--topics", args.topics), ("--qrels", args.qrels)):  # usage errors before any read
         if len(dict(pairs)) != len(pairs):
             raise ValueError(f"{flag} gives a split twice")
-    topics = {split: load_topics(path, split=split, **language) for split, path in args.topics}
+    topics = {split: load_topics(path) for split, path in args.topics}
     qrels = {split: load_qrels(path) for split, path in args.qrels}
     row = corpus_stats(load_corpus(args.corpus), topics, qrels, **language)
     splits = sorted(set(row.queries) | set(row.judgments))
-    print("language\t" + "\t".join(f"{s}.queries\t{s}.judgments" for s in splits) + "\tpassages\tarticles")
+    print("language\t" + "\t".join(f"{s}.queries\t{s}.judgments" for s in splits) + "\tpassages")
     cells = [row.language]
     for split in splits:
         cells += [str(row.queries.get(split, 0)), str(row.judgments.get(split, 0))]
-    cells += [str(row.passages), "-" if row.articles is None else str(row.articles)]
+    cells.append(str(row.passages))
     print("\t".join(cells))
     return EXIT_OK
 

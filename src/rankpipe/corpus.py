@@ -30,18 +30,6 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
-class Query:
-    qid: str
-    text: str
-    language: str = ""
-    split: str = "train"
-
-    def __post_init__(self) -> None:
-        if self.split not in SPLITS:
-            raise ValueError(f"unknown split {self.split!r} (known: {', '.join(SPLITS)})")
-
-
 class JudgmentSet:
     """Graded relevance labels keyed by (qid, docid), grades >= 0."""
 
@@ -88,14 +76,12 @@ class JudgmentSet:
 
 @dataclass
 class StatsRow:
-    """Per-language collection statistics; ``articles`` stays None when no
-    article metadata is available rather than guessing a count."""
+    """Per-language collection statistics: queries and judgments per split."""
 
     language: str
     queries: dict[str, int]
     judgments: dict[str, int]
     passages: int
-    articles: int | None = None
 
 
 def load_corpus(path: str) -> Iterator[Document]:
@@ -108,9 +94,10 @@ def load_corpus(path: str) -> Iterator[Document]:
         yield Document(docid=docid, title=title, text=text)
 
 
-def load_topics(path: str, language: str = "", split: str = "train") -> list[Query]:
-    """Load a two-column topics TSV; tabs after the first stay in the text."""
-    return [Query(qid=qid, text=text, language=language, split=split) for _, (qid, text) in parse_topics(path)]
+def load_topics(path: str) -> dict[str, str]:
+    """Load a two-column topics TSV as qid -> query text, in file order; tabs
+    after the first stay in the text."""
+    return {qid: text for _, (qid, text) in parse_topics(path)}
 
 
 def load_qrels(path: str) -> JudgmentSet:
@@ -132,11 +119,11 @@ def write_qrels(judgments: JudgmentSet, path: str, header: str | None = None) ->
 
 def corpus_stats(
     corpus: Iterable[Document],
-    topics_by_split: Mapping[str, Iterable[Query]],
+    topics_by_split: Mapping[str, Iterable[str]],
     qrels_by_split: Mapping[str, JudgmentSet],
     language: str = "",
 ) -> StatsRow:
-    """Count queries, judgments, and passages for one language."""
+    """Count queries (the qids of each split), judgments, and passages for one language."""
     queries = {split: sum(1 for _ in topics) for split, topics in topics_by_split.items()}
     judgments = {split: len(qrels) for split, qrels in qrels_by_split.items()}
     passages = sum(1 for _ in corpus)

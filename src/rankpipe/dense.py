@@ -80,14 +80,6 @@ def load_embeddings(path: str) -> EmbeddingStore:
     return EmbeddingStore.from_items(record for _, record in parse_vectors(path))
 
 
-def write_embeddings(store: EmbeddingStore, path: str, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for vid, row in zip(store.ids, store.matrix):
-            fh.write(vid + "\t" + ",".join(repr(float(v)) for v in row) + "\n")
-
-
 def similarities(queries: EmbeddingStore, docs: EmbeddingStore, query_id: str, metric: str = DOT) -> np.ndarray:
     """The similarity of one query vector to every document vector, in the
     order of ``docs.ids``: dot products, or cosine under ``COSINE``.

@@ -27,9 +27,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .corpus import JudgmentSet, Query
+from .corpus import JudgmentSet
 from .errors import DataError
-from .runs import Run
+from .runs import Run, check_k
 from .validate import COSINE, check_pair_label, parse_pairs
 
 if TYPE_CHECKING:  # numpy is only needed by q2q2d, which imports dense when it runs
@@ -120,8 +120,7 @@ def sample_negatives(
     Documents judged positive (grade >= 1) are never emitted; judged-zero
     documents are eligible. Queries with no judgments at all are skipped.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_k(n, 0, "n")
     pairs: list[TrainingPair] = []
     skipped = 0
     for qid in sorted(pool.entries):
@@ -144,8 +143,7 @@ def sample_negatives_corpus(
     query_texts: Mapping[str, str] | None = None,
 ) -> list[TrainingPair]:
     """Whole-corpus negative sampling baseline: the universe is every docid."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_k(n, 0, "n")
     pairs: list[TrainingPair] = []
     for qid in sorted(qrels.qids):
         pairs.extend(_sample_for_query(qid, corpus_ids, qrels, n, seed, query_texts))
@@ -153,8 +151,8 @@ def sample_negatives_corpus(
 
 
 def q2q2d_augment(
-    test_queries: Sequence[Query],
-    train_queries: Sequence[Query],
+    test_queries: Mapping[str, str],
+    train_queries: Mapping[str, str],
     train_qrels: JudgmentSet,
     query_vectors: EmbeddingStore,
     params: AugmentationParams,
@@ -169,24 +167,24 @@ def q2q2d_augment(
 
     from .dense import EmbeddingStore, similarities
 
-    for query in list(test_queries) + list(train_queries):
-        if query.qid not in query_vectors:
-            raise DataError(f"no vector for query {query.qid!r}")
+    for qid in [*test_queries, *train_queries]:
+        if qid not in query_vectors:
+            raise DataError(f"no vector for query {qid!r}")
     if not train_queries:
         return []
-    train_ids = [q.qid for q in train_queries]
+    train_ids = list(train_queries)
     sources = EmbeddingStore(train_ids, np.vstack([query_vectors.vector(qid) for qid in train_ids]))
     pairs: list[TrainingPair] = []
-    for test_query in test_queries:
+    for qid, text in test_queries.items():
         # clipped, since rounding can carry a cosine just past 1 or -1
-        sims = np.clip(similarities(query_vectors, sources, test_query.qid, COSINE), -1.0, 1.0)
-        order = sorted(range(len(train_queries)), key=lambda i: (-sims[i], train_ids[i]))
+        sims = np.clip(similarities(query_vectors, sources, qid, COSINE), -1.0, 1.0)
+        order = sorted(range(len(train_ids)), key=lambda i: (-sims[i], train_ids[i]))
         matched = [i for i in order if sims[i] >= params.tau][: params.top_m]
         for i in matched:
             sim = float(sims[i])
             for docid, grade in sorted(train_qrels.judged_docids(train_ids[i]).items()):
                 # grades are binarized: the label algebra assumes {0, 1}
-                pairs.append(TrainingPair(qid=test_query.qid, query_text=test_query.text, docid=docid,
+                pairs.append(TrainingPair(qid=qid, query_text=text, docid=docid,
                                           label=max(0.0, sim) * min(grade, 1) * params.alpha, source="q2q2d"))
     return pairs
 

@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .corpus import JudgmentSet
-from .runs import Run
+from .runs import Run, check_k
 
 NDCG = "ndcg"
 RECALL = "recall"
@@ -51,8 +51,7 @@ def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
     The ideal ordering sorts that query's judged grades descending and cuts
     at k; unjudged retrieved documents count as grade 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     report = MetricReport(metric=NDCG, k=k)
     for qid, ranked in run.entries.items():
         judged = qrels.judged_docids(qid)
@@ -68,8 +67,7 @@ def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
 
 def recall_at_k(run: Run, qrels: JudgmentSet, k: int) -> MetricReport:
     """Fraction of each query's relevant documents found in the top k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_k(k, 0)
     report = MetricReport(metric=RECALL, k=k)
     for qid, ranked in run.entries.items():
         relevant = qrels.positives(qid)

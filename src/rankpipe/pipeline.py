@@ -3,9 +3,9 @@ pool -> rerank -> eval.
 
 A config is diffable provenance: ``key = value`` lines, ``#`` comments and a
 mandatory ``schema = rankpipe-exp-1``; relative paths resolve against its
-directory. ``ExperimentConfig.get`` reads every value. Each value the
-configured stages read, input files included, is checked before the first
-stage runs, and a bad one names the config's ``path:line``.
+directory. ``ExperimentConfig.get`` reads every value. An unknown key, and
+each value the configured stages read, input files included, are checked
+before the first stage runs; a bad one names the config's ``path:line``.
 
 A stage is declared once, in ``STAGE_TABLE``: its name, the artifact it
 writes in each language directory, its per-language input keys and its
@@ -31,7 +31,6 @@ from . import fusion
 from .corpus import load_qrels
 from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run, read_run, write_run
-from .tokenization import AUTO
 from .validate import DOT, METRICS, data_lines
 
 if TYPE_CHECKING:
@@ -41,6 +40,7 @@ if TYPE_CHECKING:
     from .sparse import InvertedIndex
 
 SCHEMA = "rankpipe-exp-1"
+STRUCTURAL_KEYS = ("schema", "seed", "languages", "stages", "output_dir")
 
 # a default of ExperimentConfig.get: the key must be set
 REQUIRED = object()
@@ -64,7 +64,7 @@ def _languages(raw: str) -> list[str]:
 
 @dataclass
 class ExperimentConfig:
-    """A config's values and the lines they are set on; construction checks the structural keys."""
+    """A config's values and their lines; construction checks the structural keys and rejects an unknown key."""
 
     base_dir: Path
     values: dict[str, str]
@@ -81,6 +81,9 @@ class ExperimentConfig:
         self.languages = self.get("languages", REQUIRED, _languages)
         self.stages = self.get("stages", REQUIRED, lambda raw: _names(raw, STAGES))
         self.output_dir = self.base_dir / self.get("output_dir", REQUIRED)
+        for key in self.values:
+            if not _is_key(key):
+                raise FormatError(f"unknown key {key!r}", path=self.path, line=self.lines.get(key))
 
     def get(
         self,
@@ -93,7 +96,9 @@ class ExperimentConfig:
         """The value of ``key`` through ``parse``, ``default`` when unset; an unset key
         whose default is REQUIRED is a FormatError naming the config's path. A value
         outside ``choices`` (when given), one that ``parse`` rejects with a ValueError,
-        or one below ``minimum`` (when given) is a FormatError at its line."""
+        or one below ``minimum`` (when given) is a FormatError at its line. An unknown ``key`` is a KeyError."""
+        if not _is_key(key):
+            raise KeyError(f"{key!r} is not a config key")
         raw = self.values.get(key)
         if raw is None:
             if default is REQUIRED:
@@ -180,6 +185,17 @@ def _fuse_weights(raw: str) -> list[float]:
     return weights
 
 
+# every value key, each read by _read_values alone; ExperimentConfig.get refuses any other
+VALUE_KEYS = ("bm25.k1", "bm25.b", "retrieve.k", "dense.metric", "fuse.weights", "pool.k", "rerank.scorer",
+              "rerank.budget", "eval.k", "eval.recall_k", "eval.targets")
+
+
+def _is_key(key: str) -> bool:
+    """A structural key, a value key, or ``<input>.<name>`` for an input key of a stage."""
+    prefix, _, name = key.partition(".")
+    return key in STRUCTURAL_KEYS or key in VALUE_KEYS or bool(name) and any(prefix in s.inputs for s in STAGE_TABLE)
+
+
 def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
     """Every config value that ``stages`` read, input paths included, parsed
     before the first of them runs, so a bad value stops the call before any
@@ -187,8 +203,6 @@ def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
     ``ExperimentConfig.get`` does."""
     get = config.get
     values: Values = {}
-    if {"index", "rerank"} & stages:  # checked, not used: a config naming a removed policy stops here
-        get("script_policy", AUTO, choices=(AUTO,))
     if "bm25" in stages:
         from .sparse import Bm25Params
 

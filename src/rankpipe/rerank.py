@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError, ProtocolError
 from .fusion import DEFAULT_POOL_K, cut_pool
-from .runs import Run
+from .runs import Run, check_k
 from .tokenization import tokenize
 from .validate import data_lines
 
@@ -291,10 +291,9 @@ def rerank_pool(
     budget: int = DEFAULT_BUDGET,
 ) -> Run:
     """The rerank stage: score the first ``pool_k`` candidates of every pool query."""
-    if budget < 1:  # budget and pool_k are checked before the reads, so that an empty pool cannot hide them
-        raise ValueError("budget must be >= 1")
+    check_k(budget, name="budget")  # budget and pool_k before the reads, so that an empty pool cannot hide them
     pool = cut_pool(pool, pool_k)
-    topics = {q.qid: q.text for q in load_topics(topics_path)}
+    topics = load_topics(topics_path)
     corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
     pairs = build_pairs(pool, topics, corpus_lookup, budget)
     return score_pairs(pairs, scorer)

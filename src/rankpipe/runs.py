@@ -18,10 +18,10 @@ from .validate import parse_run
 DEFAULT_K = 1000  # results per query a retrieval run keeps
 
 
-def check_k(k: int) -> None:
-    """A cut-off below 1 is a ValueError."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def check_k(k: int, minimum: int = 1, name: str = "k") -> None:
+    """A cut-off, or the count ``name``, below ``minimum`` is a ValueError."""
+    if k < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def _canonical(pairs: list) -> bool:

@@ -176,7 +176,8 @@ def retrieve_bm25(
 ) -> Run:
     """The bm25 stage: the top-k BM25 results of every topic, [] where none match."""
     check_k(k)  # before the read, so that a topics file without topics cannot hide a bad k
-    return Run(entries={q.qid: bm25_search(index, q.text, k, params) for q in load_topics(topics_path)}, tag=tag)
+    topics = load_topics(topics_path)
+    return Run(entries={qid: bm25_search(index, text, k, params) for qid, text in topics.items()}, tag=tag)
 
 
 def _width(largest: int) -> int:

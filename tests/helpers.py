@@ -21,6 +21,17 @@ from rankpipe.runs import Run, rank_sorted
 from rankpipe.tokenization import tokenize
 
 
+def write_vectors(path, rows) -> str:
+    """Write ``(id, values)`` rows as a vector TSV, ``values`` either the
+    text of the comma-separated components or numbers written with repr."""
+
+    def components(vals) -> str:
+        return vals if isinstance(vals, str) else ",".join(repr(float(v)) for v in vals)
+
+    path.write_text("".join(f"{vid}\t{components(vals)}\n" for vid, vals in rows), encoding="utf-8")
+    return str(path)
+
+
 def random_run(
     rng: np.random.Generator,
     n_queries: int = 4,
@@ -283,21 +294,21 @@ def oracle_q2q2d(test_queries, train_queries, train_qrels: JudgmentSet, vectors,
     """q2q2d as it was written with its own cosine: the dot over the product
     of the two norms, clipped to [-1, 1]; sources ranked by (-sim, qid), the
     first ``top_m`` at or above ``tau`` each lend every judged document with
-    label max(0, sim) * min(grade, 1) * alpha."""
+    label max(0, sim) * min(grade, 1) * alpha. Both query sets map qid -> text."""
     if not train_queries:
         return []
-    train_ids = [q.qid for q in train_queries]
+    train_ids = list(train_queries)
     train_matrix = np.vstack([vectors.vector(qid) for qid in train_ids])
     b_norms = np.linalg.norm(train_matrix, axis=1)
     pairs = []
-    for target in test_queries:
-        a = vectors.vector(target.qid)
+    for qid, text in test_queries.items():
+        a = vectors.vector(qid)
         sims = np.clip((train_matrix @ a) / (b_norms * float(np.linalg.norm(a))), -1.0, 1.0)
         order = sorted(range(len(train_ids)), key=lambda i: (-sims[i], train_ids[i]))
         for i in [i for i in order if sims[i] >= params.tau][: params.top_m]:
             for docid, grade in sorted(train_qrels.judged_docids(train_ids[i]).items()):
                 label = max(0.0, float(sims[i])) * min(grade, 1) * params.alpha
-                pairs.append(TrainingPair(target.qid, target.text, docid, label, "q2q2d"))
+                pairs.append(TrainingPair(qid, text, docid, label, "q2q2d"))
     return pairs
 
 

@@ -1,10 +1,14 @@
+import ast
 import errno
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +17,7 @@ from rankpipe.cli import main
 from rankpipe.corpus import load_corpus, load_qrels, load_topics
 from rankpipe.errors import DataError
 from rankpipe.fusion import cut_pool
-from rankpipe.pipeline import load_config, run_pipeline
+from rankpipe.pipeline import STAGES, load_config, run_pipeline
 from rankpipe.rerank import rerank_pool
 from rankpipe.runs import read_run, write_run
 
@@ -194,12 +198,17 @@ class TestSubcommands:
 
     def test_stats_output(self, tmp_path, capsys):
         write_tiny_project(tmp_path)
+        (tmp_path / "dev.tsv").write_text("q9\tquasar\n", encoding="utf-8")
+        (tmp_path / "dev.qrels").write_text("q9 Q0 d3 1\nq9 Q0 d6 0\nq9 Q0 d7 2\n", encoding="utf-8")
         assert main(
             ["stats", "--corpus", str(tmp_path / "corpus.jsonl"), "--language", "xx",
-             "--topics", f"train={tmp_path / 'topics.tsv'}", "--qrels", f"train={tmp_path / 'qrels.txt'}"]
+             "--topics", f"train={tmp_path / 'topics.tsv'}", "--qrels", f"train={tmp_path / 'qrels.txt'}",
+             "--topics", f"dev={tmp_path / 'dev.tsv'}", "--qrels", f"dev={tmp_path / 'dev.qrels'}"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "xx\t2\t4\t6\t-" in out
+        assert capsys.readouterr().out == (
+            "language\tdev.queries\tdev.judgments\ttrain.queries\ttrain.judgments\tpassages\n"
+            "xx\t1\t3\t2\t4\t6\n"
+        )
 
 
 class TestParserSurface:
@@ -439,9 +448,27 @@ class TestExitCodes:
             (["forge", "pseudo", "--run", "TMP/empty.trec", "--scale", "5"], "pseudo_scale must be in (0, 1]"),
             (["forge", "negatives", "--from-corpus", "DESK/corpus.jsonl", "--qrels", "DESK/qrels.txt", "-n", "2",
               "--pool-k", "0"], "--pool-k"),
+            (["retrieve", "bm25", "--index", "TMP/nope.rpidx", "--topics", "DESK/topics.tsv", "-k", "0"],
+             "k must be >= 1"),
+            (["rerank", "--pool", "TMP/nope.trec", "--topics", "DESK/topics.tsv", "--corpus", "DESK/corpus.jsonl",
+              "--budget", "0"], "budget must be >= 1"),
+            (["rerank", "--pool", "TMP/nope.trec", "--topics", "DESK/topics.tsv", "--corpus", "DESK/corpus.jsonl",
+              "--pool-k", "0"], "k must be >= 1"),
+            (["eval", "--run", "TMP/nope.trec", "--qrels", "DESK/qrels.txt", "-k", "0"], "k must be >= 1"),
+            (["eval", "--run", "TMP/nope.trec", "--qrels", "DESK/qrels.txt", "--metric", "recall", "-k", "-1"],
+             "k must be >= 0"),
+            (["forge", "negatives", "--pool", "TMP/nope.trec", "--qrels", "DESK/qrels.txt", "-n", "-1"],
+             "n must be >= 0"),
+            (["forge", "negatives", "--pool", "TMP/nope.trec", "--qrels", "DESK/qrels.txt", "-n", "2",
+              "--pool-k", "0"], "k must be >= 1"),
+            (["forge", "negatives", "--from-corpus", "TMP/nope.jsonl", "--qrels", "DESK/qrels.txt", "-n", "-1"],
+             "n must be >= 0"),
         ],
         ids=["fuse-weight-count", "fuse-k-0", "bm25-k-0", "dense-k-0", "rerank-budget-0", "pseudo-scale-2",
-             "pseudo-scale-minus-0", "pseudo-scale-5", "negatives-corpus-pool-k"],
+             "pseudo-scale-minus-0", "pseudo-scale-5", "negatives-corpus-pool-k", "bm25-k-0-missing-index",
+             "rerank-budget-0-missing-pool", "rerank-pool-k-0-missing-pool", "eval-ndcg-k-0-missing-run",
+             "eval-recall-k-minus-1-missing-run", "negatives-n-minus-1-missing-pool",
+             "negatives-pool-k-0-missing-pool", "negatives-n-minus-1-missing-corpus"],
     )
     def test_bad_flag_is_a_usage_error_that_its_input_cannot_hide(self, tmp_path, capsys, argv, message):
         # a missing input would be a data error, exit 2; an empty topics file, pool or run
@@ -578,8 +605,6 @@ class TestConfig:
             "fuse.weights = 0.5,x",
             "fuse.weights = 0.5",
             "fuse.weights = nan,1",
-            "script_policy = klingon",
-            "script_policy = unigram",
             "dense.metric = l2",
             "rerank.scorer = oracle",
             "seed = x",
@@ -596,6 +621,44 @@ class TestConfig:
         cfg_path.write_text("".join(kept) + line + "\n", encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         assert f"{cfg_path}:{len(kept) + 1}: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["retreive.k = 5", "pool.kk = 3", "script_policy = auto", "script_policy = klingon",
+                 "script_policy = unigram"],
+    )
+    def test_unknown_key_is_a_data_error_at_its_line(self, tmp_path, capsys, line):
+        cfg_path = write_tiny_project(tmp_path)
+        lines = cfg_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cfg_path.write_text("".join(lines) + line + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        key = line.split()[0]
+        assert f"{cfg_path}:{len(lines) + 1}: unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_get_refuses_a_key_outside_the_known_keys(self, tmp_path):
+        config = load_config(str(write_tiny_project(tmp_path)))
+        with pytest.raises(KeyError, match="retreive.k"):
+            config.get("retreive.k")
+
+    def test_every_config_in_use_loads(self, tmp_path, monkeypatch):
+        load_config(str(DESK / "desk.cfg"))
+        load_config(str(write_tiny_project(tmp_path)))
+        # the keys the benchmark's configs set: its own writer, given every value key its workloads pass
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        calls = [node for node in ast.walk(ast.parse((perfbench / "run.py").read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_config"]
+        values = {key.value: "1" for call in calls for kw in call.keywords if kw.arg is None for key in kw.value.keys}
+        assert values
+        monkeypatch.syspath_prepend(str(perfbench))  # run.py imports its sibling modules
+        spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up there
+        spec.loader.exec_module(run)
+        files = SimpleNamespace(corpus="corpus.jsonl", topics="topics.tsv", qrels="qrels.txt",
+                                query_vectors="queries.vec.tsv", doc_vectors="docs.vec.tsv")
+        cfg = tmp_path / "bench.cfg"
+        run._write_config(cfg, 1, SimpleNamespace(files={"xx": files}), ",".join(STAGES), **values)
+        assert set(load_config(str(cfg)).values) >= set(values)
 
     @pytest.mark.parametrize(
         "line",

@@ -5,7 +5,6 @@ import pytest
 from rankpipe.corpus import (
     Document,
     JudgmentSet,
-    Query,
     corpus_stats,
     load_corpus,
     load_qrels,
@@ -75,17 +74,12 @@ class TestLoadCorpus:
 
 class TestLoadTopics:
     def test_basic(self, tmp_path):
-        path = write_lines(tmp_path / "t.tsv", ["q1\twhat is bm25"])
-        assert load_topics(path) == [Query("q1", "what is bm25")]
-
-    def test_language_and_split_attached(self, tmp_path):
-        path = write_lines(tmp_path / "t.tsv", ["q1\tx"])
-        query = load_topics(path, language="sw", split="dev")[0]
-        assert (query.language, query.split) == ("sw", "dev")
+        path = write_lines(tmp_path / "t.tsv", ["q2\twhat is bm25", "q1\thybrid retrieval"])
+        assert list(load_topics(path).items()) == [("q2", "what is bm25"), ("q1", "hybrid retrieval")]
 
     def test_tabs_after_first_stay_in_text(self, tmp_path):
         path = write_lines(tmp_path / "t.tsv", ["q1\ta\tb"])
-        assert load_topics(path)[0].text == "a\tb"
+        assert load_topics(path) == {"q1": "a\tb"}
 
     def test_missing_column(self, tmp_path):
         path = write_lines(tmp_path / "t.tsv", ["q1-no-tab"])
@@ -150,13 +144,12 @@ class TestJudgmentSet:
 class TestCorpusStats:
     def test_synthetic_counts(self):
         corpus = [Document(f"d{i}", "", "x") for i in range(3)]
-        topics = {"train": [Query("q1", "a"), Query("q2", "b")]}
+        topics = {"train": {"q1": "a", "q2": "b"}}
         qrels = {"train": JudgmentSet({("q1", "d0"): 1, ("q1", "d1"): 0, ("q2", "d0"): 1, ("q2", "d2"): 1})}
         row = corpus_stats(corpus, topics, qrels, language="xx")
         assert row.queries["train"] == 2
         assert row.judgments["train"] == 4
         assert row.passages == 3
-        assert row.articles is None
 
     def test_zero_queries(self):
         row = corpus_stats([], {"dev": []}, {"dev": JudgmentSet()})
@@ -165,7 +158,7 @@ class TestCorpusStats:
 
     def test_permutation_invariant(self):
         docs = [Document(f"d{i}", "", "x") for i in range(5)]
-        topics = [Query(f"q{i}", "t") for i in range(4)]
+        topics = {f"q{i}": "t" for i in range(4)}
         a = corpus_stats(docs, {"train": topics}, {})
         b = corpus_stats(reversed(docs), {"train": reversed(topics)}, {})
         assert (a.passages, a.queries) == (b.passages, b.queries)

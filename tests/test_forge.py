@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_draw, oracle_q2q2d
-from rankpipe.corpus import JudgmentSet, Query
+from rankpipe.corpus import JudgmentSet
 from rankpipe.dense import EmbeddingStore
 from rankpipe.errors import DataError, FormatError
 from rankpipe.forge import (
@@ -185,9 +185,7 @@ class TestQ2q2d:
     def test_perfect_match_label(self):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0]})
         qrels = JudgmentSet({("s1", "d1"): 1})
-        pairs = q2q2d_augment(
-            [Query("t1", "target text")], [Query("s1", "src")], qrels, vectors, self.params
-        )
+        pairs = q2q2d_augment({"t1": "target text"}, {"s1": "src"}, qrels, vectors, self.params)
         assert len(pairs) == 1
         assert pairs[0].label == pytest.approx(0.9)
         assert pairs[0].qid == "t1"
@@ -199,34 +197,34 @@ class TestQ2q2d:
         # cos((1,0),(0.8,0.6)) = 0.8 exactly
         vectors = query_store({"t1": [1, 0], "s1": [0.8, 0.6]})
         qrels = JudgmentSet({("s1", "d1"): 1})
-        pairs = q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params)
+        pairs = q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
         assert pairs[0].label == pytest.approx(0.8 * 1 * 0.9, abs=1e-12)
 
     def test_below_tau_emits_nothing(self):
         vectors = query_store({"t1": [1, 0], "s1": [0, 1]})
         qrels = JudgmentSet({("s1", "d1"): 1})
-        assert q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params) == []
+        assert q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params) == []
 
     def test_zero_grade_judgments_emitted_with_zero_label(self):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0]})
         qrels = JudgmentSet({("s1", "d1"): 1, ("s1", "d2"): 0})
-        pairs = q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params)
+        pairs = q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
         labels = {p.docid: p.label for p in pairs}
         assert labels["d2"] == 0.0
 
     def test_missing_vector_names_query(self):
         vectors = query_store({"t1": [1, 0]})
         with pytest.raises(DataError, match="s1"):
-            q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], JudgmentSet(), vectors, self.params)
+            q2q2d_augment({"t1": "t"}, {"s1": "s"}, JudgmentSet(), vectors, self.params)
 
     def test_top_m_limits_matches(self):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0], "s2": [0.9, np.sqrt(1 - 0.81)]})
         qrels = JudgmentSet({("s1", "d1"): 1, ("s2", "d2"): 1})
-        sources = [Query("s1", "a"), Query("s2", "b")]
-        one = q2q2d_augment([Query("t1", "t")], sources, qrels, vectors, self.params)
+        sources = {"s1": "a", "s2": "b"}
+        one = q2q2d_augment({"t1": "t"}, sources, qrels, vectors, self.params)
         assert {p.docid for p in one} == {"d1"}
         both = q2q2d_augment(
-            [Query("t1", "t")],
+            {"t1": "t"},
             sources,
             qrels,
             vectors,
@@ -239,14 +237,14 @@ class TestQ2q2d:
         for _ in range(30):
             n_train = int(rng.integers(1, 6))
             vectors = {"t1": rng.normal(size=4)}
-            sources = []
+            sources = {}
             qrels = JudgmentSet()
             for i in range(n_train):
                 vectors[f"s{i}"] = rng.normal(size=4)
-                sources.append(Query(f"s{i}", f"text {i}"))
+                sources[f"s{i}"] = f"text {i}"
                 qrels.add(f"s{i}", f"d{i}", int(rng.integers(0, 2)))
             params = AugmentationParams(alpha=0.9, top_m=3, tau=-1.0, seed=0)
-            pairs = q2q2d_augment([Query("t1", "t")], sources, qrels, query_store(vectors), params)
+            pairs = q2q2d_augment({"t1": "t"}, sources, qrels, query_store(vectors), params)
             for pair in pairs:
                 assert 0.0 <= pair.label <= params.alpha + 1e-12
 
@@ -255,7 +253,7 @@ class TestQ2q2d:
         vectors = query_store({"t1": [1, 0], "s1": [1, 0], zero: [0, 0]})
         qrels = JudgmentSet({("s1", "d1"): 1})
         with pytest.raises(DataError, match=f"zero vector '{zero}' not allowed under cosine"):
-            q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params)
+            q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
 
     def test_overflowing_similarity_names_the_query(self):
         # every component is finite, but the dot product and the norms are not
@@ -264,12 +262,8 @@ class TestQ2q2d:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="similarity overflow for query 't1'"):
-                q2q2d_augment([Query("t1", "t")], [Query("s1", "s")], qrels, vectors, self.params)
+                q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
 
-    def test_repeated_source_qid_rejected(self):
-        vectors = query_store({"t1": [1, 0], "s1": [1, 0]})
-        with pytest.raises(DataError, match="duplicate"):
-            q2q2d_augment([Query("t1", "t")], [Query("s1", "a"), Query("s1", "b")], JudgmentSet(), vectors, self.params)
 
 
 _COMPONENT = st.floats(-100, 100).filter(lambda x: x == 0.0 or abs(x) > 1e-6)
@@ -314,8 +308,8 @@ def _q2q2d_cases(pick):
           AugmentationParams(alpha=1.0, top_m=2, tau=1.0)))
 def test_q2q2d_pairs_match_its_own_cosine_ranking(case):
     n_targets, n_sources, qrels, vectors, params = case
-    targets = [Query(f"t{i}", f"target {i}") for i in range(n_targets)]
-    sources = [Query(f"s{i}", f"source {i}") for i in range(n_sources)]
+    targets = {f"t{i}": f"target {i}" for i in range(n_targets)}
+    sources = {f"s{i}": f"source {i}" for i in range(n_sources)}
     store = query_store(vectors)
     pairs = q2q2d_augment(targets, sources, qrels, store, params)
     assert repr(pairs) == repr(oracle_q2q2d(targets, sources, qrels, store, params))

@@ -18,18 +18,18 @@ DESK = ROOT / "tests" / "data" / "desk" / "en"
 PUBLIC_NAMES = {
     "AugmentationParams", "Bm25Params", "DataError", "Document", "EmbeddingStore",
     "EnsembleConfig", "FormatError", "InvertedIndex", "JudgmentSet", "MetricReport", "PairInput",
-    "ProtocolError", "Query", "Run", "ScorerHandle", "StatsRow", "TrainingPair", "adjust_weights",
+    "ProtocolError", "Run", "ScorerHandle", "StatsRow", "TrainingPair", "adjust_weights",
     "bm25_search", "build_index", "build_pairs", "correlation_matrix", "corpus_stats", "cut_pool",
     "dense_search", "detect_policy", "ensemble_runs", "fuse", "lexical_score", "load_corpus",
     "load_embeddings", "load_index", "load_qrels", "load_topics", "macro_average", "ndcg_at_k",
     "normalize_run", "pseudo_label", "q2q2d_augment", "read_pairs", "read_run", "recall_at_k",
     "sample_negatives", "sample_negatives_corpus", "save_index", "score_pairs", "tokenize",
-    "write_embeddings", "write_pairs", "write_qrels", "write_run",
+    "write_pairs", "write_qrels", "write_run",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 49
     assert set(rankpipe.__all__) == PUBLIC_NAMES
 
 
