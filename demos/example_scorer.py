@@ -5,6 +5,12 @@ Usage: rankpipe rerank --scorer cmd:"python3 demos/example_scorer.py" ...
 
 Reads requests from stdin, answers on stdout. Swap `score()` for a real
 model and keep everything else.
+
+rankpipe streams its requests without waiting for each reply, so a scorer
+must answer in request order and flush each line, as this one does. It
+starts up to one copy per available CPU, each with its own whole queries,
+so a model is loaded once per copy; `taskset -c 0 rankpipe rerank ...` runs
+one.
 """
 import re
 import sys

@@ -8,6 +8,7 @@ modules its subcommand needs, and numpy only when one of them uses it.
 from __future__ import annotations
 
 import importlib
+import os
 
 __version__ = "0.1.0"
 
@@ -30,6 +31,12 @@ _SUBMODULE_EXPORTS = {
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 
 __all__ = sorted(_EXPORTS)
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
 
 
 def __getattr__(name: str):

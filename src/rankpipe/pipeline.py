@@ -21,13 +21,12 @@ forked ``multiprocessing`` worker per CPU, with the bytes of one process.
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from . import fusion
+from . import available_cpus, fusion
 from .corpus import load_qrels
 from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run, read_run, write_run
@@ -84,6 +83,9 @@ class ExperimentConfig:
         for key in self.values:
             if not _is_key(key):
                 raise FormatError(f"unknown key {key!r}", path=self.path, line=self.lines.get(key))
+            if "." in key and key not in VALUE_KEYS and key.partition(".")[2] not in self.languages:
+                raise FormatError(f"input key {key!r} is for a language that 'languages' does not list",
+                                  path=self.path, line=self.lines.get(key))
 
     def get(
         self,
@@ -274,7 +276,9 @@ def _rerank(config: ExperimentConfig, language: str, held: Held, values: Values)
 
     pool = _load_run(config, language, held, "pool")
     texts = values[f"topics.{language}"], values[f"corpus.{language}"]
-    return rerank.rerank_pool(pool, *texts, values["rerank.scorer"], values["pool.k"], values["rerank.budget"])
+    # an external scorer's processes share the CPUs with the other language workers
+    cpus = max(1, available_cpus() // _worker_count(len(config.languages)))
+    return rerank.rerank_pool(pool, *texts, values["rerank.scorer"], values["pool.k"], values["rerank.budget"], cpus)
 
 
 def _eval(config: ExperimentConfig, language: str, held: Held, values: Values) -> dict[tuple, MetricReport]:
@@ -353,10 +357,8 @@ def _run_share(config: ExperimentConfig, languages: list[str], stages: list[Stag
 
 
 def _worker_count(languages: int) -> int:
-    """One worker per CPU this process may run on, at most one per language;
-    one where the platform does not say which CPUs those are."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return min(languages, len(affinity(0))) if affinity else 1
+    """One worker per CPU this process may run on, at most one per language."""
+    return min(languages, available_cpus())
 
 
 def _picklable(error: BaseException) -> BaseException:

@@ -7,7 +7,7 @@ marker and of line breaks. Scoring is delegated to one of three scorer kinds:
   stand-in for a neural cross-encoder; it alone applies the pair's token
   budget (query kept whole, separators counted, title before body);
 * ``score_file``: scores copied through from a precomputed TSV;
-* ``external_process``: a child process speaking the line protocol below
+* ``external_process``: child processes speaking the line protocol below
   over stdin/stdout; any model runtime can implement it in a dozen lines.
 
 Protocol: the parent sends ``HELLO 1``, the scorer answers ``READY 1``.
@@ -15,9 +15,14 @@ Each request is ``SCORE<TAB>qid<TAB>docid<TAB>text``: the text is the full
 ``query [SEP] title [SEP] body``, untruncated (the scorer applies its own
 length limit), with backslash, tab, and newline escaped as ``\\\\``,
 ``\\t``, ``\\n``. Each response is ``qid<TAB>docid<TAB>score`` with the score
-in [0, 1], answered in request order. A scorer that sends no line, READY
-included, for ``RESPONSE_DEADLINE_S`` seconds is a protocol error naming the
-pending pair.
+in [0, 1], answered in request order.
+
+The command runs as up to one scorer per available CPU, at most one per
+query, each with a contiguous run of whole queries balanced by pair count.
+Requests are streamed, written whenever a scorer's input pipe has room, and
+each score goes back to its pair's place, so the run does not depend on the
+number of scorers. A scorer that owes a line, READY included, and sends none
+for ``RESPONSE_DEADLINE_S`` seconds is a protocol error naming that line.
 """
 from __future__ import annotations
 
@@ -25,14 +30,20 @@ import os
 import re
 import time
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import TYPE_CHECKING
 
+from . import available_cpus
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError, ProtocolError
 from .fusion import DEFAULT_POOL_K, cut_pool
 from .runs import Run, check_k
 from .tokenization import tokenize
 from .validate import data_lines
+
+if TYPE_CHECKING:
+    import subprocess
 
 SEPARATOR = "[SEP]"
 
@@ -48,7 +59,7 @@ _RUN_TAGS = {
 
 DEFAULT_BUDGET = 256
 
-# the longest wait for any one line from an external scorer, READY included
+# the longest wait for any one line an external scorer owes, READY included
 RESPONSE_DEADLINE_S = 60.0
 
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)  # a backslash and the character it escapes
@@ -177,92 +188,150 @@ def _check_score(qid: str, docid: str, score: float) -> float:
     return score
 
 
-def _score_with_process(pairs: list[PairInput], command: str) -> list[float]:
+@dataclass(eq=False)
+class _Scorer:
+    """One scorer process and its share of the pairs, a contiguous run of whole queries."""
+
+    proc: subprocess.Popen
+    pairs: list[PairInput]
+    scores: list[float] = field(default_factory=list)  # the responses so far, in request order
+    out: bytes = b"HELLO 1\n"  # being written: the handshake, then each batch of requests once READY came
+    sent: int = 0  # bytes of ``out`` written
+    ready: bool = False
+    since: float = field(default_factory=time.monotonic)  # its launch or its last line
+    partial: bytes = b""  # the start of a line whose newline has not arrived
+    batches: Iterator[bytes] = field(init=False)  # the encoded requests
+
+    def __post_init__(self) -> None:
+        requests = (f"SCORE\t{pair.qid}\t{pair.docid}\t{escape_text(pair.text)}\n" for pair in self.pairs)
+        # 32 requests at a time, then b"" once all are encoded
+        self.batches = iter(lambda: "".join(islice(requests, 32)).encode("utf-8"), b"")
+
+    def send(self) -> None:
+        """Write what the pipe takes of ``out``, then take the next batch once READY came."""
+        self.sent += os.write(self.proc.stdin.fileno(), memoryview(self.out)[self.sent:])
+        if self.sent == len(self.out) and self.ready:
+            self.out, self.sent = next(self.batches, b""), 0
+
+    def receive(self) -> None:
+        """Read what the pipe holds and take each whole line; at the end of the
+        stream, what is left is a line without its newline. The pipe is read
+        with os.read, so no line waits in a buffer while poll reports it idle."""
+        chunk = os.read(self.proc.stdout.fileno(), 65536)
+        *lines, self.partial = (self.partial + chunk).split(b"\n")
+        if not chunk and (self.partial or not self.ready):
+            lines.append(self.partial)
+        if lines:
+            self.since = time.monotonic()
+        for raw in lines:
+            line = raw.decode("utf-8")
+            if not self.ready:
+                if line.strip() != "READY 1":
+                    raise ProtocolError(f"bad handshake from scorer: {line.strip()!r}")
+                self.ready, self.out, self.sent = True, next(self.batches, b""), 0
+                continue
+            if len(self.scores) == len(self.pairs):
+                break
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ProtocolError(f"malformed response {line.strip()!r}")
+            qid, docid, score_str = fields
+            pair = self.pairs[len(self.scores)]
+            if (qid, docid) != (pair.qid, pair.docid):
+                raise ProtocolError(f"response for ({qid}, {docid}) does not match request ({pair.qid}, {pair.docid})")
+            try:
+                score = float(score_str)
+            except ValueError:
+                raise ProtocolError(f"non-numeric score in response {line.strip()!r}") from None
+            self.scores.append(_check_score(qid, docid, score))
+        if not chunk and len(self.scores) < len(self.pairs):
+            raise ProtocolError(f"scorer closed the stream after {len(self.scores)} of {len(self.pairs)} responses")
+
+
+def _shares(pairs: list[PairInput], cpus: int) -> list[list[PairInput]]:
+    """At most ``cpus`` contiguous runs of whole queries that cover ``pairs``,
+    balanced by pair count; one empty run when there are no pairs."""
+    starts = [i for i, pair in enumerate(pairs) if not i or pair.qid != pairs[i - 1].qid] or [0]
+    count = max(1, min(cpus, len(starts)))
+    cuts = [0]  # indices into starts
+    for j in range(1, count):
+        target = len(pairs) * j / count
+        cuts.append(min(range(cuts[-1] + 1, len(starts) - count + j + 1), key=lambda k: abs(starts[k] - target)))
+    edges = [starts[k] for k in cuts] + [len(pairs)]
+    return [pairs[start:stop] for start, stop in zip(edges, edges[1:])]
+
+
+def _score_with_process(pairs: list[PairInput], command: str, cpus: int) -> list[float]:
     # imported here: most calls that import this module start no scorer
     import select
     import shlex
     import subprocess
 
     argv = shlex.split(command)
+    scorers: list[_Scorer] = []
+    poller = select.poll()
     try:
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, encoding="utf-8")
-    except OSError as exc:
-        raise ProtocolError(f"cannot launch scorer {command!r}: {exc}") from None
-    scores: list[float] = []
-    received = bytearray()
-
-    def receive(pending: str) -> str:
-        """The scorer's next line, '' at end of stream; a ProtocolError when it
-        does not arrive within RESPONSE_DEADLINE_S."""
-        deadline = time.monotonic() + RESPONSE_DEADLINE_S
-        while b"\n" not in received:
-            events = dict(poller.poll(max(deadline - time.monotonic(), 0.0) * 1000))
-            if out_fd in events:
-                chunk = os.read(out_fd, 65536)
-                if not chunk:  # end of stream: what is left, maybe a line without its newline
-                    break
-                received.extend(chunk)
-            elif events:  # POLLERR on stdin alone: the scorer closed its input
-                raise BrokenPipeError
-            else:
+        for share in _shares(pairs, cpus):
+            try:
+                proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            except OSError as exc:
+                raise ProtocolError(f"cannot launch scorer {command!r}: {exc}") from None
+            scorers.append(_Scorer(proc, share))
+            os.set_blocking(proc.stdin.fileno(), False)
+            poller.register(proc.stdin.fileno(), select.POLLOUT)
+            poller.register(proc.stdout.fileno(), select.POLLIN)
+        active = list(scorers)
+        while active:
+            # each active scorer owes a line, READY or the response to a request
+            # begun, since its input is written whenever the pipe has room
+            oldest = min(active, key=lambda s: s.since)
+            wait = oldest.since + RESPONSE_DEADLINE_S - time.monotonic()
+            if wait <= 0:
+                pair = oldest.pairs[len(oldest.scores)] if oldest.ready else None
+                pending = f"the response to ({pair.qid}, {pair.docid})" if pair else "READY 1"
                 raise ProtocolError(f"no line from the scorer within {RESPONSE_DEADLINE_S:g} s, waiting for {pending}")
-        end = received.find(b"\n") + 1 or len(received)
-        line = received[:end].decode("utf-8")
-        del received[:end]
-        return line
-
-    try:
-        assert proc.stdin is not None and proc.stdout is not None
-        # stdout is read with os.read, never through proc.stdout's buffer, so no
-        # complete line can wait in a buffer while poll reports the pipe idle
-        out_fd = proc.stdout.fileno()
-        poller = select.poll()
-        poller.register(out_fd, select.POLLIN)
-        poller.register(proc.stdin.fileno(), 0)  # POLLERR once the scorer closes its input
-        proc.stdin.write("HELLO 1\n")
-        proc.stdin.flush()
-        ready = receive("READY 1")
-        if ready.strip() != "READY 1":
-            raise ProtocolError(f"bad handshake from scorer: {ready.strip()!r}")
-        for pair in pairs:
-            proc.stdin.write(f"SCORE\t{pair.qid}\t{pair.docid}\t{escape_text(pair.text)}\n")
-            proc.stdin.flush()
-            reply = receive(f"the response to ({pair.qid}, {pair.docid})")
-            if not reply:
-                raise ProtocolError(f"scorer closed the stream after {len(scores)} of {len(pairs)} responses")
-            fields = reply.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ProtocolError(f"malformed response {reply.strip()!r}")
-            qid, docid, score_str = fields
-            if (qid, docid) != (pair.qid, pair.docid):
-                raise ProtocolError(f"response for ({qid}, {docid}) does not match request ({pair.qid}, {pair.docid})")
+            events = dict(poller.poll(wait * 1000))
+            for s in [s for s in active if s.proc.stdin.fileno() in events or s.proc.stdout.fileno() in events]:
+                in_fd, out_fd = s.proc.stdin.fileno(), s.proc.stdout.fileno()
+                try:
+                    if out_fd in events:
+                        s.receive()
+                    elif s.sent == len(s.out):  # POLLERR on an input polled for nothing: the scorer closed it
+                        raise BrokenPipeError
+                    if in_fd in events and s.sent < len(s.out):
+                        s.send()
+                except BrokenPipeError:
+                    raise ProtocolError(
+                        f"scorer closed its input after {len(s.scores)} of {len(s.pairs)} responses") from None
+                if s.ready and len(s.scores) == len(s.pairs):
+                    poller.unregister(in_fd)
+                    poller.unregister(out_fd)
+                    s.proc.stdin.close()  # its input ends, so it can exit
+                    active.remove(s)
+                else:
+                    poller.modify(in_fd, select.POLLOUT if s.sent < len(s.out) else 0)
+        return [score for s in scorers for score in s.scores]
+    finally:  # every scorer is stopped first, then all are reaped within one deadline
+        for s in scorers:
+            s.proc.stdin.close()  # nothing is buffered: requests are written with os.write
+            s.proc.stdout.close()
+            s.proc.terminate()
+        deadline = time.monotonic() + 10
+        for s in scorers:
             try:
-                score = float(score_str)
-            except ValueError:
-                raise ProtocolError(f"non-numeric score in response {reply.strip()!r}") from None
-            scores.append(_check_score(qid, docid, score))
-        return scores
-    except BrokenPipeError:
-        raise ProtocolError(f"scorer closed its input after {len(scores)} of {len(pairs)} responses") from None
-    finally:
-        for stream in (proc.stdin, proc.stdout):
-            try:
-                stream.close()
-            except OSError:
-                pass
-        proc.terminate()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+                s.proc.wait(timeout=max(deadline - time.monotonic(), 0))
+            except subprocess.TimeoutExpired:
+                s.proc.kill()
+                s.proc.wait()
 
 
-def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle) -> Run:
+def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle, cpus: int | None = None) -> Run:
     """Score every pair and assemble a reranked run.
 
     The output contains exactly the input (qid, docid) pairs: no drops, no
-    inventions. Raises ProtocolError when a scorer misbehaves.
+    inventions. An external scorer runs as up to ``cpus`` processes, by
+    default one per CPU this process may run on. Raises ProtocolError when a
+    scorer misbehaves.
     """
     pair_list = list(pairs)
     if scorer.kind == LEXICAL_BASELINE:
@@ -275,7 +344,7 @@ def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle) -> Run:
                 raise ProtocolError(f"score file lacks an entry for ({pair.qid}, {pair.docid})")
             scores.append(_check_score(pair.qid, pair.docid, table[(pair.qid, pair.docid)]))
     else:
-        scores = _score_with_process(pair_list, scorer.location)
+        scores = _score_with_process(pair_list, scorer.location, available_cpus() if cpus is None else cpus)
     per_query: dict[str, dict[str, float]] = {}
     for pair, score in zip(pair_list, scores):
         per_query.setdefault(pair.qid, {})[pair.docid] = score
@@ -289,11 +358,13 @@ def rerank_pool(
     scorer: ScorerHandle = ScorerHandle(),
     pool_k: int = DEFAULT_POOL_K,
     budget: int = DEFAULT_BUDGET,
+    cpus: int | None = None,
 ) -> Run:
-    """The rerank stage: score the first ``pool_k`` candidates of every pool query."""
+    """The rerank stage: score the first ``pool_k`` candidates of every pool query,
+    an external scorer with up to ``cpus`` processes (see ``score_pairs``)."""
     check_k(budget, name="budget")  # budget and pool_k before the reads, so that an empty pool cannot hide them
     pool = cut_pool(pool, pool_k)
     topics = load_topics(topics_path)
     corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
     pairs = build_pairs(pool, topics, corpus_lookup, budget)
-    return score_pairs(pairs, scorer)
+    return score_pairs(pairs, scorer, cpus)

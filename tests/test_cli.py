@@ -635,6 +635,17 @@ class TestConfig:
         assert f"{cfg_path}:{len(lines) + 1}: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["topics.fr = nowhere.tsv", "corpus.yy = corpus.jsonl"])
+    def test_input_key_for_an_unlisted_language_is_a_data_error_at_its_line(self, tmp_path, capsys, line):
+        cfg_path = write_tiny_project(tmp_path)  # languages = xx
+        lines = cfg_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cfg_path.write_text("".join(lines) + line + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        key = line.split()[0]
+        assert (f"{cfg_path}:{len(lines) + 1}: input key {key!r} is for a language that 'languages' does not list"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_get_refuses_a_key_outside_the_known_keys(self, tmp_path):
         config = load_config(str(write_tiny_project(tmp_path)))
         with pytest.raises(KeyError, match="retreive.k"):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import os
 import re
+import shlex
 import shutil
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import replace
@@ -147,6 +149,53 @@ def test_worker_count_changes_no_byte(tmp_path, monkeypatch, capsys):
     assert digests[0] == digests[1]
     assert stdouts[0] == stdouts[1]
     assert "summary.tsv" in digests[0]
+
+
+# runs the scorer script named by its second argument, keeping a file named
+# by its pid in the directory named by its first while it runs, and logging
+# how many such files it saw at its start
+COUNTING_SCORER = """\
+import os, runpy, signal, sys
+running, script = sys.argv[1:]
+mine = os.path.join(running, str(os.getpid()))
+open(mine, "w").close()
+with open(running + ".log", "a") as fh:
+    fh.write(f"{len(os.listdir(running))}\\n")
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
+try:
+    sys.argv = [script]
+    runpy.run_path(script, run_name="__main__")
+finally:
+    os.remove(mine)
+"""
+
+
+def test_external_scorers_change_no_byte_and_stay_within_the_cpus(tmp_path, monkeypatch, capsys):
+    cfg = _desk(tmp_path)
+    out, running = cfg.parent / "out", tmp_path / "running"
+    (tmp_path / "counting.py").write_text(COUNTING_SCORER, encoding="utf-8")
+    reference = Path(__file__).resolve().parent.parent / "demos" / "example_scorer.py"
+    command = shlex.join([sys.executable, str(tmp_path / "counting.py"), str(running), str(reference)])
+    text = re.sub(r"(?m)^rerank.scorer = .*$", f"rerank.scorer = cmd:{command}", cfg.read_text(encoding="utf-8"))
+    cfg.write_text(text, encoding="utf-8")
+    digests = []
+    # 6 CPUs: three language workers with two scorers each
+    for cpus in (1, 3, 6):
+        _cpus(monkeypatch, cpus)
+        running.mkdir()
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        digests.append(tree_digest(out))
+        seen = [int(n) for n in Path(f"{running}.log").read_text(encoding="utf-8").split()]
+        # one rerank per language, each with its share of the CPUs: 1, 1 and 2 scorers
+        assert len(seen) == 3 * max(1, cpus // 3) and max(seen) <= cpus, (cpus, seen)
+        assert not any(running.iterdir())
+        shutil.rmtree(running)
+        Path(f"{running}.log").unlink()
+        _assert_no_child_left()
+    capsys.readouterr()
+    assert digests[0] == digests[1] == digests[2]
+    assert "rerank-ext" in (out / "en" / "rerank.trec").read_text(encoding="utf-8")
 
 
 def _break_docid(cfg: Path, language: str) -> Path:

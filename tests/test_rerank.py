@@ -1,6 +1,8 @@
 import json
+import os
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,6 +327,37 @@ for line in sys.stdin:
 """
 
 
+# answers READY, then reads nothing more
+DEAF_AFTER_READY_SCORER = """\
+import sys, time
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+time.sleep(60)
+"""
+
+# appends its pid to the file named by its argument, then answers every request with a wrong docid
+PID_SCORER = """\
+import os, sys
+with open(sys.argv[1], "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+for line in sys.stdin:
+    parts = line.rstrip("\\n").split("\\t")
+    print(f"{parts[1]}\\tWRONG\\t0.5", flush=True)
+"""
+
+# a score that depends on the request text alone
+CHECKSUM_SCORER = """\
+import sys, zlib
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+for line in sys.stdin:
+    _, qid, docid, text = line.rstrip("\\n").split("\\t")
+    print(f"{qid}\\t{docid}\\t{zlib.crc32(text.encode()) / 2**32!r}", flush=True)
+"""
+
+
 def scorer_handle(tmp_path, source, name="scorer.py"):
     path = tmp_path / name
     path.write_text(source)
@@ -396,6 +429,74 @@ class TestExternalScorer:
         pairs = [PairInput("q1", "d1", "a", "", "b")]
         with pytest.raises(ProtocolError, match="launch"):
             score_pairs(pairs, ScorerHandle("external_process", "/nonexistent/scorer"))
+
+    def test_scorer_that_stops_reading_is_a_protocol_error_naming_the_pending_pair(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rerank, "RESPONSE_DEADLINE_S", 0.5)
+        pairs = [PairInput("q1", "d1", "a", "", "b" * 1_000_000)]  # more than a pipe holds
+        started = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"within 0\.5 s, waiting for the response to \(q1, d1\)"):
+            score_pairs(pairs, scorer_handle(tmp_path, DEAF_AFTER_READY_SCORER))
+        assert time.monotonic() - started < 10
+
+
+def _assert_gone(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestScorerPerCpu:
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=9))
+    def test_run_bytes_do_not_depend_on_the_cpu_count(self, tmp_path_factory, sizes):
+        tmp_path = tmp_path_factory.mktemp("scorer")
+        pairs = [PairInput(f"q{q}", f"d{d}", f"query {q}", "", f"body {q} {d}")
+                 for q, size in enumerate(sizes) for d in range(size)]
+        handle = scorer_handle(tmp_path, CHECKSUM_SCORER)
+        texts = set()
+        for cpus in (1, 2, 3):
+            shares = rerank._shares(pairs, cpus)
+            # contiguous runs of whole queries that cover the pairs, one per CPU and at most one per query
+            assert len(shares) == min(cpus, len(sizes)) and all(shares)
+            assert [pair for share in shares for pair in share] == pairs
+            assert all(before[-1].qid != after[0].qid for before, after in zip(shares, shares[1:]))
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+                out = tmp_path / f"run{cpus}.trec"
+                write_run(score_pairs(pairs, handle), str(out))
+            texts.add(out.read_bytes())
+        assert len(texts) == 1
+
+    def test_no_scorer_outlives_a_failed_call(self, tmp_path):
+        pids = tmp_path / "pids"
+        script = tmp_path / "scorer.py"
+        script.write_text(PID_SCORER)
+        pairs = [PairInput(f"q{q}", f"d{d}", "a", "", "b") for q in range(3) for d in range(4)]
+        handle = ScorerHandle("external_process", f"{sys.executable} {script} {pids}")
+        with pytest.raises(ProtocolError, match="does not match"):
+            score_pairs(pairs, handle, cpus=3)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert 1 <= len(started) <= 3
+        _assert_gone(started)
+
+    def test_a_scorer_that_cannot_be_launched_stops_those_started(self, tmp_path, monkeypatch):
+        import subprocess
+
+        popen, launched = subprocess.Popen, []
+
+        def second_fails(*args, **kwargs):
+            if launched:
+                raise OSError("no more processes")
+            launched.append(popen(*args, **kwargs))
+            return launched[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", second_fails)
+        pairs = [PairInput(f"q{q}", "d1", "a", "", "b") for q in range(2)]
+        with pytest.raises(ProtocolError, match="cannot launch scorer .*no more processes"):
+            score_pairs(pairs, scorer_handle(tmp_path, ECHO_SCORER), cpus=2)
+        assert launched[0].returncode is not None
+        _assert_gone([launched[0].pid])
 
 
 class TestEscaping:
