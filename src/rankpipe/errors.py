@@ -10,6 +10,7 @@ class FormatError(DataError):
     """File-format violation, optionally pinned to a path and line number."""
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
+        self.message = message
         self.path = path
         self.line = line
         prefix = ""

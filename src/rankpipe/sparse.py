@@ -8,34 +8,37 @@ The scoring function is the Lucene-style variant
 with ``idf(t) = ln(1 + (N - df(t) + 0.5) / (df(t) + 0.5))``, which is
 nonnegative for every term. Defaults k1=0.9, b=0.4.
 
-An index file (``RPIDX004``) stores each term's postings as d-gaps (the
+An index file (``RPIDX005``) stores each term's postings as d-gaps (the
 first doc ordinal, then the difference to the one before) and term
 frequencies, each column at the narrowest of 1, 2 or 4 bytes that holds its
-largest value, the tfs not at all where every one is 1; ``save_index``
-gives the layout.
+largest value, the tfs not at all where every one is 1. The sorted terms
+are front-coded, and everything after the tokenization name is one zlib
+stream at ``DEFLATE_LEVEL``; ``save_index`` gives the layout.
 """
 from __future__ import annotations
 
 import math
 import struct
 import sys
+import zlib
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, takewhile
+from operator import eq, sub
 
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run, check_k
 from .tokenization import AUTO, tokenize
 
-_MAGIC = b"RPIDX004"
+_MAGIC = b"RPIDX005"
 # RPIDX001 segmented auto text by majority script; RPIDX002 spent a u32 on every ordinal and tf;
-# RPIDX003 stored ordinals, not d-gaps, at one width per file
+# RPIDX003 stored ordinals, not d-gaps, at one width per file; RPIDX004 stored whole terms, uncompressed
 _OLD_MAGICS = {b"RPIDX001": "an older auto tokenization", b"RPIDX002": "an older layout",
-               b"RPIDX003": "an older layout"}
+               b"RPIDX003": "an older layout", b"RPIDX004": "an older layout"}
+DEFLATE_LEVEL = 1  # each load compresses again to check; level 6 writes 7% fewer bytes at 3 times the time
 _HEADER = struct.Struct("<4BI")  # the widths of doc lengths, docid sizes, term sizes and dfs; the doc count
 _TYPECODES = {1: "B", 2: "H", 4: "I"}  # column width in bytes -> array typecode
 _U32 = struct.Struct("<I")
@@ -202,40 +205,47 @@ def _postings_width(plist: Postings) -> int:
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as ``RPIDX004``.
+    """Persist the index as ``RPIDX005``.
 
     Layout, every integer little-endian: the magic; the tokenization's name
-    as a u32 byte count and its UTF-8 bytes; four width bytes (doc lengths,
-    docid sizes, term sizes, dfs) and a u32 doc count; the docid sizes, the
-    docids' UTF-8 bytes back to back and the doc lengths; a u32 term count,
-    then per term in sorted order its size, its df and its postings-width
-    byte, each as one column, and the terms' UTF-8 bytes back to back; then
-    per term its df d-gaps and, unless its tf width is 0, its df tfs. Each
-    column's width is the narrowest of 1, 2 or 4 bytes that holds its
-    largest value. Nothing follows the last term, and two builds over the
-    same stream serialize to identical bytes. ``load_index`` does not check
-    the widths, so a file with a column wider than that loads and saves back
-    narrower: a file is the one serialization of its index only when this
-    function wrote it.
+    as a u32 byte count and its UTF-8 bytes; the payload's u32 byte size and
+    ``zlib.compress(payload, DEFLATE_LEVEL)``. The payload: four width bytes
+    (doc lengths, docid sizes, term sizes, dfs) and a u32 doc count; the
+    docid sizes, the docids' UTF-8 bytes back to back and the doc lengths; a
+    u32 term count, then per term in sorted order the byte count of its
+    longest prefix shared with the term before and the byte size of its
+    rest, both at the term-size width, its df and its postings-width byte,
+    each as one column, and the rests back to back; then per term its df
+    d-gaps and, unless its tf width is 0, its df tfs. Each column's width is
+    the narrowest of 1, 2 or 4 bytes that holds its largest value (for the
+    term sizes, the longest term's). Nothing follows the last term. Two
+    builds over the same documents give the same payload, and with one zlib
+    build the same bytes. ``load_index`` does not check the widths, so a
+    payload with a column wider than that loads and saves back narrower.
     """
     policy = AUTO.encode("utf-8")
     docids = [docid.encode("utf-8") for docid in index.docids]
     terms = sorted(index.postings)
     names = [term.encode("utf-8") for term in terms]
+    # the byte count of the longest prefix that each term shares with the term before it
+    shared = [sum(takewhile(bool, map(eq, previous, name))) for previous, name in zip([b"", *names], names)]
+    suffixes = [name[size:] for name, size in zip(names, shared)]
     plists = [index.postings[term] for term in terms]
     docid_sizes, term_sizes, dfs = list(map(len, docids)), list(map(len, names)), list(map(len, plists))
     widths = [_width(max(column, default=0)) for column in (index.doc_lengths, docid_sizes, term_sizes, dfs)]
     length_w, docid_w, term_w, df_w = widths
     postings_widths = bytes(map(_postings_width, plists))
-    chunks: list = [_MAGIC, _U32.pack(len(policy)), policy, _HEADER.pack(*widths, index.doc_count),
-                    _array(docid_sizes, docid_w), *docids, _array(index.doc_lengths, length_w),
-                    _U32.pack(len(terms)), _array(term_sizes, term_w), _array(dfs, df_w), postings_widths, *names]
+    chunks: list = [_HEADER.pack(*widths, index.doc_count), _array(docid_sizes, docid_w), *docids,
+                    _array(index.doc_lengths, length_w), _U32.pack(len(terms)), _array(shared, term_w),
+                    _array(map(len, suffixes), term_w), _array(dfs, df_w), postings_widths, *suffixes]
     for plist, width in zip(plists, postings_widths):
         chunks.append(_array(plist.gaps, width & 15))
         if width >> 4:
             chunks.append(_array(plist.tfs, width >> 4))
+    payload = b"".join(chunks)
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(b"".join([_MAGIC, _U32.pack(len(policy)), policy, _U32.pack(len(payload)),
+                           zlib.compress(payload, DEFLATE_LEVEL)]))
 
 
 def _read_column(data: bytes, pos: int, count: int, width: int) -> tuple[array, int]:
@@ -256,10 +266,25 @@ def _read_strings(data: bytes, pos: int, sizes: Iterable[int]) -> tuple[list[str
     return [data[start:end].decode("utf-8") for start, end in zip(ends, ends[1:])], ends[-1]
 
 
+def _inflate(stream: bytes, size: int) -> bytes:
+    """The ``size``-byte payload in ``stream``, if the stream is exactly what ``save_index`` writes for it."""
+    if size > 1032 * len(stream):  # deflate's largest ratio: no stream this long inflates to more
+        raise ValueError(f"a payload of {size} bytes cannot inflate from {len(stream)} bytes")
+    inflater = zlib.decompressobj()
+    payload = inflater.decompress(stream)
+    if not inflater.eof or inflater.unused_data or len(payload) != size:
+        raise ValueError(f"the deflate stream does not end at the end of the file with a payload of {size} bytes")
+    if zlib.compress(payload, DEFLATE_LEVEL) != stream:  # also a padding bit flipped in the last deflate byte
+        raise ValueError(f"the deflate stream is not the one this zlib ({zlib.ZLIB_RUNTIME_VERSION}) writes "
+                         f"at level {DEFLATE_LEVEL}; rebuild it with `rankpipe index build`")
+    return payload
+
+
 def load_index(path: str) -> InvertedIndex:
-    """Read an ``RPIDX004`` file; a break of its layout or of the invariants
-    of ``Postings``, or a docid that is empty, holds whitespace or repeats,
-    is a ``FormatError`` naming ``path``."""
+    """Read an ``RPIDX005`` file; a break of its layout, of its front coding
+    or of the invariants of ``Postings``, a deflate stream other than the
+    one ``save_index`` writes for its payload, or a docid that is empty,
+    holds whitespace or repeats, is a ``FormatError`` naming ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:len(_MAGIC)]
@@ -273,28 +298,35 @@ def load_index(path: str) -> InvertedIndex:
         if policy != AUTO:
             raise FormatError(f"index tokenized by {policy!r}, not {AUTO!r}; "
                               "rebuild it with `rankpipe index build`", path=path)
-        length_w, docid_w, term_w, df_w, doc_count = _HEADER.unpack_from(data, pos)
-        docid_sizes, pos = _read_column(data, pos + _HEADER.size, doc_count, docid_w)
+        data = _inflate(data[pos + 4:], *_U32.unpack_from(data, pos))
+        length_w, docid_w, term_w, df_w, doc_count = _HEADER.unpack_from(data)
+        docid_sizes, pos = _read_column(data, _HEADER.size, doc_count, docid_w)
         docids, pos = _read_strings(data, pos, docid_sizes)
         doc_lengths, pos = _read_column(data, pos, doc_count, length_w)
         (n_terms,) = _U32.unpack_from(data, pos)
-        term_sizes, pos = _read_column(data, pos + 4, n_terms, term_w)
+        shared, pos = _read_column(data, pos + 4, n_terms, term_w)
+        suffix_sizes, pos = _read_column(data, pos, n_terms, term_w)
         dfs, pos = _read_column(data, pos, n_terms, df_w)
         postings_widths, pos = _read_column(data, pos, n_terms, 1)
-        terms, pos = _read_strings(data, pos, term_sizes)
+        ends = list(accumulate(suffix_sizes, initial=pos))
+        pos = ends[-1]  # if that is past the end, the first postings read raises EOFError before a rest is read
         if " ".join(docids).split() != docids:  # each docid is a run line's column, as in validate._run_id
             bad = next(docid for docid in docids if docid.split() != [docid])
             raise ValueError(f"docid {bad!r} is empty or contains whitespace")
         if len(set(docids)) != doc_count:
             raise ValueError("a docid is repeated")
         postings: dict[str, Postings] = {}
-        previous = ""
-        for term, df, width in zip(terms, dfs, postings_widths):
-            if term <= previous:
-                raise ValueError(f"term {term!r} is out of sorted order or repeated")
-            previous = term
+        previous = b""
+        for start, end, prefix, df, width in zip(ends, ends[1:], shared, dfs, postings_widths):
             gaps, pos = _read_column(data, pos, df, width & 15)
             tfs, pos = _read_column(data, pos, df, width >> 4) if width >> 4 else (_ONE * df, pos)
+            suffix = data[start:end]
+            # a longest shared prefix, a non-empty rest and sorted order in one test: the rest's
+            # first byte is above the previous term's byte at that offset, or the previous term ends there
+            if prefix > len(previous) or suffix[:1] <= previous[prefix:prefix + 1]:
+                raise ValueError(f"term {len(postings)} is not front-coded in sorted order after the term before it")
+            previous = previous[:prefix] + suffix
+            term = previous.decode("utf-8")
             postings[term] = Postings(gaps, tfs)
             if df and (0 in gaps[1:] or sum(gaps) >= doc_count):
                 raise ValueError(f"d-gaps of term {term!r} do not give ascending ordinals below {doc_count}")
@@ -304,7 +336,7 @@ def load_index(path: str) -> InvertedIndex:
         raise FormatError("truncated index file", path=path) from None
     except UnicodeDecodeError:
         raise FormatError("a docid or term is not valid UTF-8", path=path) from None
-    except ValueError as exc:  # a check above names what the file breaks
+    except (ValueError, zlib.error) as exc:  # a check above, or zlib, names what the file breaks
         raise FormatError(str(exc), path=path) from None
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} bytes after the last term", path=path)

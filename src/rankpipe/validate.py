@@ -1,7 +1,7 @@
 """The line formats of the toolkit's text files, parsed once for the loaders
-and for ``validate``.
+and for ``validate``, which checks an index file with its loader.
 
-Every reader goes through ``data_lines``. Each artifact kind has one parser
+Every reader goes through ``data_lines``. Each text kind has one parser
 generator, ``parse_<kind>(path, report)``, that yields ``(line number,
 record)`` for every valid line and passes each bad line to ``report`` as one
 Diagnostic, then skips it. The loaders pass ``raise_diagnostic``, so the
@@ -30,6 +30,7 @@ _SUFFIXES = {
     ".vec.tsv": "vectors",
     ".jsonl": "corpus",
     ".topics.tsv": "topics",
+    ".rpidx": "index",
 }
 
 
@@ -289,6 +290,16 @@ def _check_run_order(path: str, records: Records, report: Report) -> None:
             report(Diagnostic(path, lineno, "run.order", f"({qid}, {docid}) out of ranked order"))
 
 
+def _check_index(path: str, report: Report) -> Records:
+    """An index has no lines: its loader is its parser, and its first problem a whole-file diagnostic."""
+    from .sparse import load_index  # here, so that validating text files imports no index code
+    try:
+        load_index(path)
+    except FormatError as exc:
+        report(Diagnostic(path, 0, "index", exc.message))
+    return iter(())
+
+
 _PARSERS = {
     "run": parse_run,
     "qrels": parse_qrels,
@@ -296,6 +307,7 @@ _PARSERS = {
     "vectors": parse_vectors,
     "corpus": parse_corpus,
     "topics": parse_topics,
+    "index": _check_index,
 }
 KINDS = tuple(_PARSERS)
 

@@ -106,7 +106,7 @@ class TestSubcommands:
         index_path = tmp_path / "idx.rpidx"
         assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(index_path)]) == 0
         current = index_path.read_bytes()
-        for magic in (b"RPIDX001", b"RPIDX002", b"RPIDX003"):
+        for magic in (b"RPIDX001", b"RPIDX002", b"RPIDX003", b"RPIDX004"):
             index_path.write_bytes(magic + current[8:])
             assert main(
                 ["retrieve", "bm25", "--index", str(index_path), "--topics", str(tmp_path / "topics.tsv"),

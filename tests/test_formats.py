@@ -3,6 +3,7 @@
 Both go through the parsers in ``rankpipe.validate``. The property test
 mutates valid files line by line and checks that a loader raises exactly
 when ``validate`` reports a problem it does not tolerate, at the same line.
+The binary index has no lines: ``validate`` reports its loader's error.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from rankpipe.dense import load_embeddings
 from rankpipe.errors import DataError, FormatError
 from rankpipe.forge import read_pairs
 from rankpipe.runs import read_run
-from rankpipe.validate import KINDS, validate_artifacts
+from rankpipe.sparse import load_index
+from rankpipe.validate import KINDS, Diagnostic, validate_artifacts
 
 from test_cli import write_tiny_project
 
@@ -56,6 +58,7 @@ LOADERS = {
 
 SEPARATORS = {"topics": "\t", "qrels": " ", "run": " ", "pairs": "\t", "vectors": "\t"}
 NUMERIC_FIELD = {"qrels": 3, "run": 4, "pairs": 2}
+LINE_KINDS = tuple(kind for kind in KINDS if kind != "index")
 
 
 def _fields(kind: str, line: str) -> list[str]:
@@ -158,7 +161,7 @@ def _check_agreement(kind: str, path: str) -> list:
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(KINDS), data=st.data())
+@given(kind=st.sampled_from(LINE_KINDS), data=st.data())
 def test_loader_raises_exactly_when_validate_reports(kind, data):
     lines = VALID[kind]
     for _ in range(data.draw(st.integers(1, 3))):
@@ -172,12 +175,31 @@ def test_loader_raises_exactly_when_validate_reports(kind, data):
     assert len({d.line for d in diags}) == len(diags)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", LINE_KINDS)
 def test_valid_files_load_and_validate_clean(tmp_path, kind):
     path = tmp_path / f"file.{kind}"
     path.write_text("# provenance\n" + "\n".join(VALID[kind]) + "\n", encoding="utf-8")
     assert validate_artifacts([str(path)], kind=kind) == []
     LOADERS[kind](str(path))
+
+
+def test_validate_reports_an_index_exactly_when_its_loader_raises(tmp_path, capsys):
+    write_tiny_project(tmp_path)
+    good = tmp_path / "idx.rpidx"
+    assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(good)]) == 0
+    data = good.read_bytes()
+    assert validate_artifacts([str(good)]) == []
+    assert main(["validate", str(good)]) == 0
+    bad = tmp_path / "bad.idx"  # no .rpidx suffix, so only --kind index names it
+    for mutation in (b"RPIDX004" + data[8:], data[:-1], data + b"\0", data[:30] + bytes([data[30] ^ 1]) + data[31:]):
+        bad.write_bytes(mutation)
+        assert validate_artifacts([str(bad)])[0].rule == "kind"
+        with pytest.raises(FormatError) as exc:
+            load_index(str(bad))
+        assert validate_artifacts([str(bad)], kind="index") == [Diagnostic(str(bad), 0, "index", exc.value.message)]
+        capsys.readouterr()
+        assert main(["validate", "--kind", "index", str(bad)]) == 2
+        assert capsys.readouterr().out == f"{bad}:0: [index] {exc.value.message}\n1 problem(s) found\n"
 
 
 class TestFormerDrifts:
@@ -289,7 +311,7 @@ def _utf8_case(root: Path, case: str) -> tuple[list[str], Path]:
 @pytest.mark.parametrize(
     "case",
     ["eval --run", "fuse", "retrieve dense", "forge pseudo", "rerank --scorer file:", "pipeline --config"]
-    + [f"validate {kind}" for kind in KINDS],
+    + [f"validate {kind}" for kind in LINE_KINDS],
 )
 def test_invalid_utf8_is_a_data_error_with_location(tmp_path, capsys, case):
     argv, bad = _utf8_case(tmp_path, case)

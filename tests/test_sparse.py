@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -38,22 +39,47 @@ def gaps(ordinals: list[int]) -> list[int]:
 
 
 def file_widths(path) -> tuple[tuple[int, ...], dict[str, int]]:
-    """The header's four widths (doc lengths, docid sizes, term sizes, dfs)
-    and each term's postings-width byte, found by walking the layout."""
-    data = path.read_bytes()
+    """The payload header's four widths (doc lengths, docid sizes, term
+    sizes, dfs) and each term's postings-width byte, found by inflating the
+    file and walking the layout."""
+    data = zlib.decompress(path.read_bytes()[20:])  # after the magic, the tokenization name and the payload size
     typecode = {1: "B", 2: "H", 4: "I"}
-    length_w, docid_w, term_w, df_w, doc_count = struct.unpack_from("<4BI", data, 16)
-    docid_sizes = struct.unpack_from(f"<{doc_count}{typecode[docid_w]}", data, 24)
-    pos = 24 + doc_count * (docid_w + length_w) + sum(docid_sizes)
+    length_w, docid_w, term_w, df_w, doc_count = struct.unpack_from("<4BI", data)
+    docid_sizes = struct.unpack_from(f"<{doc_count}{typecode[docid_w]}", data, 8)
+    pos = 8 + doc_count * (docid_w + length_w) + sum(docid_sizes)
     (n_terms,) = struct.unpack_from("<I", data, pos)
-    term_sizes = struct.unpack_from(f"<{n_terms}{typecode[term_w]}", data, pos + 4)
-    pos += 4 + n_terms * (term_w + df_w)
+    shared, suffix_sizes = (struct.unpack_from(f"<{n_terms}{typecode[term_w]}", data, pos + 4 + i * n_terms * term_w)
+                            for i in (0, 1))
+    pos += 4 + n_terms * (2 * term_w + df_w)
     widths, pos = data[pos:pos + n_terms], pos + n_terms
-    terms = []
-    for size in term_sizes:
-        terms.append(data[pos:pos + size].decode("utf-8"))
+    terms, name = [], b""
+    for prefix, size in zip(shared, suffix_sizes):
+        name = name[:prefix] + data[pos:pos + size]
+        terms.append(name.decode("utf-8"))
         pos += size
     return (length_w, docid_w, term_w, df_w), dict(zip(terms, widths))
+
+
+def index_file(payload: bytes, level: int = 1, size: int | None = None) -> bytes:
+    """An ``RPIDX005`` file: the uncompressed header, with ``size`` in place
+    of the payload's size if given, and ``payload`` deflated at ``level``."""
+    size = len(payload) if size is None else size
+    return b"".join([b"RPIDX005", struct.pack("<I", 4), b"auto", struct.pack("<I", size),
+                     zlib.compress(payload, level)])
+
+
+# the payload of an index of Document("d1", "", "ab a ab") and Document("doc2", "", "ab b"),
+# with its term dictionary (terms a, ab, b) at offsets 22 to 37
+TINY_DICTIONARY = b"".join([
+    bytes([0, 1, 0]), bytes([1, 1, 1]),  # shared prefix sizes, suffix sizes: ab shares a's byte
+    bytes([1, 2, 1]), bytes([0x01, 0x11, 0x01]), b"a" b"b" b"b",  # dfs, postings widths, suffixes
+])
+TINY_PAYLOAD = b"".join([
+    bytes([1, 1, 1, 1]), struct.pack("<I", 2),  # widths: doc lengths, docid sizes, term sizes, dfs
+    bytes([2, 4]), b"d1doc2", bytes([3, 2]),  # docid sizes, docids, doc lengths
+    struct.pack("<I", 3), TINY_DICTIONARY,
+    bytes([0]), bytes([0, 1]), bytes([2, 1]), bytes([1]),  # a: gap; ab: gaps, tfs; b: gap
+])
 
 
 # 65,537 documents; (ordinals, tfs) per term: between them every gap width
@@ -65,7 +91,12 @@ ALL_WIDTHS = {
     "d": ([1, 2], [3, 1]),
 }
 ALL_WIDTHS_BYTES = {"a": 0x04, "b": 0x22, "c": 0x41, "d": 0x11}
-_TERMS = st.text(alphabet="abcé", min_size=1, max_size=3) | st.sampled_from(["文", "字"])
+# shared prefixes that end inside a character (é and ê share the byte 0xC3) and after one (北京, 北海)
+_TERMS = st.text(alphabet="abéê", min_size=1, max_size=3) | st.sampled_from(["文", "字", "北", "北京", "北海"])
+# (ordinals, tfs) of terms that are prefixes of the next or share part of a character with it
+PREFIX_TERMS = {"a": ([0], [1]), "ab": ([1], [2]), "abé": ([0, 2], [1, 1]), "abê": ([2], [3]), "é": ([1], [1]),
+                "éa": ([0], [1]), "ê": ([2], [1]), "北": ([0], [1]), "北京": ([1], [1]),
+                "北海": ([0, 1], [2, 2])}
 _TFS = st.integers(1, 3) | st.sampled_from([255, 256, 65_535, 65_536, 70_000])
 
 
@@ -240,14 +271,9 @@ class TestPersistence:
 
     def test_layout(self, tmp_path):
         path = tmp_path / "tiny.rpidx"
-        save_index(build_index([Document("d1", "", "b a b"), Document("doc2", "", "b c")]), str(path))
-        assert path.read_bytes() == b"".join([
-            b"RPIDX004", struct.pack("<I", 4), b"auto",
-            bytes([1, 1, 1, 1]), struct.pack("<I", 2),  # widths: doc lengths, docid sizes, term sizes, dfs
-            bytes([2, 4]), b"d1doc2", bytes([3, 2]),  # docid sizes, docids, doc lengths
-            struct.pack("<I", 3), bytes([1, 1, 1]), bytes([1, 2, 1]), bytes([0x01, 0x11, 0x01]), b"abc",
-            bytes([0]), bytes([0, 1]), bytes([2, 1]), bytes([1]),  # a: gap; b: gaps, tfs; c: gap
-        ])
+        save_index(build_index([Document("d1", "", "ab a ab"), Document("doc2", "", "ab b")]), str(path))
+        assert zlib.decompress(path.read_bytes()[20:]) == TINY_PAYLOAD
+        assert path.read_bytes() == index_file(TINY_PAYLOAD)
 
     @pytest.mark.parametrize(
         "texts,widths,postings_widths",
@@ -298,6 +324,7 @@ class TestPersistence:
     @settings(max_examples=60, deadline=None)
     @given(random_postings())
     @example(([f"d{i}" for i in range(65_537)], [3] * 65_537, ALL_WIDTHS))
+    @example((["d0", "d1", "d2"], [4, 5, 6], PREFIX_TERMS))
     def test_random_postings_round_trip(self, case):
         docids, doc_lengths, expected = case
         postings = {term: Postings(gaps(ordinals), tfs) for term, (ordinals, tfs) in expected.items()}
@@ -389,6 +416,75 @@ class TestCorruptIndex:
         )
         assert flips["error"] > 0 and sum(flips.values()) == 5 * len(original)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("level", [0, 6, 9])
+    def test_a_stream_deflated_at_another_level_asks_for_a_rebuild(self, tmp_path, level):
+        path = tmp_path / "other.rpidx"
+        path.write_bytes(index_file(TINY_PAYLOAD, level))
+        with pytest.raises(FormatError, match="at level 1; rebuild it with `rankpipe index build`") as exc:
+            load_index(str(path))
+        assert exc.value.path == str(path)
+
+    def test_a_flipped_padding_bit_is_a_format_error(self, tmp_path):
+        # the bits after the end of the last deflate block, in the byte before the adler-32; several
+        # indexes, since a block may end on a byte boundary
+        path, padded = tmp_path / "padded.rpidx", []
+        for text in ("ab a ab", "b c", "x y z", "a", "c d e f"):
+            save_index(build_index([Document("d1", "", text)]), str(path))
+            data = path.read_bytes()
+            for bit in range(8):
+                flip = data[:-5] + bytes([data[-5] ^ 1 << bit]) + data[-4:]
+                try:
+                    if zlib.decompress(flip[20:]) == zlib.decompress(data[20:]):
+                        padded.append(flip)
+                except zlib.error:  # a bit of the block's end code
+                    pass
+        assert padded
+        for flip in padded:
+            path.write_bytes(flip)
+            with pytest.raises(FormatError, match="is not the one"):
+                load_index(str(path))
+
+    @pytest.mark.parametrize("size", [1032 * len(zlib.compress(TINY_PAYLOAD, 1)) + 1, 2**32 - 1])
+    def test_a_size_past_deflates_largest_ratio_is_rejected_before_inflating(self, tmp_path, size):
+        path, stream_size = tmp_path / "huge.rpidx", len(zlib.compress(TINY_PAYLOAD, 1))
+        path.write_bytes(index_file(TINY_PAYLOAD, size=size))
+        with pytest.raises(FormatError, match=f"a payload of {size} bytes cannot inflate from {stream_size} bytes"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize(
+        "data, size",
+        [
+            (index_file(TINY_PAYLOAD, size=len(TINY_PAYLOAD) - 1), len(TINY_PAYLOAD) - 1),
+            (index_file(TINY_PAYLOAD, size=len(TINY_PAYLOAD) + 1), len(TINY_PAYLOAD) + 1),
+            (index_file(TINY_PAYLOAD)[:-1], len(TINY_PAYLOAD)),
+            (index_file(TINY_PAYLOAD) + b"\0", len(TINY_PAYLOAD)),
+        ],
+        ids=["size-short", "size-long", "stream-truncated", "byte-after-stream"],
+    )
+    def test_a_stream_that_does_not_end_at_the_files_end_with_its_size_is_rejected(self, tmp_path, data, size):
+        path = tmp_path / "size.rpidx"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"does not end at the end of the file with a payload of {size} bytes"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize(
+        "shared, sizes, suffixes, message",
+        [
+            ([0, 0, 0], [1, 2, 1], b"aabb", "term 1 is not front-coded in sorted order"),
+            ([0, 2, 0], [1, 1, 1], b"abb", "term 1 is not front-coded in sorted order"),
+            ([0, 1, 0], [1, 0, 1], b"ab", "term 1 is not front-coded in sorted order"),
+            ([0, 0, 0], [1, 1, 1], b"bab", "term 1 is not front-coded in sorted order"),
+        ],
+        ids=["prefix-not-the-longest", "prefix-past-the-term-before", "empty-rest", "out-of-order"],
+    )
+    def test_a_break_of_the_front_coding_is_a_format_error(self, tmp_path, shared, sizes, suffixes, message):
+        dictionary = bytes(shared) + bytes(sizes) + TINY_DICTIONARY[6:12] + suffixes  # dfs, postings widths kept
+        path = tmp_path / "front.rpidx"
+        path.write_bytes(index_file(TINY_PAYLOAD.replace(TINY_DICTIONARY, dictionary)))
+        with pytest.raises(FormatError, match=message) as exc:
+            load_index(str(path))
+        assert exc.value.path == str(path)
 
     @pytest.mark.parametrize(
         "docids, message",
