@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 from rankpipe import corpus_stats, load_corpus, load_qrels, load_topics, write_qrels
+from rankpipe.corpus import positives
 
 scratch = Path(tempfile.mkdtemp(prefix="rankpipe-demo-"))
 
@@ -29,8 +30,9 @@ print(f"{len(topics)} queries, e.g. 'q1': {topics['q1']!r}")
 
 # --- qrels: qid Q0 docid grade --------------------------------------------
 (scratch / "qrels.txt").write_text("q1 Q0 d1 1\nq1 Q0 d2 0\nq2 Q0 d3 1\n", encoding="utf-8")
-qrels = load_qrels(scratch / "qrels.txt")
-print(f"{len(qrels)} judgments; positives for q1: {qrels.positives('q1')}")
+qrels = load_qrels(scratch / "qrels.txt")  # qid -> docid -> grade, in file order
+# len(qrels) counts queries; the judgments are the (qid, docid) pairs
+print(f"{sum(map(len, qrels.values()))} judgments; positives for q1: {positives(qrels['q1'])}")
 
 # judgments round-trip losslessly
 write_qrels(qrels, scratch / "copy.txt")

@@ -15,7 +15,6 @@ import numpy as np
 from rankpipe import (
     AugmentationParams,
     EmbeddingStore,
-    JudgmentSet,
     Run,
     cut_pool,
     pseudo_label,
@@ -27,7 +26,7 @@ from rankpipe import (
 # --- pool-based negative sampling ------------------------------------------
 run = Run.from_scores({"q1": {f"d{i:02d}": 100.0 - i for i in range(100)}}, tag="hybrid")
 pool = cut_pool(run, 100)
-qrels = JudgmentSet({("q1", "d00"): 1, ("q1", "d03"): 1, ("q1", "d07"): 0})
+qrels = {"q1": {"d00": 1, "d03": 1, "d07": 0}}  # qid -> docid -> grade, as load_qrels returns them
 
 negatives = sample_negatives(pool, qrels, n=5, seed=42, query_texts={"q1": "example query"})
 print("pool negatives:", [p.docid for p in negatives])
@@ -47,7 +46,7 @@ vectors = EmbeddingStore(
     ["new-q", "known-q"],
     np.array([[1.0, 0.0], [0.8, 0.6]]),  # cosine similarity exactly 0.8
 )
-train_qrels = JudgmentSet({("known-q", "d42"): 1, ("known-q", "d43"): 0})
+train_qrels = {"known-q": {"d42": 1, "d43": 0}}
 params = AugmentationParams(alpha=0.9, top_m=1, tau=0.75, seed=0)
 augmented = q2q2d_augment(
     {"new-q": "fresh unseen question"},  # target and source topics: qid -> text, as load_topics returns them

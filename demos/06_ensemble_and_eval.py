@@ -9,7 +9,6 @@ import numpy as np
 
 from rankpipe import (
     EnsembleConfig,
-    JudgmentSet,
     Run,
     adjust_weights,
     correlation_matrix,
@@ -45,7 +44,7 @@ combined = ensemble_runs([run_a, run_b, run_c], weights)
 print("ensemble top-3:", combined.docids("q1")[:3])
 
 # --- the evaluation harness ---------------------------------------------------
-qrels = JudgmentSet({("q1", "d0"): 1, ("q1", "d3"): 1, ("q1", "d5"): 0})
+qrels = {"q1": {"d0": 1, "d3": 1, "d5": 0}}
 for tag, run in (("A", run_a), ("ensemble", combined)):
     ndcg = ndcg_at_k(run, qrels, k=5)
     recall = recall_at_k(run, qrels, k=5)

@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _SUBMODULE_EXPORTS = {
-    "corpus": ("Document", "JudgmentSet", "StatsRow", "corpus_stats", "load_corpus", "load_qrels", "load_topics",
-               "write_qrels"),
+    "corpus": ("Document", "StatsRow", "corpus_stats", "load_corpus", "load_qrels", "load_topics", "write_qrels"),
     "dense": ("EmbeddingStore", "dense_search", "load_embeddings"),
     "ensemble": ("EnsembleConfig", "adjust_weights", "correlation_matrix", "ensemble_runs"),
     "errors": ("DataError", "FormatError", "ProtocolError"),

@@ -8,8 +8,10 @@ Three on-disk formats live here:
 * topics: two-column TSV ``qid<TAB>query text``, no header;
 * qrels: whitespace-delimited ``qid Q0 docid grade``, no header.
 
-The loaders build objects from the records of the shared line parsers in
-``validate``, which also define the UTF-8 and comment rules.
+``load_topics`` returns qid -> query text and ``load_qrels`` qid -> docid ->
+grade, each in file order; ``positives`` holds the one relevance rule,
+grade >= 1. The loaders build these from the records of the shared line
+parsers in ``validate``, which also define the UTF-8 and comment rules.
 """
 from __future__ import annotations
 
@@ -30,48 +32,9 @@ class Document:
     text: str
 
 
-class JudgmentSet:
-    """Graded relevance labels keyed by (qid, docid), grades >= 0."""
-
-    def __init__(self, entries: Mapping[tuple[str, str], int] | None = None):
-        self._by_qid: dict[str, dict[str, int]] = {}
-        if entries:
-            for (qid, docid), grade in entries.items():
-                self.add(qid, docid, grade)
-
-    def add(self, qid: str, docid: str, grade: int) -> None:
-        if grade < 0:
-            raise ValueError(f"negative grade for ({qid}, {docid})")
-        docs = self._by_qid.setdefault(qid, {})
-        if docid in docs:
-            raise ValueError(f"duplicate judgment for ({qid}, {docid})")
-        docs[docid] = int(grade)
-
-    def judged_docids(self, qid: str) -> dict[str, int]:
-        return dict(self._by_qid.get(qid, {}))
-
-    def positives(self, qid: str) -> set[str]:
-        return {d for d, g in self._by_qid.get(qid, {}).items() if g >= 1}
-
-    @property
-    def qids(self) -> list[str]:
-        return list(self._by_qid)
-
-    def items(self) -> Iterator[tuple[str, str, int]]:
-        for qid, docs in self._by_qid.items():
-            for docid, grade in docs.items():
-                yield qid, docid, grade
-
-    def __len__(self) -> int:
-        return sum(len(d) for d in self._by_qid.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JudgmentSet):
-            return NotImplemented
-        return self._by_qid == other._by_qid
-
-    def __repr__(self) -> str:
-        return f"JudgmentSet({len(self)} judgments, {len(self._by_qid)} queries)"
+def positives(judged: Mapping[str, int]) -> set[str]:
+    """The relevant documents of one query's judgments: those of grade >= 1."""
+    return {docid for docid, grade in judged.items() if grade >= 1}
 
 
 @dataclass
@@ -100,31 +63,31 @@ def load_topics(path: str) -> dict[str, str]:
     return {qid: text for _, (qid, text) in parse_topics(path)}
 
 
-def load_qrels(path: str) -> JudgmentSet:
-    """Load whitespace-delimited qrels ``qid Q0 docid grade``."""
-    judgments = JudgmentSet()
+def load_qrels(path: str) -> dict[str, dict[str, int]]:
+    """Load whitespace-delimited qrels ``qid Q0 docid grade`` as qid -> docid
+    -> grade, in file order."""
+    qrels: dict[str, dict[str, int]] = {}
     for _, (qid, docid, grade) in parse_qrels(path):
-        judgments.add(qid, docid, grade)
-    return judgments
+        qrels.setdefault(qid, {})[docid] = grade
+    return qrels
 
 
-def write_qrels(judgments: JudgmentSet, path: str, header: str | None = None) -> None:
+def write_qrels(qrels: Mapping[str, Mapping[str, int]], path: str) -> None:
     """Write qrels sorted by (qid, docid) so output bytes are deterministic."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for qid, docid, grade in sorted(judgments.items()):
-            fh.write(f"{qid} Q0 {docid} {grade}\n")
+        for qid in sorted(qrels):
+            for docid, grade in sorted(qrels[qid].items()):
+                fh.write(f"{qid} Q0 {docid} {grade}\n")
 
 
 def corpus_stats(
     corpus: Iterable[Document],
     topics_by_split: Mapping[str, Iterable[str]],
-    qrels_by_split: Mapping[str, JudgmentSet],
+    qrels_by_split: Mapping[str, Mapping[str, Mapping[str, int]]],
     language: str = "",
 ) -> StatsRow:
     """Count queries (the qids of each split), judgments, and passages for one language."""
     queries = {split: sum(1 for _ in topics) for split, topics in topics_by_split.items()}
-    judgments = {split: len(qrels) for split, qrels in qrels_by_split.items()}
+    judgments = {split: sum(map(len, qrels.values())) for split, qrels in qrels_by_split.items()}
     passages = sum(1 for _ in corpus)
     return StatsRow(language=language, queries=queries, judgments=judgments, passages=passages)

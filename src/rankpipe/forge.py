@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .corpus import JudgmentSet
+from .corpus import positives
 from .errors import DataError
 from .runs import Run, check_k
 from .validate import COSINE, check_pair_label, parse_pairs
@@ -94,13 +94,13 @@ def draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
 def _sample_for_query(
     qid: str,
     universe: Sequence[str],
-    qrels: JudgmentSet,
+    qrels: Mapping[str, Mapping[str, int]],
     n: int,
     seed: int,
     query_texts: Mapping[str, str] | None,
 ) -> list[TrainingPair]:
-    positives = qrels.positives(qid)
-    eligible = [docid for docid in universe if docid not in positives]
+    relevant = positives(qrels.get(qid, {}))
+    eligible = [docid for docid in universe if docid not in relevant]
     text = (query_texts or {}).get(qid, "")
     return [
         TrainingPair(qid=qid, query_text=text, docid=eligible[i], label=0.0, source="negative")
@@ -110,7 +110,7 @@ def _sample_for_query(
 
 def sample_negatives(
     pool: Run,
-    qrels: JudgmentSet,
+    qrels: Mapping[str, Mapping[str, int]],
     n: int,
     seed: int,
     query_texts: Mapping[str, str] | None = None,
@@ -124,7 +124,7 @@ def sample_negatives(
     pairs: list[TrainingPair] = []
     skipped = 0
     for qid in sorted(pool.entries):
-        if not qrels.judged_docids(qid):
+        if not qrels.get(qid):
             skipped += 1
             continue
         pairs.extend(_sample_for_query(qid, pool.docids(qid), qrels, n, seed, query_texts))
@@ -137,7 +137,7 @@ def sample_negatives(
 
 def sample_negatives_corpus(
     corpus_ids: Sequence[str],
-    qrels: JudgmentSet,
+    qrels: Mapping[str, Mapping[str, int]],
     n: int,
     seed: int,
     query_texts: Mapping[str, str] | None = None,
@@ -145,7 +145,7 @@ def sample_negatives_corpus(
     """Whole-corpus negative sampling baseline: the universe is every docid."""
     check_k(n, 0, "n")
     pairs: list[TrainingPair] = []
-    for qid in sorted(qrels.qids):
+    for qid in sorted(qrels):
         pairs.extend(_sample_for_query(qid, corpus_ids, qrels, n, seed, query_texts))
     return pairs
 
@@ -153,7 +153,7 @@ def sample_negatives_corpus(
 def q2q2d_augment(
     test_queries: Mapping[str, str],
     train_queries: Mapping[str, str],
-    train_qrels: JudgmentSet,
+    train_qrels: Mapping[str, Mapping[str, int]],
     query_vectors: EmbeddingStore,
     params: AugmentationParams,
 ) -> list[TrainingPair]:
@@ -182,7 +182,7 @@ def q2q2d_augment(
         matched = [i for i in order if sims[i] >= params.tau][: params.top_m]
         for i in matched:
             sim = float(sims[i])
-            for docid, grade in sorted(train_qrels.judged_docids(train_ids[i]).items()):
+            for docid, grade in sorted(train_qrels.get(train_ids[i], {}).items()):
                 # grades are binarized: the label algebra assumes {0, 1}
                 pairs.append(TrainingPair(qid=qid, query_text=text, docid=docid,
                                           label=max(0.0, sim) * min(grade, 1) * params.alpha, source="q2q2d"))

@@ -8,10 +8,10 @@ rather than scored as zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .corpus import JudgmentSet
+from .corpus import positives
 from .runs import Run, check_k
 
 NDCG = "ndcg"
@@ -45,7 +45,7 @@ def _dcg(grades: Iterable[int], k: int) -> float:
     return total
 
 
-def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
+def ndcg_at_k(run: Run, qrels: Mapping[str, Mapping[str, int]], k: int = 10) -> MetricReport:
     """Normalized discounted cumulative gain at cutoff ``k`` per run query.
 
     The ideal ordering sorts that query's judged grades descending and cuts
@@ -54,8 +54,8 @@ def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
     check_k(k)
     report = MetricReport(metric=NDCG, k=k)
     for qid, ranked in run.entries.items():
-        judged = qrels.judged_docids(qid)
-        if not judged or not any(g >= 1 for g in judged.values()):
+        judged = qrels.get(qid, {})
+        if not positives(judged):
             report.skipped_queries += 1
             continue
         gains = [judged.get(docid, 0) for docid, _ in ranked[:k]]
@@ -65,12 +65,12 @@ def ndcg_at_k(run: Run, qrels: JudgmentSet, k: int = 10) -> MetricReport:
     return report
 
 
-def recall_at_k(run: Run, qrels: JudgmentSet, k: int) -> MetricReport:
+def recall_at_k(run: Run, qrels: Mapping[str, Mapping[str, int]], k: int) -> MetricReport:
     """Fraction of each query's relevant documents found in the top k."""
     check_k(k, 0)
     report = MetricReport(metric=RECALL, k=k)
     for qid, ranked in run.entries.items():
-        relevant = qrels.positives(qid)
+        relevant = positives(qrels.get(qid, {}))
         if not relevant:
             report.skipped_queries += 1
             continue

@@ -65,10 +65,6 @@ class Run:
     def docids(self, qid: str) -> list[str]:
         return [docid for docid, _ in self.entries.get(qid, [])]
 
-    @property
-    def qids(self) -> list[str]:
-        return list(self.entries)
-
     def __len__(self) -> int:
         return sum(len(v) for v in self.entries.values())
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rankpipe.corpus import Document, JudgmentSet, write_qrels
+from rankpipe.corpus import Document, write_qrels
 from rankpipe.dense import EmbeddingStore, dense_search
 from rankpipe.fusion import cut_pool, fuse, normalize_run
 from rankpipe.metrics import ndcg_at_k, recall_at_k
@@ -86,7 +86,7 @@ def build_language(lang: str, keys, vocab, joiner, lang_index: int, rng: np.rand
     doc_vecs: dict[str, np.ndarray] = {}
     query_vecs: dict[str, np.ndarray] = {}
     topics: list[tuple[str, str]] = []
-    qrels = JudgmentSet()
+    qrels: dict[str, dict[str, int]] = {}
 
     for j, (u, v) in enumerate(keys):
         qid = f"{lang}-q{j}"
@@ -101,19 +101,19 @@ def build_language(lang: str, keys, vocab, joiner, lang_index: int, rng: np.rand
         docs.append(Document(lex_id, filler_text(rng, vocab, joiner, 2), body))
         # pushed slightly off the query axis so the dense leg never returns it
         doc_vecs[lex_id] = off_axis(rng) - 0.25 * axis(lang_index * QUERIES_PER_LANG + j)
-        qrels.add(qid, lex_id, 1)
+        qrels[qid] = {lex_id: 1}
 
         sem_id = f"{lang}-ds{j}"
         docs.append(Document(sem_id, "", filler_text(rng, vocab, joiner, 10)))
         doc_vecs[sem_id] = axis(lang_index * QUERIES_PER_LANG + j)
-        qrels.add(qid, sem_id, 1)
+        qrels[qid][sem_id] = 1
 
         for i in range(DISTRACTORS):
             dx_id = f"{lang}-dx{j}-{i}"
             body = joiner.join(part for part in (u, filler_text(rng, vocab, joiner, 9)) if part)
             docs.append(Document(dx_id, "", body))
             doc_vecs[dx_id] = off_axis(rng)
-        qrels.add(qid, f"{lang}-dx{j}-0", 0)
+        qrels[qid][f"{lang}-dx{j}-0"] = 0
 
     for i in range(FILLER_DOCS):
         doc_id = f"{lang}-f{i:02d}"

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rankpipe.corpus import Document, JudgmentSet
+from rankpipe.corpus import Document
 from rankpipe.dense import similarities
 from rankpipe.errors import DataError
 from rankpipe.forge import TrainingPair
@@ -52,18 +52,22 @@ def random_run(
     return Run(entries=entries, tag=tag)
 
 
-def random_qrels(rng: np.random.Generator, run: Run, positive_rate: float = 0.4) -> JudgmentSet:
-    """Judgments over run candidates plus a few relevant docs the run missed."""
-    qrels = JudgmentSet()
+def random_qrels(rng: np.random.Generator, run: Run, positive_rate: float = 0.4) -> dict[str, dict[str, int]]:
+    """Judgments over run candidates plus a few relevant docs the run missed,
+    as qid -> docid -> grade; a query without a judgment is left out."""
+    qrels: dict[str, dict[str, int]] = {}
     for qid in run.entries:
+        judged: dict[str, int] = {}
         for docid in run.docids(qid):
             roll = rng.random()
             if roll < positive_rate:
-                qrels.add(qid, docid, 1)
+                judged[docid] = 1
             elif roll < positive_rate + 0.3:
-                qrels.add(qid, docid, 0)
+                judged[docid] = 0
         for i in range(int(rng.integers(0, 3))):
-            qrels.add(qid, f"unretrieved{i}", 1)
+            judged[f"unretrieved{i}"] = 1
+        if judged:
+            qrels[qid] = judged
     return qrels
 
 
@@ -105,11 +109,11 @@ def oracle_bm25(
     return sorted(results.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def oracle_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
+def oracle_ndcg(run: Run, qrels: dict[str, dict[str, int]], k: int) -> dict[str, float]:
     """Direct transcription of DCG/IDCG, query by query."""
     per_query: dict[str, float] = {}
     for qid, ranked in run.entries.items():
-        judged = qrels.judged_docids(qid)
+        judged = qrels.get(qid, {})
         if not any(g >= 1 for g in judged.values()):
             continue
         dcg = 0.0
@@ -122,7 +126,7 @@ def oracle_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
     return per_query
 
 
-def full_list_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
+def full_list_ndcg(run: Run, qrels: dict[str, dict[str, int]], k: int) -> dict[str, float]:
     """nDCG as ``ndcg_at_k`` first computed it: a gain for every ranked
     document, summed in rank order while the rank is at most k."""
 
@@ -136,7 +140,7 @@ def full_list_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
 
     per_query: dict[str, float] = {}
     for qid, ranked in run.entries.items():
-        judged = qrels.judged_docids(qid)
+        judged = qrels.get(qid, {})
         if not any(g >= 1 for g in judged.values()):
             continue
         gains = [judged.get(docid, 0) for docid, _ in ranked]
@@ -144,10 +148,10 @@ def full_list_ndcg(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
     return per_query
 
 
-def oracle_recall(run: Run, qrels: JudgmentSet, k: int) -> dict[str, float]:
+def oracle_recall(run: Run, qrels: dict[str, dict[str, int]], k: int) -> dict[str, float]:
     per_query: dict[str, float] = {}
     for qid, ranked in run.entries.items():
-        relevant = [d for d, g in qrels.judged_docids(qid).items() if g >= 1]
+        relevant = [d for d, g in qrels.get(qid, {}).items() if g >= 1]
         if not relevant:
             continue
         top = [docid for docid, _ in ranked[:k]]
@@ -290,7 +294,7 @@ def oracle_pair_text(query: str, title: str, body: str) -> str:
     return f"{clean(query)} [SEP] {clean(title)} [SEP] {clean(body)}"
 
 
-def oracle_q2q2d(test_queries, train_queries, train_qrels: JudgmentSet, vectors, params) -> list:
+def oracle_q2q2d(test_queries, train_queries, train_qrels, vectors, params) -> list:
     """q2q2d as it was written with its own cosine: the dot over the product
     of the two norms, clipped to [-1, 1]; sources ranked by (-sim, qid), the
     first ``top_m`` at or above ``tau`` each lend every judged document with
@@ -306,7 +310,7 @@ def oracle_q2q2d(test_queries, train_queries, train_qrels: JudgmentSet, vectors,
         sims = np.clip((train_matrix @ a) / (b_norms * float(np.linalg.norm(a))), -1.0, 1.0)
         order = sorted(range(len(train_ids)), key=lambda i: (-sims[i], train_ids[i]))
         for i in [i for i in order if sims[i] >= params.tau][: params.top_m]:
-            for docid, grade in sorted(train_qrels.judged_docids(train_ids[i]).items()):
+            for docid, grade in sorted(train_qrels.get(train_ids[i], {}).items()):
                 label = max(0.0, float(sims[i])) * min(grade, 1) * params.alpha
                 pairs.append(TrainingPair(qid, text, docid, label, "q2q2d"))
     return pairs

@@ -22,7 +22,7 @@ from helpers import (
     random_run,
     write_vectors,
 )
-from rankpipe.corpus import Document, JudgmentSet, corpus_stats, load_corpus, load_qrels, load_topics, write_qrels
+from rankpipe.corpus import Document, corpus_stats, load_corpus, load_qrels, load_topics, write_qrels
 from rankpipe.dense import EmbeddingStore
 from rankpipe.ensemble import EnsembleConfig, adjust_weights, ensemble_runs
 from rankpipe.forge import (
@@ -126,23 +126,24 @@ def test_criterion_4_negative_sampling_exclusion_and_determinism():
             tag="hybrid",
         )
         pool = cut_pool(run, pool_size)
-        qrels = JudgmentSet()
+        judged: dict[str, int] = {}
         for docid in pool.docids("q1"):
             roll = rng.random()
             if roll < 0.3:
-                qrels.add("q1", docid, 1)
+                judged[docid] = 1
             elif roll < 0.5:
-                qrels.add("q1", docid, 0)
-        if not qrels.judged_docids("q1"):
-            qrels.add("q1", pool.docids("q1")[0], 1)
+                judged[docid] = 0
+        if not judged:
+            judged[pool.docids("q1")[0]] = 1
+        qrels = {"q1": judged}
         n = int(rng.integers(0, 25))
         m = int(rng.integers(1, 10))
         seed = int(rng.integers(0, 2**32))
 
         pairs = sample_negatives(pool, qrels, n, seed)
-        positives = qrels.positives("q1")
+        positives = {docid for docid, grade in judged.items() if grade >= 1}
         for pair in pairs:
-            assert qrels.judged_docids(pair.qid).get(pair.docid, 0) == 0
+            assert qrels[pair.qid].get(pair.docid, 0) == 0
             assert pair.docid not in positives
         assert sample_negatives(pool, qrels, n, seed) == pairs
 
@@ -156,7 +157,7 @@ def test_criterion_5_augmentation_bounds():
 
     # worked case: similarity 1.0, annotated label 1, alpha 0.9
     vectors = EmbeddingStore(["t1", "s1"], np.array([[1.0, 0.0], [1.0, 0.0]]))
-    qrels = JudgmentSet({("s1", "d1"): 1})
+    qrels = {"s1": {"d1": 1}}
     params = AugmentationParams(alpha=0.9, top_m=1, tau=0.8, seed=0)
     pairs = q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, params)
     assert len(pairs) == 1 and pairs[0].label == pytest.approx(0.9, abs=1e-12)
@@ -166,10 +167,9 @@ def test_criterion_5_augmentation_bounds():
         ids = ["t"] + [f"s{i}" for i in range(n_train)]
         vectors = EmbeddingStore(ids, rng.normal(size=(len(ids), 6)))
         train_queries = {f"s{i}": f"text{i}" for i in range(n_train)}
-        train_qrels = JudgmentSet()
+        train_qrels = {}
         for i in range(n_train):
-            for d in range(int(rng.integers(1, 4))):
-                train_qrels.add(f"s{i}", f"d{d}", int(rng.integers(0, 2)))
+            train_qrels[f"s{i}"] = {f"d{d}": int(rng.integers(0, 2)) for d in range(int(rng.integers(1, 4)))}
         params = AugmentationParams(
             alpha=float(rng.uniform(0.1, 1.0)),
             top_m=int(rng.integers(1, 4)),
@@ -293,7 +293,7 @@ def test_criterion_9_format_round_trips_and_validation(tmp_path):
     assert qrels_a.read_bytes() == qrels_b.read_bytes()
 
     pool = cut_pool(run, 5)
-    pairs = sample_negatives(pool, qrels, 3, seed=5, query_texts={q: f"text {q}" for q in run.qids})
+    pairs = sample_negatives(pool, qrels, 3, seed=5, query_texts={q: f"text {q}" for q in run.entries})
     pairs_a, pairs_b = tmp_path / "a.pairs.tsv", tmp_path / "b.pairs.tsv"
     write_pairs(pairs, str(pairs_a))
     write_pairs(read_pairs(str(pairs_a)), str(pairs_b))

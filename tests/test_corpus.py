@@ -4,11 +4,11 @@ import pytest
 
 from rankpipe.corpus import (
     Document,
-    JudgmentSet,
     corpus_stats,
     load_corpus,
     load_qrels,
     load_topics,
+    positives,
     write_qrels,
 )
 from rankpipe.errors import FormatError
@@ -96,7 +96,7 @@ class TestLoadQrels:
     def test_basic(self, tmp_path):
         path = write_lines(tmp_path / "q.txt", ["q1 Q0 d7 1"])
         qrels = load_qrels(path)
-        assert qrels.judged_docids("q1") == {"d7": 1}
+        assert qrels == {"q1": {"d7": 1}}
 
     def test_non_integer_grade_line_1(self, tmp_path):
         path = write_lines(tmp_path / "q.txt", ["q1 Q0 d7 x"])
@@ -131,28 +131,23 @@ class TestLoadQrels:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-class TestJudgmentSet:
+class TestPositives:
     def test_positives_exclude_grade_zero(self):
-        qrels = JudgmentSet({("q1", "d1"): 1, ("q1", "d2"): 0})
-        assert qrels.positives("q1") == {"d1"}
-
-    def test_len_counts_pairs(self):
-        qrels = JudgmentSet({("q1", "d1"): 1, ("q2", "d1"): 0})
-        assert len(qrels) == 2
+        assert positives({"d1": 1, "d2": 0, "d3": 2}) == {"d1", "d3"}
 
 
 class TestCorpusStats:
     def test_synthetic_counts(self):
         corpus = [Document(f"d{i}", "", "x") for i in range(3)]
         topics = {"train": {"q1": "a", "q2": "b"}}
-        qrels = {"train": JudgmentSet({("q1", "d0"): 1, ("q1", "d1"): 0, ("q2", "d0"): 1, ("q2", "d2"): 1})}
+        qrels = {"train": {"q1": {"d0": 1, "d1": 0}, "q2": {"d0": 1, "d2": 1}}}
         row = corpus_stats(corpus, topics, qrels, language="xx")
         assert row.queries["train"] == 2
         assert row.judgments["train"] == 4
         assert row.passages == 3
 
     def test_zero_queries(self):
-        row = corpus_stats([], {"dev": []}, {"dev": JudgmentSet()})
+        row = corpus_stats([], {"dev": []}, {"dev": {}})
         assert row.queries["dev"] == 0
         assert row.judgments["dev"] == 0
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_draw, oracle_q2q2d
-from rankpipe.corpus import JudgmentSet
 from rankpipe.dense import EmbeddingStore
 from rankpipe.errors import DataError, FormatError
 from rankpipe.forge import (
@@ -66,7 +65,7 @@ class TestDraw:
     def test_pinned_negatives_stream(self):
         # a change to this list changes every negatives.pairs.tsv: make it on purpose
         pool = make_pool(n=200)
-        qrels = JudgmentSet({("q1", "d000"): 1, ("q1", "d050"): 1})
+        qrels = {"q1": {"d000": 1, "d050": 1}}
         assert [p.docid for p in sample_negatives(pool, qrels, 12, seed=7)] == [
             "d031", "d126", "d043", "d161", "d105", "d005", "d070", "d129", "d191", "d131", "d085", "d063",
         ]
@@ -75,7 +74,7 @@ class TestDraw:
 class TestSampleNegatives:
     def test_excludes_positives_exhaustively(self):
         pool = make_pool(n=200)
-        qrels = JudgmentSet({("q1", "d000"): 1, ("q1", "d050"): 1, ("q1", "d100"): 1})
+        qrels = {"q1": {"d000": 1, "d050": 1, "d100": 1}}
         pairs = sample_negatives(pool, qrels, 100, seed=7)
         assert len(pairs) == 100
         emitted = {p.docid for p in pairs}
@@ -86,38 +85,38 @@ class TestSampleNegatives:
 
     def test_judged_zero_docs_are_eligible(self):
         pool = make_pool(n=5)
-        qrels = JudgmentSet({("q1", "d000"): 1, ("q1", "d001"): 0})
+        qrels = {"q1": {"d000": 1, "d001": 0}}
         pairs = sample_negatives(pool, qrels, 5, seed=1)
         assert {p.docid for p in pairs} == {"d001", "d002", "d003", "d004"}
 
     def test_n_zero_empty(self):
         pool = make_pool(n=10)
-        qrels = JudgmentSet({("q1", "d000"): 1})
+        qrels = {"q1": {"d000": 1}}
         assert sample_negatives(pool, qrels, 0, seed=1) == []
 
     def test_exhaustion_caps_at_available(self):
         pool = make_pool(n=10)
-        qrels = JudgmentSet({("q1", f"d{i:03d}"): 1 for i in range(4)})
+        qrels = {"q1": {f"d{i:03d}": 1 for i in range(4)}}
         pairs = sample_negatives(pool, qrels, 100, seed=3)
         assert len(pairs) == 6
 
     def test_same_seed_identical(self):
         pool = make_pool(n=50)
-        qrels = JudgmentSet({("q1", "d000"): 1})
+        qrels = {"q1": {"d000": 1}}
         a = sample_negatives(pool, qrels, 10, seed=99)
         b = sample_negatives(pool, qrels, 10, seed=99)
         assert a == b
 
     def test_different_seeds_differ(self):
         pool = make_pool(n=100)
-        qrels = JudgmentSet({("q1", "d000"): 1})
+        qrels = {"q1": {"d000": 1}}
         a = [p.docid for p in sample_negatives(pool, qrels, 20, seed=1)]
         b = [p.docid for p in sample_negatives(pool, qrels, 20, seed=2)]
         assert a != b
 
     def test_growing_n_extends_a_fixed_prefix(self):
         pool = make_pool(n=120)
-        qrels = JudgmentSet({("q1", "d003"): 1})
+        qrels = {"q1": {"d003": 1}}
         small = [p.docid for p in sample_negatives(pool, qrels, 5, seed=11)]
         large = [p.docid for p in sample_negatives(pool, qrels, 50, seed=11)]
         assert large[:5] == small
@@ -127,7 +126,7 @@ class TestSampleNegatives:
             {"q1": {"d1": 2.0, "d2": 1.0}, "orphan": {"d1": 1.0}}, tag="hybrid"
         )
         pool = cut_pool(run, 10)
-        qrels = JudgmentSet({("q1", "d1"): 1})
+        qrels = {"q1": {"d1": 1}}
         with caplog.at_level(logging.WARNING, logger="rankpipe.forge"):
             pairs = sample_negatives(pool, qrels, 5, seed=0)
         assert {p.qid for p in pairs} == {"q1"}
@@ -135,18 +134,18 @@ class TestSampleNegatives:
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            sample_negatives(make_pool(), JudgmentSet(), -1, seed=0)
+            sample_negatives(make_pool(), {}, -1, seed=0)
 
     def test_query_text_lookup_fills_text(self):
         pool = make_pool(n=3)
-        qrels = JudgmentSet({("q1", "d000"): 1})
+        qrels = {"q1": {"d000": 1}}
         pairs = sample_negatives(pool, qrels, 2, seed=0, query_texts={"q1": "hello"})
         assert all(p.query_text == "hello" for p in pairs)
 
     def test_order_of_pool_queries_does_not_matter(self):
         entries_a = {"qa": [("d1", 2.0), ("d2", 1.0)], "qb": [("d3", 2.0), ("d4", 1.0)]}
         entries_b = {"qb": entries_a["qb"], "qa": entries_a["qa"]}
-        qrels = JudgmentSet({("qa", "d1"): 1, ("qb", "d3"): 0})
+        qrels = {"qa": {"d1": 1}, "qb": {"d3": 0}}
         pool_a = Run(entries=entries_a, tag="hybrid")
         pool_b = Run(entries=entries_b, tag="hybrid")
         assert sample_negatives(pool_a, qrels, 2, seed=5) == sample_negatives(pool_b, qrels, 2, seed=5)
@@ -155,20 +154,20 @@ class TestSampleNegatives:
 class TestSampleNegativesCorpus:
     def test_draws_from_non_positive_ids(self):
         ids = [f"c{i}" for i in range(10)]
-        qrels = JudgmentSet({("q1", "c0"): 1})
+        qrels = {"q1": {"c0": 1}}
         pairs = sample_negatives_corpus(ids, qrels, 3, seed=2)
         assert len(pairs) == 3
         assert "c0" not in {p.docid for p in pairs}
 
     def test_n_equal_to_corpus_size_emits_every_non_positive_once(self):
         ids = [f"c{i}" for i in range(10)]
-        qrels = JudgmentSet({("q1", "c0"): 1})
+        qrels = {"q1": {"c0": 1}}
         pairs = sample_negatives_corpus(ids, qrels, 10, seed=2)
         assert sorted(p.docid for p in pairs) == sorted(set(ids) - {"c0"})
 
     def test_same_seed_identical(self):
         ids = [f"c{i}" for i in range(30)]
-        qrels = JudgmentSet({("q1", "c0"): 1, ("q2", "c1"): 1})
+        qrels = {"q1": {"c0": 1}, "q2": {"c1": 1}}
         assert sample_negatives_corpus(ids, qrels, 5, seed=4) == sample_negatives_corpus(
             ids, qrels, 5, seed=4
         )
@@ -184,7 +183,7 @@ class TestQ2q2d:
 
     def test_perfect_match_label(self):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0]})
-        qrels = JudgmentSet({("s1", "d1"): 1})
+        qrels = {"s1": {"d1": 1}}
         pairs = q2q2d_augment({"t1": "target text"}, {"s1": "src"}, qrels, vectors, self.params)
         assert len(pairs) == 1
         assert pairs[0].label == pytest.approx(0.9)
@@ -196,18 +195,18 @@ class TestQ2q2d:
     def test_similarity_product_rule(self):
         # cos((1,0),(0.8,0.6)) = 0.8 exactly
         vectors = query_store({"t1": [1, 0], "s1": [0.8, 0.6]})
-        qrels = JudgmentSet({("s1", "d1"): 1})
+        qrels = {"s1": {"d1": 1}}
         pairs = q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
         assert pairs[0].label == pytest.approx(0.8 * 1 * 0.9, abs=1e-12)
 
     def test_below_tau_emits_nothing(self):
         vectors = query_store({"t1": [1, 0], "s1": [0, 1]})
-        qrels = JudgmentSet({("s1", "d1"): 1})
+        qrels = {"s1": {"d1": 1}}
         assert q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params) == []
 
     def test_zero_grade_judgments_emitted_with_zero_label(self):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0]})
-        qrels = JudgmentSet({("s1", "d1"): 1, ("s1", "d2"): 0})
+        qrels = {"s1": {"d1": 1, "d2": 0}}
         pairs = q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
         labels = {p.docid: p.label for p in pairs}
         assert labels["d2"] == 0.0
@@ -215,11 +214,11 @@ class TestQ2q2d:
     def test_missing_vector_names_query(self):
         vectors = query_store({"t1": [1, 0]})
         with pytest.raises(DataError, match="s1"):
-            q2q2d_augment({"t1": "t"}, {"s1": "s"}, JudgmentSet(), vectors, self.params)
+            q2q2d_augment({"t1": "t"}, {"s1": "s"}, {}, vectors, self.params)
 
     def test_top_m_limits_matches(self):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0], "s2": [0.9, np.sqrt(1 - 0.81)]})
-        qrels = JudgmentSet({("s1", "d1"): 1, ("s2", "d2"): 1})
+        qrels = {"s1": {"d1": 1}, "s2": {"d2": 1}}
         sources = {"s1": "a", "s2": "b"}
         one = q2q2d_augment({"t1": "t"}, sources, qrels, vectors, self.params)
         assert {p.docid for p in one} == {"d1"}
@@ -238,11 +237,11 @@ class TestQ2q2d:
             n_train = int(rng.integers(1, 6))
             vectors = {"t1": rng.normal(size=4)}
             sources = {}
-            qrels = JudgmentSet()
+            qrels = {}
             for i in range(n_train):
                 vectors[f"s{i}"] = rng.normal(size=4)
                 sources[f"s{i}"] = f"text {i}"
-                qrels.add(f"s{i}", f"d{i}", int(rng.integers(0, 2)))
+                qrels[f"s{i}"] = {f"d{i}": int(rng.integers(0, 2))}
             params = AugmentationParams(alpha=0.9, top_m=3, tau=-1.0, seed=0)
             pairs = q2q2d_augment({"t1": "t"}, sources, qrels, query_store(vectors), params)
             for pair in pairs:
@@ -251,14 +250,14 @@ class TestQ2q2d:
     @pytest.mark.parametrize("zero", ["t1", "s1"])
     def test_zero_vector_is_named_as_dense_search_names_it(self, zero):
         vectors = query_store({"t1": [1, 0], "s1": [1, 0], zero: [0, 0]})
-        qrels = JudgmentSet({("s1", "d1"): 1})
+        qrels = {"s1": {"d1": 1}}
         with pytest.raises(DataError, match=f"zero vector '{zero}' not allowed under cosine"):
             q2q2d_augment({"t1": "t"}, {"s1": "s"}, qrels, vectors, self.params)
 
     def test_overflowing_similarity_names_the_query(self):
         # every component is finite, but the dot product and the norms are not
         vectors = query_store({"t1": [1e200, 1e200], "s1": [1e200, 1e200]})
-        qrels = JudgmentSet({("s1", "d1"): 1})
+        qrels = {"s1": {"d1": 1}}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="similarity overflow for query 't1'"):
@@ -288,10 +287,10 @@ def _q2q2d_cases(pick):
         else:
             sources.append(pick(vector))
     vectors = {f"t{i}": v for i, v in enumerate(targets)} | {f"s{i}": v for i, v in enumerate(sources)}
-    qrels = JudgmentSet()
+    qrels = {}
     for i in range(len(sources)):
-        for docid in pick(st.lists(st.sampled_from(["d0", "d1", "d2", "d3"]), max_size=3, unique=True)):
-            qrels.add(f"s{i}", docid, pick(st.integers(0, 2)))
+        docids = pick(st.lists(st.sampled_from(["d0", "d1", "d2", "d3"]), max_size=3, unique=True))
+        qrels[f"s{i}"] = {docid: pick(st.integers(0, 2)) for docid in docids}
     params = AugmentationParams(
         alpha=pick(st.just(1.0) | st.floats(0.01, 1.0)),
         top_m=pick(st.integers(1, 4)),
@@ -303,7 +302,7 @@ def _q2q2d_cases(pick):
 @settings(max_examples=200, deadline=None)
 @given(_q2q2d_cases())
 # [0.3, 0.7] and 7 times it have a computed cosine of 1.0000000000000002
-@example((1, 2, JudgmentSet({("s0", "d0"): 1, ("s1", "d1"): 1}),
+@example((1, 2, {"s0": {"d0": 1}, "s1": {"d1": 1}},
           {"t0": [0.3, 0.7], "s0": [7 * 0.3, 7 * 0.7], "s1": [1.0, 0.0]},
           AugmentationParams(alpha=1.0, top_m=2, tau=1.0)))
 def test_q2q2d_pairs_match_its_own_cosine_ranking(case):

@@ -17,7 +17,7 @@ DESK = ROOT / "tests" / "data" / "desk" / "en"
 
 PUBLIC_NAMES = {
     "AugmentationParams", "Bm25Params", "DataError", "Document", "EmbeddingStore",
-    "EnsembleConfig", "FormatError", "InvertedIndex", "JudgmentSet", "MetricReport", "PairInput",
+    "EnsembleConfig", "FormatError", "InvertedIndex", "MetricReport", "PairInput",
     "ProtocolError", "Run", "ScorerHandle", "StatsRow", "TrainingPair", "adjust_weights",
     "bm25_search", "build_index", "build_pairs", "correlation_matrix", "corpus_stats", "cut_pool",
     "dense_search", "detect_policy", "ensemble_runs", "fuse", "lexical_score", "load_corpus",
@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert set(rankpipe.__all__) == PUBLIC_NAMES
 
 

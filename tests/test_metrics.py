@@ -6,18 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import full_list_ndcg, oracle_ndcg, oracle_recall, random_qrels, random_run
-from rankpipe.corpus import JudgmentSet
 from rankpipe.metrics import MetricReport, macro_average, ndcg_at_k, recall_at_k
 from rankpipe.runs import Run
 
 
 def binary_qrels(qid, relevant, irrelevant=()):
-    qrels = JudgmentSet()
-    for docid in relevant:
-        qrels.add(qid, docid, 1)
-    for docid in irrelevant:
-        qrels.add(qid, docid, 0)
-    return qrels
+    return {qid: {**dict.fromkeys(relevant, 1), **dict.fromkeys(irrelevant, 0)}}
 
 
 class TestNdcg:
@@ -47,7 +41,7 @@ class TestNdcg:
 
     def test_query_without_positive_judgment_skipped(self):
         run = Run.from_scores({"q1": {"d": 1.0}, "q2": {"d": 1.0}})
-        qrels = JudgmentSet({("q1", "d"): 1, ("q2", "d"): 0})
+        qrels = {"q1": {"d": 1}, "q2": {"d": 0}}
         report = ndcg_at_k(run, qrels, 10)
         assert set(report.per_query) == {"q1"}
         assert report.skipped_queries == 1
@@ -61,11 +55,11 @@ class TestNdcg:
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            ndcg_at_k(Run(), JudgmentSet(), 0)
+            ndcg_at_k(Run(), {}, 0)
 
     def test_graded_judgments_use_linear_gain(self):
         run = Run.from_scores({"q": {"a": 2.0, "b": 1.0}})
-        qrels = JudgmentSet({("q", "a"): 1, ("q", "b"): 2})
+        qrels = {"q": {"a": 1, "b": 2}}
         # DCG = 1 + 2/log2(3); IDCG = 2 + 1/log2(3)
         expected = (1 + 2 / math.log2(3)) / (2 + 1 / math.log2(3))
         assert ndcg_at_k(run, qrels, 10).per_query["q"] == pytest.approx(expected)
@@ -156,13 +150,13 @@ class TestBoundsAndOracle:
     def test_reading_the_top_k_equals_the_full_list(self, data):
         universe = [f"d{i}" for i in range(data.draw(st.integers(1, 40)))]
         entries: dict[str, list[tuple[str, float]]] = {}
-        judgments: dict[tuple[str, str], int] = {}
+        qrels: dict[str, dict[str, int]] = {}
         for qid in ("q0", "q1", "q2")[: data.draw(st.integers(1, 3))]:
             ranked = data.draw(st.lists(st.sampled_from(universe), unique=True))
             entries[qid] = [(docid, float(len(ranked) - i)) for i, docid in enumerate(ranked)]
             grades = data.draw(st.dictionaries(st.sampled_from(universe), st.integers(0, 3)))
-            judgments.update({(qid, docid): grade for docid, grade in grades.items()})
-        run, qrels, k = Run(entries=entries), JudgmentSet(judgments), data.draw(st.integers(1, 45))
+            qrels[qid] = grades
+        run, k = Run(entries=entries), data.draw(st.integers(1, 45))
         per_query = ndcg_at_k(run, qrels, k).per_query
         expected = full_list_ndcg(run, qrels, k)
         assert {q: repr(v) for q, v in per_query.items()} == {q: repr(v) for q, v in expected.items()}
@@ -173,14 +167,14 @@ class TestBoundsAndOracle:
 
         rng = np.random.default_rng(37)
         docs = [f"d{i}" for i in range(6)]
-        qrels = JudgmentSet({("q", d): int(rng.integers(0, 2)) for d in docs})
-        if not qrels.positives("q"):
-            qrels = JudgmentSet({("q", "d0"): 1})
+        qrels = {"q": {d: int(rng.integers(0, 2)) for d in docs}}
+        if not any(g >= 1 for g in qrels["q"].values()):
+            qrels = {"q": {"d0": 1}}
         best = 0.0
         for perm in itertools.permutations(docs):
             run = Run.from_scores({"q": {d: float(len(perm) - i) for i, d in enumerate(perm)}})
             best = max(best, ndcg_at_k(run, qrels, 6).per_query["q"])
-        grades = qrels.judged_docids("q")
+        grades = qrels["q"]
         ideal_order = sorted(docs, key=lambda d: -grades.get(d, 0))
         ideal_run = Run.from_scores(
             {"q": {d: float(len(ideal_order) - i) for i, d in enumerate(ideal_order)}}

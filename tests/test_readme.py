@@ -1,12 +1,13 @@
 """The README's CLI tour runs as written, so it cannot keep a flag the parser has dropped,
-its Layout block lists exactly the package's modules, and its stage table is the pipeline's."""
+its Layout block lists exactly the package's modules, and its stage table and config key
+lists are the pipeline's."""
 import re
 import shlex
 import shutil
 from pathlib import Path
 
 from rankpipe.cli import main
-from rankpipe.pipeline import STAGE_TABLE
+from rankpipe.pipeline import STAGE_TABLE, STRUCTURAL_KEYS, VALUE_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,8 +38,27 @@ def test_layout_lists_every_module():
     assert listed == {path.name for path in (ROOT / "src" / "rankpipe").glob("*.py")}
 
 
-def test_stage_table_lists_every_stage():
+def experiment_configs() -> str:
+    """The README's "Experiment configs" section, up to the next heading."""
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Experiment configs\n", 1)[1]
-    rows = [line.split("|")[1:-1] for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    return section.split("\n## ", 1)[0]
+
+
+def test_stage_table_lists_every_stage():
+    section = experiment_configs()
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
     listed = [tuple(re.findall(r"`([^`]+)`", cell) for cell in row) for row in rows]
     assert listed == [([stage.name], list(stage.inputs), [stage.artifact]) for stage in STAGE_TABLE]
+
+
+def backticked_list(text: str, lead: str) -> list[str]:
+    """The backticked names in the parentheses that follow ``lead`` in ``text``."""
+    match = re.search(re.escape(lead) + r" \(([^)]*)\)", " ".join(text.split()))
+    assert match, lead
+    return re.findall(r"`([^`]+)`", match.group(1))
+
+
+def test_config_key_lists_are_the_pipeline_keys():
+    section = experiment_configs()
+    assert backticked_list(section, "not a structural key") == list(STRUCTURAL_KEYS)
+    assert backticked_list(section, "a value key that some stage reads") == list(VALUE_KEYS)
