@@ -2,9 +2,10 @@
 
 Three seeded, reproducible generators:
 
-* pool negatives: label-0 pairs drawn from the hybrid top-K (skipping
-  annotated positives), which matches the candidate distribution the ranker
-  sees at inference time far better than corpus-random negatives;
+* negatives: label-0 pairs drawn from each query's universe (skipping
+  annotated positives); drawn from the hybrid top-K pool they match the
+  candidate distribution the ranker sees at inference time far better than
+  drawn from the whole corpus;
 * q2q2d: a new query inherits judgments from its most similar known query,
   discounted by similarity and a noise-control factor alpha=0.9;
 * pseudo labels: model scores on unlabeled pairs reused as soft labels,
@@ -20,25 +21,26 @@ from rankpipe import (
     pseudo_label,
     q2q2d_augment,
     sample_negatives,
-    sample_negatives_corpus,
 )
 
-# --- pool-based negative sampling ------------------------------------------
+# --- negative sampling from the candidate pool -----------------------------
 run = Run.from_scores({"q1": {f"d{i:02d}": 100.0 - i for i in range(100)}}, tag="hybrid")
 pool = cut_pool(run, 100)
 qrels = {"q1": {"d00": 1, "d03": 1, "d07": 0}}  # qid -> docid -> grade, as load_qrels returns them
 
-negatives = sample_negatives(pool, qrels, n=5, seed=42, query_texts={"q1": "example query"})
+# each query's universe is its pool, in rank order
+universes = {qid: pool.docids(qid) for qid in pool.entries}
+negatives = sample_negatives(universes, qrels, n=5, seed=42, query_texts={"q1": "example query"})
 print("pool negatives:", [p.docid for p in negatives])
 # - never a positive (d00/d03 excluded), judged-zero d07 is fair game
 # - same seed, same sample; and n=8 extends the n=5 sample as a prefix:
-more = sample_negatives(pool, qrels, n=8, seed=42)
+more = sample_negatives(universes, qrels, n=8, seed=42)
 assert [p.docid for p in more[:5]] == [p.docid for p in negatives]
 
-# the whole-corpus baseline draws from everything, including documents no
-# retriever would ever surface (weaker in practice)
+# the whole-corpus baseline gives every judged query the same universe,
+# including documents no retriever would ever surface (weaker in practice)
 corpus_ids = [f"c{i:04d}" for i in range(5000)]
-corpus_negs = sample_negatives_corpus(corpus_ids, qrels, n=5, seed=42)
+corpus_negs = sample_negatives(dict.fromkeys(qrels, corpus_ids), qrels, n=5, seed=42)
 print("corpus negatives:", [p.docid for p in corpus_negs])
 
 # --- q2q2d: transfer judgments between similar queries ----------------------

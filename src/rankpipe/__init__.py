@@ -19,7 +19,7 @@ _SUBMODULE_EXPORTS = {
     "ensemble": ("EnsembleConfig", "adjust_weights", "correlation_matrix", "ensemble_runs"),
     "errors": ("DataError", "FormatError", "ProtocolError"),
     "forge": ("AugmentationParams", "TrainingPair", "pseudo_label", "q2q2d_augment", "read_pairs",
-              "sample_negatives", "sample_negatives_corpus", "write_pairs"),
+              "sample_negatives", "write_pairs"),
     "fusion": ("cut_pool", "fuse", "normalize_run"),
     "metrics": ("MetricReport", "macro_average", "ndcg_at_k", "recall_at_k"),
     "rerank": ("PairInput", "ScorerHandle", "build_pairs", "lexical_score", "score_pairs"),

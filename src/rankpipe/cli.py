@@ -120,7 +120,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_forge_negatives(args) -> int:
     from .corpus import load_corpus, load_qrels, load_topics
-    from .forge import sample_negatives, sample_negatives_corpus, write_pairs
+    from .forge import sample_negatives, write_pairs
     from .fusion import cut_pool
     from .runs import check_k, read_run
 
@@ -133,11 +133,11 @@ def _cmd_forge_negatives(args) -> int:
     qrels = load_qrels(args.qrels)
     texts = load_topics(args.topics) if "topics" in args else None
     if "from_corpus" in args:
-        ids = [doc.docid for doc in load_corpus(args.from_corpus)]
-        pairs = sample_negatives_corpus(ids, qrels, args.n, args.seed, texts)
+        universes = dict.fromkeys(qrels, [doc.docid for doc in load_corpus(args.from_corpus)])
     else:
         pool = cut_pool(read_run(args.pool), **_given(args, pool_k="k"))
-        pairs = sample_negatives(pool, qrels, args.n, args.seed, texts)
+        universes = {qid: pool.docids(qid) for qid in pool.entries}
+    pairs = sample_negatives(universes, qrels, args.n, args.seed, texts)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} negative pairs -> {args.out}")
     return EXIT_OK

@@ -2,9 +2,10 @@
 
 Three sources of pairs are produced here:
 
-* pool negatives: unjudged-or-zero documents drawn from the fused top-K
-  candidate pool (label 0), countering the selection bias of training only
-  on annotated candidates; a whole-corpus variant exists for comparison;
+* negatives: unjudged-or-zero documents (label 0) drawn from each query's
+  universe: its fused top-K candidate pool, which counters the selection
+  bias of training only on annotated candidates, or, as the baseline, the
+  whole corpus;
 * query-link augmentation (q2q2d): a target query inherits the judgments of
   its most similar source queries, with label = similarity * label * alpha;
 * pseudo labels: a sampled portion of model-scored pairs reused as soft
@@ -91,62 +92,36 @@ def draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
     return out
 
 
-def _sample_for_query(
-    qid: str,
-    universe: Sequence[str],
-    qrels: Mapping[str, Mapping[str, int]],
-    n: int,
-    seed: int,
-    query_texts: Mapping[str, str] | None,
-) -> list[TrainingPair]:
-    relevant = positives(qrels.get(qid, {}))
-    eligible = [docid for docid in universe if docid not in relevant]
-    text = (query_texts or {}).get(qid, "")
-    return [
-        TrainingPair(qid=qid, query_text=text, docid=eligible[i], label=0.0, source="negative")
-        for i in draw(len(eligible), n, seed, "negatives", qid)
-    ]
-
-
 def sample_negatives(
-    pool: Run,
+    universes: Mapping[str, Sequence[str]],
     qrels: Mapping[str, Mapping[str, int]],
     n: int,
     seed: int,
     query_texts: Mapping[str, str] | None = None,
 ) -> list[TrainingPair]:
-    """Draw up to ``n`` negatives per query from its candidate pool.
+    """Draw up to ``n`` negatives per query from that query's universe of
+    docids: its candidate pool, or the whole corpus for the baseline.
 
     Documents judged positive (grade >= 1) are never emitted; judged-zero
     documents are eligible. Queries with no judgments at all are skipped.
     """
     check_k(n, 0, "n")
+    texts = query_texts or {}
     pairs: list[TrainingPair] = []
     skipped = 0
-    for qid in sorted(pool.entries):
-        if not qrels.get(qid):
+    for qid in sorted(universes):
+        judged = qrels.get(qid)
+        if not judged:
             skipped += 1
             continue
-        pairs.extend(_sample_for_query(qid, pool.docids(qid), qrels, n, seed, query_texts))
+        relevant = positives(judged)
+        eligible = [docid for docid in universes[qid] if docid not in relevant]
+        pairs.extend(TrainingPair(qid, texts.get(qid, ""), eligible[i], 0.0, "negative")
+                     for i in draw(len(eligible), n, seed, "negatives", qid))
     if skipped:
         import logging  # here, so that a forge call that skips nothing starts without logging
 
-        logging.getLogger(__name__).warning("sample_negatives: skipped %d pool queries without judgments", skipped)
-    return pairs
-
-
-def sample_negatives_corpus(
-    corpus_ids: Sequence[str],
-    qrels: Mapping[str, Mapping[str, int]],
-    n: int,
-    seed: int,
-    query_texts: Mapping[str, str] | None = None,
-) -> list[TrainingPair]:
-    """Whole-corpus negative sampling baseline: the universe is every docid."""
-    check_k(n, 0, "n")
-    pairs: list[TrainingPair] = []
-    for qid in sorted(qrels):
-        pairs.extend(_sample_for_query(qid, corpus_ids, qrels, n, seed, query_texts))
+        logging.getLogger(__name__).warning("sample_negatives: skipped %d queries without judgments", skipped)
     return pairs
 
 

@@ -140,14 +140,15 @@ def test_criterion_4_negative_sampling_exclusion_and_determinism():
         m = int(rng.integers(1, 10))
         seed = int(rng.integers(0, 2**32))
 
-        pairs = sample_negatives(pool, qrels, n, seed)
+        universes = {"q1": pool.docids("q1")}
+        pairs = sample_negatives(universes, qrels, n, seed)
         positives = {docid for docid, grade in judged.items() if grade >= 1}
         for pair in pairs:
             assert qrels[pair.qid].get(pair.docid, 0) == 0
             assert pair.docid not in positives
-        assert sample_negatives(pool, qrels, n, seed) == pairs
+        assert sample_negatives(universes, qrels, n, seed) == pairs
 
-        larger = sample_negatives(pool, qrels, n + m, seed)
+        larger = sample_negatives(universes, qrels, n + m, seed)
         assert [p.docid for p in larger[:len(pairs)]] == [p.docid for p in pairs]
 
 
@@ -293,7 +294,8 @@ def test_criterion_9_format_round_trips_and_validation(tmp_path):
     assert qrels_a.read_bytes() == qrels_b.read_bytes()
 
     pool = cut_pool(run, 5)
-    pairs = sample_negatives(pool, qrels, 3, seed=5, query_texts={q: f"text {q}" for q in run.entries})
+    universes = {qid: pool.docids(qid) for qid in pool.entries}
+    pairs = sample_negatives(universes, qrels, 3, seed=5, query_texts={q: f"text {q}" for q in run.entries})
     pairs_a, pairs_b = tmp_path / "a.pairs.tsv", tmp_path / "b.pairs.tsv"
     write_pairs(pairs, str(pairs_a))
     write_pairs(read_pairs(str(pairs_a)), str(pairs_b))

@@ -169,6 +169,35 @@ class TestSubcommands:
         lines = [l for l in pseudo_out.read_text().splitlines() if l]
         assert len(lines) == 2
 
+    def test_forge_negatives_from_corpus_is_the_library_call(self, tmp_path):
+        en = DESK / "en"
+        corpus, qrels, topics = str(en / "corpus.jsonl"), str(en / "qrels.txt"), str(en / "topics.tsv")
+        out, expected = tmp_path / "cli.pairs.tsv", tmp_path / "lib.pairs.tsv"
+        assert main(["forge", "negatives", "--from-corpus", corpus, "--qrels", qrels, "--topics", topics,
+                     "-n", "5", "--seed", "1", "--out", str(out)]) == 0
+        judged = load_qrels(qrels)
+        universes = dict.fromkeys(judged, [doc.docid for doc in load_corpus(corpus)])
+        forge.write_pairs(forge.sample_negatives(universes, judged, 5, 1, load_topics(topics)), str(expected))
+        assert out.read_bytes() == expected.read_bytes()
+        pairs = forge.read_pairs(str(out))
+        assert len(pairs) == 5 * len(judged)
+        assert all(judged[p.qid].get(p.docid, 0) == 0 for p in pairs)
+
+    def test_eval_per_query_out_lists_each_query_by_qid(self, tmp_path, capsys):
+        from rankpipe import metrics
+
+        run_path, qrels_path, out = tmp_path / "r.trec", tmp_path / "q.qrels", tmp_path / "eval.tsv"
+        run_path.write_text("q2 Q0 d1 1 2.0 t\nq2 Q0 d2 2 1.0 t\nq10 Q0 d3 1 1.0 t\nq1 Q0 d2 1 3.0 t\n"
+                            "q1 Q0 d1 2 2.0 t\nq1 Q0 d3 3 1.0 t\n", encoding="utf-8")
+        qrels_path.write_text("q1 Q0 d1 1\nq1 Q0 d3 2\nq2 Q0 d2 1\nq10 Q0 d3 1\n", encoding="utf-8")
+        assert main(["eval", "--run", str(run_path), "--qrels", str(qrels_path), "--metric", "ndcg", "-k", "3",
+                     "--per-query", "--out", str(out)]) == 0
+        report = metrics.ndcg_at_k(read_run(str(run_path)), load_qrels(str(qrels_path)), 3)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines == [f"ndcg@3\t{report.mean!r}", "evaluated_queries\t3", "skipped_queries\t0",
+                         *(f"{qid}\t{report.per_query[qid]!r}" for qid in ("q1", "q10", "q2"))]
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_rerank_and_ensemble(self, tmp_path):
         write_tiny_project(tmp_path)
         pool_path = tmp_path / "pool.trec"
@@ -247,7 +276,8 @@ class TestParserSurface:
         call("retrieve", "dense", "--queries", vectors, "--docs", en / "docs.vec.tsv", out="dense.trec")
         write_run(dense.retrieve_dense(vectors, str(en / "docs.vec.tsv")), str(lib / "dense.trec"))
         call("forge", "negatives", "--pool", pool, "--qrels", qrels, "-n", 3, out="neg.pairs.tsv")
-        negatives = forge.sample_negatives(cut_pool(read_run(pool)), load_qrels(qrels), 3, 0)
+        cut = cut_pool(read_run(pool))
+        negatives = forge.sample_negatives({q: cut.docids(q) for q in cut.entries}, load_qrels(qrels), 3, 0)
         forge.write_pairs(negatives, str(lib / "neg.pairs.tsv"))
         call("forge", "q2q2d", "--test-topics", topics, "--train-topics", topics, "--train-qrels", qrels,
              "--query-vectors", vectors, out="q2q2d.pairs.tsv")

@@ -17,16 +17,16 @@ from rankpipe.forge import (
     q2q2d_augment,
     read_pairs,
     sample_negatives,
-    sample_negatives_corpus,
     write_pairs,
 )
 from rankpipe.fusion import cut_pool
 from rankpipe.runs import Run
 
 
-def make_pool(qid="q1", n=200):
-    run = Run.from_scores({qid: {f"d{i:03d}": float(n - i) for i in range(n)}}, tag="hybrid")
-    return cut_pool(run, n)
+def make_universes(qid="q1", n=200):
+    """One query whose universe is a pool of ``n`` docids in rank order, as ``forge negatives --pool`` passes it."""
+    pool = cut_pool(Run.from_scores({qid: {f"d{i:03d}": float(n - i) for i in range(n)}}, tag="hybrid"), n)
+    return {qid: pool.docids(qid)}
 
 
 class TestTrainingPair:
@@ -64,18 +64,18 @@ class TestDraw:
 
     def test_pinned_negatives_stream(self):
         # a change to this list changes every negatives.pairs.tsv: make it on purpose
-        pool = make_pool(n=200)
+        universes = make_universes(n=200)
         qrels = {"q1": {"d000": 1, "d050": 1}}
-        assert [p.docid for p in sample_negatives(pool, qrels, 12, seed=7)] == [
+        assert [p.docid for p in sample_negatives(universes, qrels, 12, seed=7)] == [
             "d031", "d126", "d043", "d161", "d105", "d005", "d070", "d129", "d191", "d131", "d085", "d063",
         ]
 
 
 class TestSampleNegatives:
     def test_excludes_positives_exhaustively(self):
-        pool = make_pool(n=200)
+        universes = make_universes(n=200)
         qrels = {"q1": {"d000": 1, "d050": 1, "d100": 1}}
-        pairs = sample_negatives(pool, qrels, 100, seed=7)
+        pairs = sample_negatives(universes, qrels, 100, seed=7)
         assert len(pairs) == 100
         emitted = {p.docid for p in pairs}
         assert emitted.isdisjoint({"d000", "d050", "d100"})
@@ -84,93 +84,106 @@ class TestSampleNegatives:
             assert pair.label == 0.0 and pair.source == "negative"
 
     def test_judged_zero_docs_are_eligible(self):
-        pool = make_pool(n=5)
+        universes = make_universes(n=5)
         qrels = {"q1": {"d000": 1, "d001": 0}}
-        pairs = sample_negatives(pool, qrels, 5, seed=1)
+        pairs = sample_negatives(universes, qrels, 5, seed=1)
         assert {p.docid for p in pairs} == {"d001", "d002", "d003", "d004"}
 
     def test_n_zero_empty(self):
-        pool = make_pool(n=10)
+        universes = make_universes(n=10)
         qrels = {"q1": {"d000": 1}}
-        assert sample_negatives(pool, qrels, 0, seed=1) == []
+        assert sample_negatives(universes, qrels, 0, seed=1) == []
 
     def test_exhaustion_caps_at_available(self):
-        pool = make_pool(n=10)
+        universes = make_universes(n=10)
         qrels = {"q1": {f"d{i:03d}": 1 for i in range(4)}}
-        pairs = sample_negatives(pool, qrels, 100, seed=3)
+        pairs = sample_negatives(universes, qrels, 100, seed=3)
         assert len(pairs) == 6
 
     def test_same_seed_identical(self):
-        pool = make_pool(n=50)
+        universes = make_universes(n=50)
         qrels = {"q1": {"d000": 1}}
-        a = sample_negatives(pool, qrels, 10, seed=99)
-        b = sample_negatives(pool, qrels, 10, seed=99)
+        a = sample_negatives(universes, qrels, 10, seed=99)
+        b = sample_negatives(universes, qrels, 10, seed=99)
         assert a == b
 
     def test_different_seeds_differ(self):
-        pool = make_pool(n=100)
+        universes = make_universes(n=100)
         qrels = {"q1": {"d000": 1}}
-        a = [p.docid for p in sample_negatives(pool, qrels, 20, seed=1)]
-        b = [p.docid for p in sample_negatives(pool, qrels, 20, seed=2)]
+        a = [p.docid for p in sample_negatives(universes, qrels, 20, seed=1)]
+        b = [p.docid for p in sample_negatives(universes, qrels, 20, seed=2)]
         assert a != b
 
     def test_growing_n_extends_a_fixed_prefix(self):
-        pool = make_pool(n=120)
+        universes = make_universes(n=120)
         qrels = {"q1": {"d003": 1}}
-        small = [p.docid for p in sample_negatives(pool, qrels, 5, seed=11)]
-        large = [p.docid for p in sample_negatives(pool, qrels, 50, seed=11)]
+        small = [p.docid for p in sample_negatives(universes, qrels, 5, seed=11)]
+        large = [p.docid for p in sample_negatives(universes, qrels, 50, seed=11)]
         assert large[:5] == small
 
     def test_queries_without_judgments_skipped_with_warning(self, caplog):
-        run = Run.from_scores(
-            {"q1": {"d1": 2.0, "d2": 1.0}, "orphan": {"d1": 1.0}}, tag="hybrid"
-        )
-        pool = cut_pool(run, 10)
+        universes = {"q1": ["d1", "d2"], "orphan": ["d1"]}
         qrels = {"q1": {"d1": 1}}
         with caplog.at_level(logging.WARNING, logger="rankpipe.forge"):
-            pairs = sample_negatives(pool, qrels, 5, seed=0)
+            pairs = sample_negatives(universes, qrels, 5, seed=0)
         assert {p.qid for p in pairs} == {"q1"}
         assert "skipped 1" in caplog.text
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            sample_negatives(make_pool(), {}, -1, seed=0)
+            sample_negatives(make_universes(), {}, -1, seed=0)
 
     def test_query_text_lookup_fills_text(self):
-        pool = make_pool(n=3)
+        universes = make_universes(n=3)
         qrels = {"q1": {"d000": 1}}
-        pairs = sample_negatives(pool, qrels, 2, seed=0, query_texts={"q1": "hello"})
+        pairs = sample_negatives(universes, qrels, 2, seed=0, query_texts={"q1": "hello"})
         assert all(p.query_text == "hello" for p in pairs)
 
     def test_order_of_pool_queries_does_not_matter(self):
-        entries_a = {"qa": [("d1", 2.0), ("d2", 1.0)], "qb": [("d3", 2.0), ("d4", 1.0)]}
-        entries_b = {"qb": entries_a["qb"], "qa": entries_a["qa"]}
+        universes_a = {"qa": ["d1", "d2"], "qb": ["d3", "d4"]}
+        universes_b = {"qb": universes_a["qb"], "qa": universes_a["qa"]}
         qrels = {"qa": {"d1": 1}, "qb": {"d3": 0}}
-        pool_a = Run(entries=entries_a, tag="hybrid")
-        pool_b = Run(entries=entries_b, tag="hybrid")
-        assert sample_negatives(pool_a, qrels, 2, seed=5) == sample_negatives(pool_b, qrels, 2, seed=5)
+        assert sample_negatives(universes_a, qrels, 2, seed=5) == sample_negatives(universes_b, qrels, 2, seed=5)
 
 
-class TestSampleNegativesCorpus:
+class TestCorpusUniverse:
+    """The whole-corpus baseline: every judged query draws from the same universe."""
+
     def test_draws_from_non_positive_ids(self):
         ids = [f"c{i}" for i in range(10)]
         qrels = {"q1": {"c0": 1}}
-        pairs = sample_negatives_corpus(ids, qrels, 3, seed=2)
+        pairs = sample_negatives(dict.fromkeys(qrels, ids), qrels, 3, seed=2)
         assert len(pairs) == 3
         assert "c0" not in {p.docid for p in pairs}
 
     def test_n_equal_to_corpus_size_emits_every_non_positive_once(self):
         ids = [f"c{i}" for i in range(10)]
         qrels = {"q1": {"c0": 1}}
-        pairs = sample_negatives_corpus(ids, qrels, 10, seed=2)
+        pairs = sample_negatives(dict.fromkeys(qrels, ids), qrels, 10, seed=2)
         assert sorted(p.docid for p in pairs) == sorted(set(ids) - {"c0"})
 
     def test_same_seed_identical(self):
         ids = [f"c{i}" for i in range(30)]
         qrels = {"q1": {"c0": 1}, "q2": {"c1": 1}}
-        assert sample_negatives_corpus(ids, qrels, 5, seed=4) == sample_negatives_corpus(
-            ids, qrels, 5, seed=4
+        assert sample_negatives(dict.fromkeys(qrels, ids), qrels, 5, seed=4) == sample_negatives(
+            dict.fromkeys(qrels, ids), qrels, 5, seed=4
         )
+
+    def test_query_with_empty_judgments_is_skipped(self, caplog):
+        ids = [f"c{i}" for i in range(10)]
+        qrels = {"q1": {"c0": 1}, "q2": {}}
+        with caplog.at_level(logging.WARNING, logger="rankpipe.forge"):
+            pairs = sample_negatives(dict.fromkeys(qrels, ids), qrels, 3, seed=2)
+        assert {p.qid for p in pairs} == {"q1"}
+        assert "skipped 1" in caplog.text
+
+    def test_draws_index_the_universe_in_its_given_order(self):
+        # the draw picks positions, so the universe's order, not its sorted order, decides the docids
+        ids = [f"c{i}" for i in range(20)]
+        qrels = {"q1": {"c0": 1}}
+        pairs = sample_negatives({"q1": ids[::-1]}, qrels, 5, seed=3)
+        eligible = ids[::-1][:-1]  # c0, the positive, was last
+        assert [p.docid for p in pairs] == [eligible[i] for i in draw(len(eligible), 5, 3, "negatives", "q1")]
 
 
 def query_store(vectors):

@@ -321,3 +321,19 @@ def test_invalid_utf8_is_a_data_error_with_location(tmp_path, capsys, case):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"{bad}:2" in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "name, text, diagnostic",
+    [
+        ("c.jsonl", '{"docid": "d1", "text": "a"}\n["d2", "b"]\n', "2: [corpus.json] record is not an object"),
+        ("r.trec", "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 high t\n", "2: [run.score] non-numeric score 'high'"),
+        ("r.trec", "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 two 1.0 t\n", "2: [run.rank] rank two, expected 2"),
+    ],
+    ids=["corpus-array", "run-score", "run-rank"],
+)
+def test_validate_reports_a_bad_line_at_its_number(tmp_path, capsys, name, text, diagnostic):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out == f"{path}:{diagnostic}\n1 problem(s) found\n"

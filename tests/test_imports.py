@@ -23,13 +23,13 @@ PUBLIC_NAMES = {
     "dense_search", "detect_policy", "ensemble_runs", "fuse", "lexical_score", "load_corpus",
     "load_embeddings", "load_index", "load_qrels", "load_topics", "macro_average", "ndcg_at_k",
     "normalize_run", "pseudo_label", "q2q2d_augment", "read_pairs", "read_run", "recall_at_k",
-    "sample_negatives", "sample_negatives_corpus", "save_index", "score_pairs", "tokenize",
-    "write_pairs", "write_qrels", "write_run",
+    "sample_negatives", "save_index", "score_pairs", "tokenize", "write_pairs", "write_qrels",
+    "write_run",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert set(rankpipe.__all__) == PUBLIC_NAMES
 
 

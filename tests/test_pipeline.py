@@ -397,3 +397,23 @@ def test_second_language_input_fault_stops_the_call_before_any_artifact(tmp_path
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert expected in capsys.readouterr().err
     assert not (desk / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("seed 7", "expected 'key = value'"), (" = 7", "empty key"), ("seed = 8", "duplicate key 'seed'")],
+    ids=["no-equals", "empty-key", "repeated-key"],
+)
+def test_config_line_that_is_not_one_new_key_is_an_error_at_its_line(tmp_path, capsys, bad_line, message):
+    cfg = write_tiny_project(tmp_path)
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    cfg.write_text("\n".join([*lines[:2], bad_line, *lines[2:]]) + "\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert f"{cfg}:3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_stage_without_a_run_is_a_data_error(tmp_path, capsys):
+    cfg = _set_stages(write_tiny_project(tmp_path), "eval")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert "no runs to evaluate for 'xx'; run a retrieval stage first" in capsys.readouterr().err

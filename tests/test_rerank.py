@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import time
 from unittest import mock
@@ -357,6 +358,32 @@ for line in sys.stdin:
     print(f"{qid}\\t{docid}\\t{zlib.crc32(text.encode()) / 2**32!r}", flush=True)
 """
 
+# answer every request with two columns, a non-numeric score, or nothing at all
+TWO_COLUMN_SCORER = """\
+import sys
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+for line in sys.stdin:
+    parts = line.rstrip("\\n").split("\\t")
+    print(f"{parts[1]}\\t{parts[2]}", flush=True)
+"""
+
+NON_NUMERIC_SCORER = """\
+import sys
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+for line in sys.stdin:
+    parts = line.rstrip("\\n").split("\\t")
+    print(f"{parts[1]}\\t{parts[2]}\\thigh", flush=True)
+"""
+
+EXIT_AFTER_REQUEST_SCORER = """\
+import sys
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+sys.stdin.readline()
+"""
+
 
 def scorer_handle(tmp_path, source, name="scorer.py"):
     path = tmp_path / name
@@ -437,6 +464,27 @@ class TestExternalScorer:
         with pytest.raises(ProtocolError, match=r"within 0\.5 s, waiting for the response to \(q1, d1\)"):
             score_pairs(pairs, scorer_handle(tmp_path, DEAF_AFTER_READY_SCORER))
         assert time.monotonic() - started < 10
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (TWO_COLUMN_SCORER, r"malformed response 'q1\\td1'"),
+            (NON_NUMERIC_SCORER, r"non-numeric score in response 'q1\\td1\\thigh'"),
+            (EXIT_AFTER_REQUEST_SCORER, "scorer closed the stream after 0 of 1 responses"),
+        ],
+        ids=["two-columns", "non-numeric-score", "exit-before-answering"],
+    )
+    def test_bad_response_through_the_cli_exits_3(self, tmp_path, capsys, source, message):
+        corpus, topics, pool, out = (tmp_path / n for n in ("c.jsonl", "t.tsv", "pool.trec", "r.trec"))
+        corpus.write_text(json.dumps({"docid": "d1", "title": "", "text": "b"}) + "\n", encoding="utf-8")
+        topics.write_text("q1\ta\n", encoding="utf-8")
+        write_run(Run.from_scores({"q1": {"d1": 1.0}}, tag="pool"), str(pool))
+        command = scorer_handle(tmp_path, source).location
+        code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--scorer", f"cmd:{command}", "--out", str(out)])
+        assert code == 3
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
 
 def _assert_gone(pids):

@@ -15,7 +15,7 @@ from rankpipe.cli import main
 from rankpipe.corpus import Document
 from rankpipe.errors import DataError, FormatError
 from rankpipe.sparse import (
-    Bm25Params, InvertedIndex, Postings, bm25_search, build_index, idf, load_index, save_index,
+    DEFLATE_LEVEL, Bm25Params, InvertedIndex, Postings, bm25_search, build_index, idf, load_index, save_index,
 )
 from rankpipe.tokenization import tokenize
 
@@ -485,6 +485,36 @@ class TestCorruptIndex:
         with pytest.raises(FormatError, match=message) as exc:
             load_index(str(path))
         assert exc.value.path == str(path)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (bytes([3]) + TINY_PAYLOAD[1:], "a column width of 3 bytes is not 1, 2 or 4"),
+            # in the dictionary, byte 9 is a's postings width and byte 8 is b's df
+            (TINY_PAYLOAD.replace(TINY_DICTIONARY, TINY_DICTIONARY[:9] + bytes([0x03]) + TINY_DICTIONARY[10:]),
+             "a column width of 3 bytes is not 1, 2 or 4"),
+            (TINY_PAYLOAD.replace(TINY_DICTIONARY, TINY_DICTIONARY[:8] + bytes([2]) + TINY_DICTIONARY[9:]),
+             "truncated index file"),
+            # the last 6 bytes are the postings: a: gap; ab: gaps, tfs; b: gap
+            (TINY_PAYLOAD[:-6] + bytes([0, 0, 0, 2, 1, 1]),
+             "d-gaps of term 'ab' do not give ascending ordinals below 2"),
+            (TINY_PAYLOAD[:-6] + bytes([2, 0, 1, 2, 1, 1]),
+             "d-gaps of term 'a' do not give ascending ordinals below 2"),
+            (TINY_PAYLOAD[:-6] + bytes([0, 0, 1, 0, 1, 1]), "term 'ab' has a term frequency of 0"),
+            (TINY_PAYLOAD + b"\0", "1 bytes after the last term"),
+        ],
+        ids=["doc-length-width-3", "gap-width-3", "postings-past-the-end", "gap-of-0", "ordinal-past-doc-count",
+             "tf-of-0", "byte-after-the-last-term"],
+    )
+    def test_a_payload_check_behind_a_valid_stream_is_a_format_error(self, tmp_path, capsys, payload, message):
+        # each payload deflated as save_index deflates it, so that the stream checks pass and the payload's fail
+        path = tmp_path / "payload.rpidx"
+        path.write_bytes(index_file(payload, DEFLATE_LEVEL))
+        with pytest.raises(FormatError, match=message) as exc:
+            load_index(str(path))
+        assert exc.value.path == str(path)
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}:0: [index] {message}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "docids, message",
