@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -100,24 +101,36 @@ def sample_negatives(
     query_texts: Mapping[str, str] | None = None,
 ) -> list[TrainingPair]:
     """Draw up to ``n`` negatives per query from that query's universe of
-    docids: its candidate pool, or the whole corpus for the baseline.
+    docids, each listed once: its candidate pool, or the whole corpus for the
+    baseline.
 
     Documents judged positive (grade >= 1) are never emitted; judged-zero
     documents are eligible. Queries with no judgments at all are skipped.
+
+    Each distinct universe object is indexed once, so a query over a shared
+    corpus costs O(n + judgments), not O(corpus).
     """
     check_k(n, 0, "n")
     texts = query_texts or {}
     pairs: list[TrainingPair] = []
     skipped = 0
+    indexes: dict[int, dict[str, int]] = {}  # id of a universe -> docid -> its position
     for qid in sorted(universes):
         judged = qrels.get(qid)
         if not judged:
             skipped += 1
             continue
-        relevant = positives(judged)
-        eligible = [docid for docid in universes[qid] if docid not in relevant]
-        pairs.extend(TrainingPair(qid, texts.get(qid, ""), eligible[i], 0.0, "negative")
-                     for i in draw(len(eligible), n, seed, "negatives", qid))
+        universe = universes[qid]
+        index = indexes.get(id(universe))
+        if index is None:
+            index = indexes[id(universe)] = {docid: i for i, docid in enumerate(universe)}
+            if len(index) < len(universe):  # a second copy of a positive would be drawn
+                raise ValueError(f"the universe of query {qid!r} lists a docid twice")
+        # the draw is over the universe without its positives, whose sorted positions P
+        # give gaps P[k] - k: eligible position p is universe position p + #{k: gaps[k] <= p}
+        gaps = [i - k for k, i in enumerate(sorted(index[d] for d in positives(judged) if d in index))]
+        pairs.extend(TrainingPair(qid, texts.get(qid, ""), universe[p + bisect_right(gaps, p)], 0.0, "negative")
+                     for p in draw(len(universe) - len(gaps), n, seed, "negatives", qid))
     if skipped:
         import logging  # here, so that a forge call that skips nothing starts without logging
 

@@ -18,6 +18,8 @@ earlier call reads the artifact, and a missing one names the stage to run
 first. Each stage imports the modules it computes with, so a call that only
 evaluates or fuses starts without numpy. The languages run in parallel, one
 forked ``multiprocessing`` worker per CPU, with the bytes of one process.
+The workers fork from the caller before any stage runs, while it has one
+thread and no numpy; numpy loads in the process that runs a dense stage.
 """
 from __future__ import annotations
 
@@ -389,11 +391,14 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
     The languages are dealt round-robin over one process per CPU this process
     may run on, at most one per language: the caller runs ``languages[0::W]``
     and W - 1 forked ``multiprocessing`` workers the rest, so one CPU or one
-    language forks nothing. Each language runs to its end or to its own first
-    error; once all have run, the error of the first failing language in
-    config order is raised (a worker that ends without results, killed say,
-    is a ChildProcessError naming its exit code), and the summary is written
-    only when none failed. The artifacts do not depend on W.
+    language forks nothing. The workers fork before any stage runs, from the
+    caller as ``_read_values`` left it, without numpy (a CLI call has one
+    thread then), and a dense stage imports numpy in the process that runs
+    it. Each language runs to its end or to its own first error; once all
+    have run, the error of the first failing language in config order is
+    raised (a worker that ends without results, killed say, is a
+    ChildProcessError naming its exit code), and the summary is written only
+    when none failed. The artifacts do not depend on W.
     """
     stages = [stage for stage in STAGE_TABLE if stage.name in config.stages]
     names = {stage.name for stage in stages}
@@ -406,8 +411,6 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
         if count > 1:
             import multiprocessing
 
-            if "dense" in names:  # once, not in each worker
-                import numpy  # noqa: F401
             context = multiprocessing.get_context("fork")
             for i in range(1, count):
                 reader, writer = context.Pipe(duplex=False)

@@ -361,10 +361,14 @@ def rerank_pool(
     cpus: int | None = None,
 ) -> Run:
     """The rerank stage: score the first ``pool_k`` candidates of every pool query,
-    an external scorer with up to ``cpus`` processes (see ``score_pairs``)."""
+    an external scorer with up to ``cpus`` processes (see ``score_pairs``).
+
+    Every corpus line is parsed, so a bad one fails the call at its
+    ``path:line``, but only the pooled documents are kept."""
     check_k(budget, name="budget")  # budget and pool_k before the reads, so that an empty pool cannot hide them
     pool = cut_pool(pool, pool_k)
     topics = load_topics(topics_path)
-    corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path)}
+    pooled = {docid for ranked in pool.entries.values() for docid, _ in ranked}
+    corpus_lookup = {doc.docid: doc for doc in load_corpus(corpus_path) if doc.docid in pooled}
     pairs = build_pairs(pool, topics, corpus_lookup, budget)
     return score_pairs(pairs, scorer, cpus)

@@ -16,7 +16,7 @@ import numpy as np
 from rankpipe.corpus import Document
 from rankpipe.dense import similarities
 from rankpipe.errors import DataError
-from rankpipe.forge import TrainingPair
+from rankpipe.forge import TrainingPair, draw
 from rankpipe.runs import Run, rank_sorted
 from rankpipe.tokenization import tokenize
 
@@ -265,6 +265,20 @@ def oracle_draw(m: int, count: int, seed: int, *scope: str) -> list[int]:
         j = i + u % (m - i)
         perm[i], perm[j] = perm[j], perm[i]
     return perm[: min(count, m)]
+
+
+def oracle_sample_negatives(universes, qrels, n: int, seed: int) -> list[tuple[str, str]]:
+    """Negatives as first sampled, as (qid, docid): each query's universe copied
+    without its positives (grade >= 1), then ``draw`` over the copy's positions."""
+    pairs = []
+    for qid in sorted(universes):
+        judged = qrels.get(qid)
+        if not judged:
+            continue
+        relevant = {docid for docid, grade in judged.items() if grade >= 1}
+        eligible = [docid for docid in universes[qid] if docid not in relevant]
+        pairs.extend((qid, eligible[i]) for i in draw(len(eligible), n, seed, "negatives", qid))
+    return pairs
 
 
 def oracle_lexical_score(text: str, budget: int) -> float:

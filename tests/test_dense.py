@@ -49,6 +49,31 @@ class TestLoadEmbeddings:
             load_embeddings(path)
 
 
+class TestEmbeddingStoreChecks:
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 2)), np.zeros(2)], ids=["rows", "one-dimensional"])
+    def test_matrix_shape_must_match_the_ids(self, matrix):
+        with pytest.raises(ValueError, match="matrix shape does not match id count"):
+            EmbeddingStore(["a"], matrix)
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(DataError, match="duplicate vector ids"):
+            EmbeddingStore(["a", "b", "a"], np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_names_its_vector(self, bad):
+        with pytest.raises(DataError, match="non-finite components in vector 'b'"):
+            EmbeddingStore(["a", "b"], np.array([[1.0, 0.0], [0.5, bad]]))
+
+    def test_unknown_id_is_a_data_error(self):
+        store = EmbeddingStore(["a"], np.ones((1, 2)))
+        with pytest.raises(DataError, match="unknown vector id 'zz'"):
+            store.vector("zz")
+
+    def test_from_items_without_vectors(self):
+        with pytest.raises(DataError, match="no vectors"):
+            EmbeddingStore.from_items([])
+
+
 def make_stores(query_vecs, doc_vecs):
     queries = EmbeddingStore(list(query_vecs), np.array(list(query_vecs.values()), dtype=float))
     docs = EmbeddingStore(list(doc_vecs), np.array(list(doc_vecs.values()), dtype=float))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_draw, oracle_q2q2d
+from helpers import oracle_draw, oracle_q2q2d, oracle_sample_negatives
+from rankpipe.cli import main
 from rankpipe.dense import EmbeddingStore
 from rankpipe.errors import DataError, FormatError
 from rankpipe.forge import (
@@ -21,6 +22,8 @@ from rankpipe.forge import (
 )
 from rankpipe.fusion import cut_pool
 from rankpipe.runs import Run
+
+from test_cli import write_tiny_project
 
 
 def make_universes(qid="q1", n=200):
@@ -129,6 +132,31 @@ class TestSampleNegatives:
         assert {p.qid for p in pairs} == {"q1"}
         assert "skipped 1" in caplog.text
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.lists(st.lists(st.sampled_from(["outside1", "outside2", *range(40)]), max_size=8).map(set), max_size=6),
+        st.lists(st.integers(0, 2), min_size=8, max_size=8),
+        st.booleans(),
+        st.integers(0, 50),
+        st.integers(0, 2**32),
+    )
+    def test_matches_the_copying_sampler(self, size, judged_sets, grades, shared, n, seed):
+        universe = [f"d{i:02d}" for i in range(size)]
+        qids = [f"q{j}" for j in range(len(judged_sets))]
+        # judged docids in and outside the universe, with grades 0, 1 and 2
+        named = [sorted(d if isinstance(d, str) else f"d{d:02d}" for d in ds) for ds in judged_sets]
+        qrels = {qid: {docid: grades[i] for i, docid in enumerate(docids)} for qid, docids in zip(qids, named)}
+        # one list shared by every query, as --from-corpus passes it, or a list of its own per query
+        own = [universe[j % 3:][:: -1 if j % 2 else 1] for j in range(len(qids))]
+        universes = {qid: universe if shared else own[j] for j, qid in enumerate(qids)}
+        pairs = sample_negatives(universes, qrels, n, seed)
+        assert [(p.qid, p.docid) for p in pairs] == oracle_sample_negatives(universes, qrels, n, seed)
+
+    def test_universe_listing_a_docid_twice_rejected(self):
+        with pytest.raises(ValueError, match="the universe of query 'q1' lists a docid twice"):
+            sample_negatives({"q1": ["d1", "d2", "d1"]}, {"q1": {"d1": 1}}, 5, seed=0)
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             sample_negatives(make_universes(), {}, -1, seed=0)
@@ -184,6 +212,24 @@ class TestCorpusUniverse:
         pairs = sample_negatives({"q1": ids[::-1]}, qrels, 5, seed=3)
         eligible = ids[::-1][:-1]  # c0, the positive, was last
         assert [p.docid for p in pairs] == [eligible[i] for i in draw(len(eligible), 5, 3, "negatives", "q1")]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--alpha", "0", "alpha must be in (0, 1]"), ("--top-m", "0", "top_m must be >= 1"),
+     ("--tau", "2", "tau must be in [-1, 1]")],
+    ids=["alpha", "top-m", "tau"],
+)
+def test_q2q2d_parameter_out_of_range_exits_1(tmp_path, capsys, flag, value, message):
+    write_tiny_project(tmp_path)
+    out = tmp_path / "q2q.pairs.tsv"
+    topics = str(tmp_path / "topics.tsv")
+    code = main(["forge", "q2q2d", "--test-topics", topics, "--train-topics", topics,
+                 "--train-qrels", str(tmp_path / "qrels.txt"), "--query-vectors", str(tmp_path / "queries.vec.tsv"),
+                 flag, value, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def query_store(vectors):

@@ -7,10 +7,12 @@ artifacts back from disk.
 """
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 import time
 from collections.abc import Callable
@@ -26,6 +28,7 @@ from rankpipe.runs import read_run
 
 from test_cli import DESK, tree_digest, write_tiny_project
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 # a topic none of whose terms occurs in the English desk passages
 UNMATCHED_TOPIC = "en-q-none\tzyzzyva quokkaesque\n"
 
@@ -320,6 +323,34 @@ def test_platform_without_cpu_affinity_forks_nothing(tmp_path, monkeypatch, caps
     assert tree_digest(out) == digest
     assert capsys.readouterr().out == stdout
     _assert_no_child_left()
+
+
+# runs the desk pipeline named by its argument at three CPUs, printing for
+# each fork the caller's thread count and whether numpy was loaded
+FORK_PROBE = """\
+import json, os, sys
+from rankpipe.cli import main
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+seen, fork = [], os.fork
+def probing_fork():
+    seen.append((len(os.listdir("/proc/self/task")), "numpy" in sys.modules))
+    return fork()
+os.fork = probing_fork
+code = main(["pipeline", "--config", sys.argv[1]])
+print(json.dumps([code, seen]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_workers_fork_from_one_thread_without_numpy(tmp_path):
+    cfg = _desk(tmp_path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", FORK_PROBE, str(cfg)], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # two workers for sw and zh, each forked before any stage, dense included, ran
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, [[1, False], [1, False]]]
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("present", [True, False])

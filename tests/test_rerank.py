@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import oracle_lexical_score, oracle_pair_text
 from rankpipe import rerank
 from rankpipe.cli import main
-from rankpipe.corpus import Document
+from rankpipe.corpus import Document, load_corpus, load_topics
 from rankpipe.errors import DataError, FormatError, ProtocolError
 from rankpipe.fusion import cut_pool
 from rankpipe.rerank import (
@@ -27,6 +28,10 @@ from rankpipe.rerank import (
 )
 from rankpipe.runs import Run, read_run, write_run
 from rankpipe.tokenization import tokenize
+
+from test_cli import DESK
+
+EXAMPLE_SCORER = Path(__file__).resolve().parent.parent / "demos" / "example_scorer.py"
 
 
 def simple_pool(docids, qid="q1"):
@@ -210,6 +215,57 @@ class TestScorerHandle:
             ScorerHandle.parse("magic")
 
 
+def _rerank_inputs(root, docids, extra_lines=()):
+    """A corpus of ``docids`` followed by ``extra_lines``, a topic q1 and a pool
+    of q1 over ``docids``: the paths of the corpus, topics, pool and output."""
+    corpus, topics, pool = (root / n for n in ("c.jsonl", "t.tsv", "pool.trec"))
+    lines = [json.dumps({"docid": d, "title": "", "text": f"body {d}"}) for d in docids]
+    corpus.write_text("".join(f"{line}\n" for line in [*lines, *extra_lines]), encoding="utf-8")
+    topics.write_text("q1\tbody d1\n", encoding="utf-8")
+    write_run(Run.from_scores({"q1": {d: float(len(docids) - i) for i, d in enumerate(docids)}}, tag="pool"), str(pool))
+    return corpus, topics, pool, root / "r.trec"
+
+
+class TestRerankPoolCorpus:
+    """The rerank stage keeps only pooled documents but parses every corpus line."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("{not json", "malformed JSON"), ('{"docid": "d9", "text": " "}', "document 'd9' has empty 'text'")],
+        ids=["malformed-json", "empty-text"],
+    )
+    def test_bad_line_outside_the_pool_exits_2_at_its_line(self, tmp_path, capsys, line, message):
+        corpus, topics, pool, out = _rerank_inputs(tmp_path, ["d1", "d2"], ['{"docid": "d8", "text": "x"}', line])
+        code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--pool-k", "1", "--out", str(out)])
+        assert code == 2
+        assert f"error: {corpus}:4: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pooled_docid_missing_from_the_corpus_exits_2(self, tmp_path, capsys):
+        corpus, topics, pool, out = _rerank_inputs(tmp_path, ["d1", "d2"])
+        write_run(Run.from_scores({"q1": {"d1": 2.0, "d3": 1.0}}, tag="pool"), str(pool))
+        code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--out", str(out)])
+        assert code == 2
+        assert "error: pool document 'd3' not found in corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("language", ["en", "zh"])
+    @pytest.mark.parametrize("external", [False, True], ids=["lexical", "external"])
+    def test_scores_as_with_the_whole_corpus(self, language, external):
+        desk = DESK / language
+        topics, corpus = load_topics(str(desk / "topics.tsv")), list(load_corpus(str(desk / "corpus.jsonl")))
+        # every topic over every document, of which the pool keeps the first 7
+        pool = Run.from_scores({qid: {doc.docid: float((i * 31 + j * 17) % 101) for j, doc in enumerate(corpus)}
+                                for i, qid in enumerate(topics)}, tag="hybrid")
+        scorer = ScorerHandle.parse(f"cmd:{sys.executable} {EXAMPLE_SCORER}" if external else "lexical")
+        expected = score_pairs(build_pairs(cut_pool(pool, 7), topics, {d.docid: d for d in corpus}, 40), scorer, 1)
+        got = rerank.rerank_pool(pool, str(desk / "topics.tsv"), str(desk / "corpus.jsonl"), scorer, 7, 40, 1)
+        assert got == expected
+        assert len(got) == 7 * len(topics)
+
+
 class TestScoreFileScorer:
     def test_scores_copied_verbatim(self, tmp_path):
         score_path = tmp_path / "scores.tsv"
@@ -232,6 +288,22 @@ class TestScoreFileScorer:
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
         with pytest.raises(FormatError, match=r"scores\.tsv:3: duplicate score for \(q1, d1\)"):
             score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("q1 d1 0.5\nq1 d2\n", "2: expected 'qid docid score', got 2 columns"),
+         ("q1 d1 0.5\nq1 d2 high\n", "2: non-numeric score 'high'")],
+        ids=["two-columns", "non-numeric-score"],
+    )
+    def test_bad_line_through_the_cli_exits_2_at_its_line(self, tmp_path, capsys, lines, message):
+        score_path = tmp_path / "scores.tsv"
+        score_path.write_text(lines, encoding="utf-8")
+        corpus, topics, pool, out = _rerank_inputs(tmp_path, ["d1", "d2"])
+        code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--scorer", f"file:{score_path}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {score_path}:{message}\n"
+        assert not out.exists()
 
     def test_out_of_range_score_rejected(self, tmp_path):
         score_path = tmp_path / "scores.tsv"
@@ -385,6 +457,17 @@ sys.stdin.readline()
 """
 
 
+# answers two requests, the second without a newline, then exits
+NO_FINAL_NEWLINE_SCORER = """\
+import sys
+assert sys.stdin.readline().strip() == "HELLO 1"
+print("READY 1", flush=True)
+for end in ("\\n", ""):
+    parts = sys.stdin.readline().rstrip("\\n").split("\\t")
+    print(f"{parts[1]}\\t{parts[2]}\\t0.75", end=end, flush=True)
+"""
+
+
 def scorer_handle(tmp_path, source, name="scorer.py"):
     path = tmp_path / name
     path.write_text(source)
@@ -451,6 +534,11 @@ class TestExternalScorer:
         pairs = [PairInput("q1", f"d{i}", "a", "", "b") for i in range(3)]
         run = score_pairs(pairs, scorer_handle(tmp_path, SPLIT_LINE_SCORER))
         assert run.scores("q1") == {"d0": 0.25, "d1": 0.25, "d2": 0.25}
+
+    def test_last_response_without_a_newline_before_exit_is_accepted(self, tmp_path):
+        pairs = [PairInput("q1", f"d{i}", "a", "", "b") for i in range(2)]
+        run = score_pairs(pairs, scorer_handle(tmp_path, NO_FINAL_NEWLINE_SCORER), cpus=1)
+        assert run.scores("q1") == {"d0": 0.75, "d1": 0.75}
 
     def test_unlaunchable_command(self):
         pairs = [PairInput("q1", "d1", "a", "", "b")]

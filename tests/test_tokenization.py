@@ -44,6 +44,17 @@ MIXED_TEXT = st.text(
 )
 
 
+# the script-run pattern with its two alternatives in the other order: at most
+# one matches at any position, so the order must change no token
+_RANGES = "".join(f"\\u{lo:04x}-\\u{hi:04x}" for lo, hi in SCRIPT_RANGES)
+UNIGRAM_FIRST = rf"(?=[^\W_])[{_RANGES}]|[^\W_{_RANGES}]+"
+
+# Latin, digits, Han, kana, Hangul, Thai, combining marks, punctuation, "_" and whitespace
+SCRIPT_TEXT = st.text(st.sampled_from(list(
+    "abzAZéßİ09٣" "北京检索" "ひらがなカタカナー" "한국어ᄀㄱ" "ภาษาไทย๑ิ" "\u0301\u0308\u3099" ",.-。、・!_ \t\n\u3000"
+)))
+
+
 class TestWhitespacePolicy:
     """Text without unsegmented scripts: each alphanumeric run is one word."""
 
@@ -148,6 +159,11 @@ class TestScriptRuns:
         index = build_index([Document("d", "", text), Document("other", "", "filler 填充")])
         for token in set(tokens):
             assert "d" in [docid for docid, _ in bm25_search(index, token, 10)], token
+
+    @settings(max_examples=500, deadline=None)
+    @given(SCRIPT_TEXT)
+    def test_word_run_first_gives_the_unigram_first_tokens(self, text):
+        assert tokenize(text) == re.findall(UNIGRAM_FIRST, text.casefold())
 
     def test_han_run_in_latin_passage_is_found(self):
         index = build_index([Document("d1", "Travel", "Flights to 北京 leave daily"), Document("d2", "", "other text")])
