@@ -5,17 +5,35 @@ Vectors come from any external bi-encoder as a TSV of
 in double precision, so results are exact. The metric, dot product or
 cosine, is a search argument; ``similarities`` is the one routine that
 computes either, with the same checks for every caller.
+
+This is the one module of the package that imports numpy, and the others
+take it from here. Unless the caller has set ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, numpy's BLAS starts with one
+thread: search is one matrix-vector product per query, which a second
+thread does not speed up, while the pipeline already runs one process per
+CPU. The variables are set for the import alone, so a process started
+later, an external scorer say, inherits the caller's environment.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable
+from contextlib import closing
 from functools import cached_property
+from itertools import chain
 
-import numpy as np
-
-from .errors import DataError
+from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run, check_k
-from .validate import COSINE, DOT, METRICS, parse_vectors
+from .validate import COSINE, DOT, METRICS, data_lines, parse_vectors
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_capped = [] if any(name in os.environ for name in _BLAS_THREADS) else list(_BLAS_THREADS)
+os.environ.update(dict.fromkeys(_capped, "1"))
+try:
+    import numpy as np
+finally:
+    for _name in _capped:
+        del os.environ[_name]
 
 
 class EmbeddingStore:
@@ -74,9 +92,42 @@ class EmbeddingStore:
         return cls(ids, np.vstack(rows))
 
 
+# whitespace to numpy's number reader, which strips it around a component, but not to float()
+_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def load_embeddings(path: str) -> EmbeddingStore:
     """Load a vector TSV; every record must share the first record's
-    dimension, and the error for a mismatch names the id and line."""
+    dimension, and the error for a mismatch names the id and line.
+
+    numpy's C reader parses the components of the data lines; where it or
+    a check of the ids and values fails, ``validate.parse_vectors`` reads the
+    file again, and either raises its ``path:line`` diagnostic or accepts what
+    only ``float()`` reads (``1_5``, non-ASCII digits). Where both accept a
+    component, they give the same float: each rounds correctly."""
+    ids: list[str] = []
+
+    def payload(line: str) -> str:
+        vid, values = line.split("\t")  # a ValueError unless two columns
+        # numpy skips an empty line, and warns when it read no line
+        if not values or any(map(values.__contains__, _NOT_FLOAT_SPACE)):
+            raise ValueError(vid)
+        ids.append(vid)
+        return values
+
+    with closing(data_lines(path, parse=payload)) as lines:
+        payloads = (values for _, values in lines)
+        try:
+            first = next(payloads, None)  # a file without vectors is parse_vectors' to report
+            matrix = None if first is None else np.loadtxt(
+                chain((first,), payloads), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, FormatError):  # a line that numpy, the split or the decoder rejects
+            matrix = None
+    # one row per id, unique ids that are single tokens (splitting them joined
+    # by spaces gives them back), finite components
+    if (matrix is not None and len(matrix) == len(ids) == len(set(ids)) and " ".join(ids).split() == ids
+            and np.isfinite(matrix).all()):
+        return EmbeddingStore(ids, matrix)
     return EmbeddingStore.from_items(record for _, record in parse_vectors(path))
 
 

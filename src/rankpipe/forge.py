@@ -151,9 +151,7 @@ def q2q2d_augment(
     at or above ``tau`` contribute every judged document with label
     sim * label * alpha; zero-grade judgments are emitted with label 0.
     """
-    import numpy as np
-
-    from .dense import EmbeddingStore, similarities
+    from .dense import EmbeddingStore, np, similarities
 
     for qid in [*test_queries, *train_queries]:
         if qid not in query_vectors:

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from operator import itemgetter
 
 from .errors import DataError
-from .runs import Run, check_k, rank_sorted
+from .runs import Run, check_k, sort_ranked
 
 DEFAULT_POOL_K = 200
 
@@ -90,7 +90,7 @@ def fuse(runs: Sequence[Run], weights: Sequence[float]) -> Run:
             fused = None
         if fused is None or not all(map(math.isfinite, fused.values())):
             raise DataError(f"weighted scores of query {qid!r} overflow the float range")
-        entries[qid] = rank_sorted(fused.items())
+        entries[qid] = sort_ranked(list(fused.items()))
     return Run(entries=entries, tag="hybrid")
 
 

@@ -126,17 +126,22 @@ def build_pairs(
     """Yield one pair per (query, pool candidate), preserving pool order.
 
     The segments are kept whole; the budget is recorded for the lexical
-    baseline, which applies it at scoring time.
+    baseline, which applies it at scoring time. Each pooled document is
+    cleaned once, and its pairs share the cleaned title and body.
     """
+    segments: dict[str, tuple[str, str]] = {}
     for qid in pool.entries:
         if qid not in topics:
             raise DataError(f"no topic text for query {qid!r}")
         query = _clean(topics[qid])
         for docid in pool.docids(qid):
-            doc = corpus_lookup.get(docid)
-            if doc is None:
-                raise DataError(f"pool document {docid!r} not found in corpus")
-            yield PairInput(qid, docid, query, _clean(doc.title), _clean(doc.text), budget)
+            cleaned = segments.get(docid)
+            if cleaned is None:
+                doc = corpus_lookup.get(docid)
+                if doc is None:
+                    raise DataError(f"pool document {docid!r} not found in corpus")
+                cleaned = segments[docid] = (_clean(doc.title), _clean(doc.text))
+            yield PairInput(qid, docid, query, *cleaned, budget)
 
 
 def lexical_score(pair: PairInput) -> float:
@@ -148,14 +153,36 @@ def lexical_score(pair: PairInput) -> float:
     body tokens in turn, since no token spans the separating spaces. 1.0
     exactly when every query token appears in the kept title and body tokens.
     """
-    query = tokenize(pair.query)
-    query_tokens = set(query)
-    if not query_tokens:
-        return 0.0
-    room = max(pair.truncation_budget - len(query) - 2 * len(tokenize(SEPARATOR)), 0)
-    title = tokenize(pair.title)[:room]
-    body = tokenize(pair.body)[: room - len(title)]
-    return len(query_tokens & {*title, *body}) / len(query_tokens)
+    return _lexical_scores([pair])[0]
+
+
+def _lexical_scores(pairs: list[PairInput]) -> list[float]:
+    """``lexical_score`` of each pair. A pool repeats its queries and its
+    documents, so each query text is tokenized once, and each title and body
+    once per budget."""
+    separators = 2 * len(tokenize(SEPARATOR))
+    queries: dict[str, tuple[int, set[str]]] = {}  # query text -> its token count and token set
+    documents: dict[tuple[str, str, int], tuple[list[str], list[str]]] = {}  # the tokens cut at the budget
+    scores = []
+    for pair in pairs:
+        query = queries.get(pair.query)
+        if query is None:
+            tokens = tokenize(pair.query)
+            query = queries[pair.query] = (len(tokens), set(tokens))
+        count, query_tokens = query
+        if not query_tokens:
+            scores.append(0.0)
+            continue
+        budget = pair.truncation_budget
+        key = (pair.title, pair.body, budget)
+        document = documents.get(key)
+        if document is None:  # room never passes the budget, so the cut keeps every token scored
+            document = documents[key] = (tokenize(pair.title)[:budget], tokenize(pair.body)[:budget])
+        title, body = document
+        room = max(budget - count - separators, 0)
+        title = title[:room]
+        scores.append(len(query_tokens & {*title, *body[: room - len(title)]}) / len(query_tokens))
+    return scores
 
 
 def escape_text(text: str) -> str:
@@ -335,7 +362,7 @@ def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle, cpus: int | No
     """
     pair_list = list(pairs)
     if scorer.kind == LEXICAL_BASELINE:
-        scores = [lexical_score(pair) for pair in pair_list]
+        scores = _lexical_scores(pair_list)
     elif scorer.kind == SCORE_FILE:
         table = _read_score_file(scorer.location)
         scores = []

@@ -39,14 +39,20 @@ def _canonical(pairs: list) -> bool:
     return all(map(lt, keys, keys[1:]))
 
 
+def sort_ranked(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
+    """Sort (docid, score) tuples into canonical order in place and return
+    them: two stable sorts keyed in C, by docid, then by score descending."""
+    pairs.sort(key=itemgetter(0))
+    pairs.sort(key=itemgetter(1), reverse=True)
+    return pairs
+
+
 def rank_sorted(pairs: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     """``pairs`` as a new list of (docid, float) tuples in canonical order."""
     pairs = list(pairs)
     if _canonical(pairs):
         return pairs
-    pairs = [(docid, float(score)) for docid, score in pairs]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    return pairs
+    return sort_ranked([(docid, float(score)) for docid, score in pairs])
 
 
 @dataclass
@@ -97,6 +103,7 @@ def write_run(run: Run, path: str, header: str | None = None) -> Run:
     """
     entries: dict[str, list[tuple[str, float]]] = {}
     tail = f" {run.tag}\n"
+    ranks: list[str] = []  # the rank column " 1 ", " 2 ", ..., as deep as the deepest query so far
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
@@ -104,12 +111,17 @@ def write_run(run: Run, path: str, header: str | None = None) -> Run:
             ranked = rank_sorted(run.entries[qid])
             if not ranked:
                 continue
-            if len(set(map(itemgetter(0), ranked))) != len(ranked):
+            docids, scores = zip(*ranked)
+            if len(set(docids)) != len(ranked):
                 raise DataError(f"{path}: duplicate document for query {qid!r}")
-            head = f"{qid} Q0 "
-            fh.write("".join([
-                f"{head}{docid} {rank} {score!r}{tail}"
-                for rank, (docid, score) in enumerate(ranked, 1)
-            ]))
+            # the five columns of every line filled by slice, so the loop runs in C
+            n = len(ranked)
+            ranks.extend(f" {rank} " for rank in range(len(ranks) + 1, n + 1))
+            parts = [f"{qid} Q0 "] * (5 * n)
+            parts[1::5] = docids
+            parts[2::5] = ranks[:n]
+            parts[3::5] = map(repr, scores)
+            parts[4::5] = [tail] * n
+            fh.write("".join(parts))
             entries[qid] = ranked
     return Run(entries=entries, tag=run.tag if entries else "run")

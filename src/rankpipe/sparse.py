@@ -30,7 +30,7 @@ from operator import eq, sub
 
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
-from .runs import DEFAULT_K, Run, check_k
+from .runs import DEFAULT_K, Run, check_k, sort_ranked
 from .tokenization import AUTO, tokenize
 
 _MAGIC = b"RPIDX005"
@@ -170,8 +170,7 @@ def bm25_search(
         for ordinal, tf in plist:
             norm = k1 * (1.0 - b + b * index.doc_lengths[ordinal] / avgdl)
             scores[ordinal] = scores.get(ordinal, 0.0) + term_idf * tf / (tf + norm)
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], index.docids[item[0]]))
-    return [(index.docids[ordinal], score) for ordinal, score in ranked[:k]]
+    return sort_ranked(list(zip(map(index.docids.__getitem__, scores), scores.values())))[:k]
 
 
 def retrieve_bm25(

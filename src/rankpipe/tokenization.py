@@ -32,10 +32,12 @@ _U = "".join(f"\\u{lo:04x}-\\u{hi:04x}" for lo, hi in _UNIGRAM_RANGES)
 # the ranges; marks and punctuation inside the ranges separate tokens. The
 # patterns stay strings: ``re`` compiles and caches them at first use, so a
 # process that never tokenizes (``--version``, ``eval``) skips the ~7 ms.
-# At most one alternative matches at any position; the word run comes first,
-# so that a Latin word does not try the unigram lookahead before it.
-_UNIGRAM_CHAR = rf"(?=[^\W_])[{_U}]"
-_SCRIPT_RUNS = rf"[^\W_{_U}]+|{_UNIGRAM_CHAR}"
+# At most one alternative matches at any position. ``re`` tests the class
+# that begins an alternative before it enters it, so the unigram alternative
+# dispatches on the first character: a Han character matches it at once and
+# never tries the word run, and a Latin word pays one failed class test.
+_UNIGRAM_CHAR = rf"[{_U}](?<=[^\W_])"
+_SCRIPT_RUNS = rf"{_UNIGRAM_CHAR}|[^\W_{_U}]+"
 
 
 # kept for perfbench/spans.py:probe_tokenization, which times it; ROADMAP item 1 frees it

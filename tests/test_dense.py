@@ -1,15 +1,21 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_q2q2d, write_vectors
+from rankpipe import dense
 from rankpipe.cli import main
 from rankpipe.corpus import load_qrels, load_topics
 from rankpipe.dense import EmbeddingStore, dense_search, load_embeddings
 from rankpipe.errors import DataError, FormatError
 from rankpipe.forge import AugmentationParams, write_pairs
 from rankpipe.runs import read_run
+from rankpipe.validate import parse_vectors
 
 
 class TestLoadEmbeddings:
@@ -47,6 +53,95 @@ class TestLoadEmbeddings:
         path = write_vectors(tmp_path / "w.vec.tsv", [("a", "1,inf")])
         with pytest.raises(FormatError, match="non-finite"):
             load_embeddings(path)
+
+
+# component strings on which numpy's number reader and float() may disagree:
+# underscores, Arabic-Indic and full-width digits, padding, overflow, nan,
+# hex, a comment mark, an empty field, and whitespace only numpy strips
+ODD_COMPONENTS = ["1_5", "\u0661\u0665", "\uff11", " 1.5", "1.5 ", "\u30001.5", "1e309", "-1e309", "nan", "inf",
+                  "0x1p3", "1,2#x", "", " ", "1.5\x1c", "\x1f2", "1\r2", "+.5", "5.", "-0", "1e-400", "1 2", "\x00"]
+COMPONENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(ODD_COMPONENTS),
+    st.text(st.sampled_from("019.eE+-_ ,#x\x1c\u0663\uff11"), max_size=5),
+)
+# ids that are empty, hold whitespace, start a comment, or repeat
+VECTOR_ID = st.sampled_from(["a", "b", "c", "", "a b", "#c", "d\x1c", " e"])
+
+
+@st.composite
+def vector_files(draw) -> bytes:
+    """The bytes of a vector file: vector lines that mostly share a
+    dimension, comment and blank lines, ``\\n`` or ``\\r\\n`` endings, and
+    now and then a byte that is not UTF-8."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["vector", "vector", "vector", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# provenance", "  # note", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+        else:
+            count = draw(st.sampled_from([dim, dim, dim, dim + 1]))
+            lines.append(f"{draw(VECTOR_ID)}\t{','.join(draw(st.lists(COMPONENT, min_size=count, max_size=count)))}")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    data = "".join(line + ending for line in lines).encode("utf-8")
+    if data and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _loaded(load, path: str):
+    """The ids and matrix bytes a loader gives, or the message it raises; no warning may escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            store = load(path)
+        except DataError as exc:
+            outcome = (type(exc).__name__, str(exc))
+        else:
+            outcome = (store.ids, store.matrix.shape, store.matrix.tobytes())
+    assert not caught, [str(w.message) for w in caught]
+    return outcome
+
+
+def _parsed(path: str) -> EmbeddingStore:
+    return EmbeddingStore.from_items(record for _, record in parse_vectors(path))
+
+
+class TestVectorFastPath:
+    """``load_embeddings`` reads with numpy's C parser and falls back to
+    ``parse_vectors``; either way it gives what ``parse_vectors`` gives."""
+
+    @pytest.mark.parametrize("component", ODD_COMPONENTS)
+    def test_odd_component_loads_as_parse_vectors_reads_it(self, tmp_path, component):
+        path = write_vectors(tmp_path / "v.vec.tsv", [("a", "1.0,2.0"), ("b", f"3.0,{component}")])
+        assert _loaded(load_embeddings, path) == _loaded(_parsed, path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=vector_files())
+    # the first problem, a repeated id, lies before a line that is not UTF-8
+    @example(data=b"a\t1\na\t2\n\xff\t3\n")
+    def test_a_file_loads_as_parse_vectors_reads_it(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.vec.tsv"
+            path.write_bytes(data)
+            assert _loaded(load_embeddings, str(path)) == _loaded(_parsed, str(path))
+
+    @pytest.mark.parametrize("text", ["", "# header only\n", "# a\r\n  # b\r\n\r\n"])
+    def test_a_file_without_vectors_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "v.vec.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert _loaded(load_embeddings, str(path)) == ("FormatError", f"{path}: no vectors")
+
+    def test_a_valid_file_is_read_by_numpy_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dense, "parse_vectors", None)  # a fallback would call it
+        path = tmp_path / "v.vec.tsv"
+        path.write_text("# provenance\r\na\t1e-3, -2.5\r\n\r\nb\t\u30004,5 \r\n", encoding="utf-8")
+        store = load_embeddings(str(path))
+        assert store.ids == ["a", "b"] and store.matrix.tolist() == [[1e-3, -2.5], [4.0, 5.0]]
 
 
 class TestEmbeddingStoreChecks:

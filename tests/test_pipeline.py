@@ -353,6 +353,115 @@ def test_workers_fork_from_one_thread_without_numpy(tmp_path):
     assert result.stderr == ""
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# one CLI call; prints its exit code, the BLAS variables at numpy's import
+# and after the call, and the threads the process ends with
+BLAS_PROBE = """\
+import json, os, sys
+VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+at_import = []
+class Probe:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy":
+            at_import.append({v: os.environ.get(v) for v in VARIABLES})
+sys.meta_path.insert(0, Probe)
+from rankpipe.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, at_import, {v: os.environ.get(v) for v in VARIABLES}, len(os.listdir("/proc/self/task"))]))
+"""
+
+
+def _probe_env(**blas: str) -> dict[str, str]:
+    """This environment without the BLAS thread variables, plus ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**env, **blas}
+
+
+def _blas_probe(argv: list[str], env: dict[str, str]) -> list:
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE, *argv], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _dense_calls(tmp_path: Path) -> dict[str, list[str]]:
+    en = DESK / "en"
+    return {
+        "retrieve dense": ["retrieve", "dense", "--queries", str(en / "queries.vec.tsv"),
+                           "--docs", str(en / "docs.vec.tsv"), "--out", str(tmp_path / "dense.trec")],
+        "forge q2q2d": ["forge", "q2q2d", "--test-topics", str(en / "topics.tsv"), "--train-topics",
+                        str(en / "topics.tsv"), "--train-qrels", str(en / "qrels.txt"),
+                        "--query-vectors", str(en / "queries.vec.tsv"), "--out", str(tmp_path / "q2q2d.pairs.tsv")],
+    }
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("call", ["retrieve dense", "forge q2q2d"])
+def test_numpy_loads_through_dense_with_one_blas_thread(tmp_path, call):
+    # numpy sees one thread in each variable, the call ends with one thread,
+    # and the variables are gone again after the import
+    unset = dict.fromkeys(BLAS_VARIABLES)
+    assert _blas_probe(_dense_calls(tmp_path)[call], _probe_env()) == [0, [dict.fromkeys(BLAS_VARIABLES, "1")], unset, 1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_a_blas_thread_count_the_user_set_is_kept(tmp_path):
+    kept = {**dict.fromkeys(BLAS_VARIABLES), "OPENBLAS_NUM_THREADS": "2"}
+    code, at_import, after, _ = _blas_probe(_dense_calls(tmp_path)["retrieve dense"], _probe_env(OPENBLAS_NUM_THREADS="2"))
+    assert (code, at_import, after) == (0, [kept], kept)
+
+
+# the desk pipeline on three CPUs, so with two workers; each process notes
+# its threads once its dense stage ran, and each external scorer the BLAS
+# variables it inherited
+DENSE_STAGE_PROBE = """\
+import json, os, sys
+from dataclasses import replace
+from rankpipe import pipeline
+from rankpipe.cli import main
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+def noting(body):
+    def run(config, language, held, values):
+        result = body(config, language, held, values)
+        with open(sys.argv[2], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([language, len(os.listdir("/proc/self/task"))]) + "\\n")
+        return result
+    return run
+pipeline.STAGE_TABLE = tuple(replace(s, body=noting(s.body)) if s.name == "dense" else s for s in pipeline.STAGE_TABLE)
+sys.exit(main(["pipeline", "--config", sys.argv[1]]))
+"""
+
+# notes the BLAS variables it inherited, then scores as the reference scorer
+ENV_SCORER = """\
+import json, os, runpy, sys
+with open(sys.argv[1], "a", encoding="utf-8") as fh:
+    fh.write(json.dumps({v: os.environ.get(v) for v in sys.argv[3:]}) + "\\n")
+runpy.run_path(sys.argv[2], run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_pipeline_workers_run_dense_on_one_thread_and_scorers_inherit_the_callers_environment(tmp_path):
+    cfg = _desk(tmp_path)
+    scorer = tmp_path / "env_scorer.py"
+    scorer.write_text(ENV_SCORER, encoding="utf-8")
+    example = Path(__file__).resolve().parent.parent / "demos" / "example_scorer.py"
+    command = shlex.join([sys.executable, str(scorer), str(tmp_path / "scorers.jsonl"), str(example), *BLAS_VARIABLES])
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    cfg.write_text("\n".join(f"rerank.scorer = cmd:{command}" if line.startswith("rerank.scorer =") else line
+                             for line in lines) + "\n", encoding="utf-8")
+    result = subprocess.run([sys.executable, "-c", DENSE_STAGE_PROBE, str(cfg), str(tmp_path / "dense.jsonl")],
+                            env=_probe_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    noted = [json.loads(line) for line in (tmp_path / "dense.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert sorted(noted) == [["en", 1], ["sw", 1], ["zh", 1]]
+    scorers = [json.loads(line) for line in (tmp_path / "scorers.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert scorers and all(env == dict.fromkeys(BLAS_VARIABLES) for env in scorers)
+
+
 @pytest.mark.parametrize("present", [True, False])
 def test_score_file_resolves_against_the_config_directory(tmp_path, monkeypatch, capsys, present):
     cfg = _desk(tmp_path)

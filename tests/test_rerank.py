@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -182,6 +183,25 @@ class TestLexicalScoreOnTokenLists:
     def test_scores_as_the_truncate_and_split_path(self, query, title, body, budget):
         built = next(build_pairs(simple_pool(["d"], qid="q"), {"q": query}, {"d": Document("d", title, body)}, budget))
         assert lexical_score(built) == oracle_lexical_score(built.text, budget)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_score_pairs_scores_a_pool_that_repeats_queries_and_documents_as_the_oracle(self, data):
+        # texts drawn from small lists, so qids share query texts and docids
+        # share titles and bodies; each pair has its own budget, often
+        # shorter than its query
+        texts = data.draw(st.lists(_SEGMENT, min_size=1, max_size=3))
+        topics = {f"q{i}": data.draw(st.sampled_from(texts)) for i in range(data.draw(st.integers(1, 4)))}
+        corpus = {f"d{i}": Document(f"d{i}", data.draw(st.sampled_from(texts)), data.draw(st.sampled_from(texts)))
+                  for i in range(data.draw(st.integers(1, 5)))}
+        pool = Run(entries={qid: [(docid, 1.0) for docid in data.draw(st.lists(st.sampled_from(sorted(corpus)),
+                                                                                  unique=True))]
+                            for qid in topics})
+        pairs = [replace(pair, truncation_budget=data.draw(st.integers(1, 30)))
+                 for pair in build_pairs(pool, topics, corpus)]
+        run = score_pairs(pairs, ScorerHandle())
+        assert [run.scores(p.qid)[p.docid] for p in pairs] == [oracle_lexical_score(p.text, p.truncation_budget)
+                                                               for p in pairs]
 
 
 class TestLexicalScriptPolicy:
