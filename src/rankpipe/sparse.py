@@ -8,11 +8,14 @@ The scoring function is the Lucene-style variant
 with ``idf(t) = ln(1 + (N - df(t) + 0.5) / (df(t) + 0.5))``, which is
 nonnegative for every term. Defaults k1=0.9, b=0.4.
 
-An index file (``RPIDX005``) stores each term's postings as d-gaps (the
-first doc ordinal, then the difference to the one before) and term
-frequencies, each column at the narrowest of 1, 2 or 4 bytes that holds its
-largest value, the tfs not at all where every one is 1. The sorted terms
-are front-coded, and everything after the tokenization name is one zlib
+An index file (``RPIDX006``) stores the docids, the sorted terms
+front-coded, and seven integer columns: the docid sizes, the doc lengths,
+the terms' shared-prefix and rest sizes, the dfs, and every term's postings
+as d-gaps (the first doc ordinal, then the difference to the one before)
+and as term frequencies. Each column takes the narrowest of 1, 2 or 4 bytes
+that holds its largest value and is stored as byte planes, every value's
+lowest byte first, since deflate finds more repeats in planes than in
+interleaved bytes. Everything after the tokenization name is one zlib
 stream at ``DEFLATE_LEVEL``; ``save_index`` gives the layout.
 """
 from __future__ import annotations
@@ -22,27 +25,32 @@ import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, takewhile
-from operator import eq, sub
+from itertools import accumulate, chain, compress, repeat, takewhile
+from operator import eq, mul, sub
 
 from .corpus import Document, load_corpus, load_topics
 from .errors import DataError, FormatError
 from .runs import DEFAULT_K, Run, check_k, sort_ranked
 from .tokenization import AUTO, tokenize
 
-_MAGIC = b"RPIDX005"
+_MAGIC = b"RPIDX006"
 # RPIDX001 segmented auto text by majority script; RPIDX002 spent a u32 on every ordinal and tf;
-# RPIDX003 stored ordinals, not d-gaps, at one width per file; RPIDX004 stored whole terms, uncompressed
+# RPIDX003 stored ordinals, not d-gaps, at one width per file; RPIDX004 stored whole terms, uncompressed;
+# RPIDX005 stored each term's postings at widths of its own, and no tfs where every one was 1
 _OLD_MAGICS = {b"RPIDX001": "an older auto tokenization", b"RPIDX002": "an older layout",
-               b"RPIDX003": "an older layout", b"RPIDX004": "an older layout"}
-DEFLATE_LEVEL = 1  # each load compresses again to check; level 6 writes 7% fewer bytes at 3 times the time
-_HEADER = struct.Struct("<4BI")  # the widths of doc lengths, docid sizes, term sizes and dfs; the doc count
+               b"RPIDX003": "an older layout", b"RPIDX004": "an older layout", b"RPIDX005": "an older layout"}
+# each load compresses again to check. On this layout level 4 deflates the three seed-1 retrieval payloads of
+# perfbench to 130,174 bytes in 8.8 ms, level 1 to 137,870 in 6.3 ms; a 20,000-passage payload takes 1,018,284
+# bytes in 60 ms against 1,071,376 in 42 ms (zlib 1.2.13, one core of a shared 2-CPU x86-64 box)
+DEFLATE_LEVEL = 4
+_HEADER = struct.Struct("<7B3I")  # the seven column widths; the doc, term and posting counts
+_COLUMNS = ("docid size", "doc length", "shared prefix size", "rest size", "df", "d-gap", "tf")
 _TYPECODES = {1: "B", 2: "H", 4: "I"}  # column width in bytes -> array typecode
 _U32 = struct.Struct("<I")
-_ONE = array("B", b"\x01")  # the tf of a posting whose term stores no tfs
 
 
 @dataclass(frozen=True)
@@ -182,11 +190,6 @@ def retrieve_bm25(
     return Run(entries={qid: bm25_search(index, text, k, params) for qid, text in topics.items()}, tag=tag)
 
 
-def _width(largest: int) -> int:
-    """The narrowest column width that holds every value up to ``largest``."""
-    return 1 if largest < 1 << 8 else 2 if largest < 1 << 16 else 4
-
-
 def _array(values: Iterable[int], width: int) -> array:
     """``values`` (ints to write, or little-endian bytes read) as ``width``-byte
     items, swapped to or from little-endian on a big-endian host."""
@@ -196,31 +199,39 @@ def _array(values: Iterable[int], width: int) -> array:
     return arr
 
 
-def _postings_width(plist: Postings) -> int:
-    """A term's postings-width byte: its tf width << 4 | its gap width, with
-    a tf width of 0 where every tf is 1 and none is stored."""
-    top = max(plist.tfs, default=1)
-    return (top > 1 and _width(top)) << 4 | _width(max(plist.gaps, default=0))
+def _zero(data: bytes) -> bool:
+    return data.count(0) == len(data)
+
+
+def _planes(values: Iterable[int]) -> tuple[int, bytes]:
+    """The width of a column of ``values``, the narrowest of 1, 2 or 4 bytes
+    that holds each of them, and the column stored as byte planes: every
+    value's lowest byte, then every value's next byte, up to its width."""
+    data = _array(values, 4).tobytes()
+    planes = [data[plane::4] for plane in range(4)]
+    width = 4
+    while width > 1 and _zero(b"".join(planes[width // 2:width])):  # the upper half of the planes
+        width //= 2
+    return width, b"".join(planes[:width])
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as ``RPIDX005``.
+    """Persist the index as ``RPIDX006``.
 
     Layout, every integer little-endian: the magic; the tokenization's name
     as a u32 byte count and its UTF-8 bytes; the payload's u32 byte size and
-    ``zlib.compress(payload, DEFLATE_LEVEL)``. The payload: four width bytes
-    (doc lengths, docid sizes, term sizes, dfs) and a u32 doc count; the
-    docid sizes, the docids' UTF-8 bytes back to back and the doc lengths; a
-    u32 term count, then per term in sorted order the byte count of its
-    longest prefix shared with the term before and the byte size of its
-    rest, both at the term-size width, its df and its postings-width byte,
-    each as one column, and the rests back to back; then per term its df
-    d-gaps and, unless its tf width is 0, its df tfs. Each column's width is
-    the narrowest of 1, 2 or 4 bytes that holds its largest value (for the
-    term sizes, the longest term's). Nothing follows the last term. Two
-    builds over the same documents give the same payload, and with one zlib
-    build the same bytes. ``load_index`` does not check the widths, so a
-    payload with a column wider than that loads and saves back narrower.
+    ``zlib.compress(payload, DEFLATE_LEVEL)``. The payload: seven width
+    bytes, one per column below, and the u32 doc, term and posting counts;
+    the docids' UTF-8 bytes back to back; per term in sorted order the rest
+    of its UTF-8 bytes after the longest prefix it shares with the term
+    before, back to back; then the seven columns, each as byte planes
+    (``_planes``): the docid byte sizes and the doc lengths (one entry per
+    doc), the shared-prefix byte counts, the rest byte sizes and the dfs
+    (one per term), and the d-gaps and the tfs of every term in turn (one
+    per posting). Each column's width is the narrowest of 1, 2 or 4 bytes
+    that holds its largest value, which ``load_index`` checks. Two builds
+    over the same documents give the same payload, and with one zlib build
+    the same bytes.
     """
     policy = AUTO.encode("utf-8")
     docids = [docid.encode("utf-8") for docid in index.docids]
@@ -228,33 +239,38 @@ def save_index(index: InvertedIndex, path: str) -> None:
     names = [term.encode("utf-8") for term in terms]
     # the byte count of the longest prefix that each term shares with the term before it
     shared = [sum(takewhile(bool, map(eq, previous, name))) for previous, name in zip([b"", *names], names)]
-    suffixes = [name[size:] for name, size in zip(names, shared)]
+    rests = [name[size:] for name, size in zip(names, shared)]
     plists = [index.postings[term] for term in terms]
-    docid_sizes, term_sizes, dfs = list(map(len, docids)), list(map(len, names)), list(map(len, plists))
-    widths = [_width(max(column, default=0)) for column in (index.doc_lengths, docid_sizes, term_sizes, dfs)]
-    length_w, docid_w, term_w, df_w = widths
-    postings_widths = bytes(map(_postings_width, plists))
-    chunks: list = [_HEADER.pack(*widths, index.doc_count), _array(docid_sizes, docid_w), *docids,
-                    _array(index.doc_lengths, length_w), _U32.pack(len(terms)), _array(shared, term_w),
-                    _array(map(len, suffixes), term_w), _array(dfs, df_w), postings_widths, *suffixes]
-    for plist, width in zip(plists, postings_widths):
-        chunks.append(_array(plist.gaps, width & 15))
-        if width >> 4:
-            chunks.append(_array(plist.tfs, width >> 4))
-    payload = b"".join(chunks)
+    gaps = list(chain.from_iterable(plist.gaps for plist in plists))
+    columns = [map(len, docids), index.doc_lengths, shared, map(len, rests), map(len, plists), gaps,
+               list(chain.from_iterable(plist.tfs for plist in plists))]
+    widths, planes = zip(*map(_planes, columns))
+    payload = b"".join([_HEADER.pack(*widths, index.doc_count, len(terms), len(gaps)), *docids, *rests, *planes])
     with open(path, "wb") as fh:
         fh.write(b"".join([_MAGIC, _U32.pack(len(policy)), policy, _U32.pack(len(payload)),
                            zlib.compress(payload, DEFLATE_LEVEL)]))
 
 
-def _read_column(data: bytes, pos: int, count: int, width: int) -> tuple[array, int]:
-    """``count`` values of ``width`` bytes from ``pos``, and the offset after them."""
-    if width not in _TYPECODES:
-        raise ValueError(f"a column width of {width} bytes is not 1, 2 or 4")
-    end = pos + count * width
-    if end > len(data):
-        raise EOFError
-    return _array(data[pos:end], width), end  # bytes go to array.frombytes
+def _read_column(data: bytes, pos: int, count: int, width: int, name: str) -> array:
+    """The column of ``count`` ``width``-byte values stored as byte planes
+    from ``pos``; its upper half of planes must not be all zero, or a
+    narrower width would hold it."""
+    if width > 1 and _zero(data[pos + count * width // 2:pos + count * width]):
+        raise ValueError(f"the {name} column is stored at {width} bytes, wider than its largest value needs")
+    column = bytearray(count * width)
+    for plane in range(width):
+        column[plane::width] = data[pos + plane * count:pos + (plane + 1) * count]
+    return _array(column, width)  # a bytearray goes to array.frombytes
+
+
+def _nonzero(data: bytes, pos: int, count: int, width: int) -> bytes:
+    """One byte per value of the column that ``_read_column`` reads, 0
+    exactly where the value is 0: the column's planes ORed together, which
+    finds zeros without making an int of each value."""
+    planes = 0
+    for plane in range(width):
+        planes |= int.from_bytes(data[pos + plane * count:pos + (plane + 1) * count], "little")
+    return planes.to_bytes(count, "little")
 
 
 def _read_strings(data: bytes, pos: int, sizes: Iterable[int]) -> tuple[list[str], int]:
@@ -280,10 +296,12 @@ def _inflate(stream: bytes, size: int) -> bytes:
 
 
 def load_index(path: str) -> InvertedIndex:
-    """Read an ``RPIDX005`` file; a break of its layout, of its front coding
-    or of the invariants of ``Postings``, a deflate stream other than the
-    one ``save_index`` writes for its payload, or a docid that is empty,
-    holds whitespace or repeats, is a ``FormatError`` naming ``path``."""
+    """Read an ``RPIDX006`` file; a break of its layout, of its front coding
+    or of the invariants of ``Postings``, a column wider than its largest
+    value needs, a deflate stream other than the one ``save_index`` writes
+    for its payload, or a docid that is empty, holds whitespace or repeats,
+    is a ``FormatError`` naming ``path``. So an accepted file is the one
+    serialization of what it loads."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:len(_MAGIC)]
@@ -298,45 +316,55 @@ def load_index(path: str) -> InvertedIndex:
             raise FormatError(f"index tokenized by {policy!r}, not {AUTO!r}; "
                               "rebuild it with `rankpipe index build`", path=path)
         data = _inflate(data[pos + 4:], *_U32.unpack_from(data, pos))
-        length_w, docid_w, term_w, df_w, doc_count = _HEADER.unpack_from(data)
-        docid_sizes, pos = _read_column(data, _HEADER.size, doc_count, docid_w)
-        docids, pos = _read_strings(data, pos, docid_sizes)
-        doc_lengths, pos = _read_column(data, pos, doc_count, length_w)
-        (n_terms,) = _U32.unpack_from(data, pos)
-        shared, pos = _read_column(data, pos + 4, n_terms, term_w)
-        suffix_sizes, pos = _read_column(data, pos, n_terms, term_w)
-        dfs, pos = _read_column(data, pos, n_terms, df_w)
-        postings_widths, pos = _read_column(data, pos, n_terms, 1)
-        ends = list(accumulate(suffix_sizes, initial=pos))
-        pos = ends[-1]  # if that is past the end, the first postings read raises EOFError before a rest is read
+        *widths, doc_count, n_terms, n_postings = _HEADER.unpack_from(data)
+        if bad := {*widths} - _TYPECODES.keys():
+            raise ValueError(f"a column width of {min(bad)} bytes is not 1, 2 or 4")
+        counts = (doc_count, doc_count, n_terms, n_terms, n_terms, n_postings, n_postings)
+        sizes = list(map(mul, counts, widths))
+        offsets = list(accumulate(sizes, initial=len(data) - sum(sizes)))  # the strings end where the columns start
+        strings_end = offsets[0]
+        if strings_end < _HEADER.size:
+            raise EOFError
+        docid_sizes, doc_lengths, shared, rest_sizes, dfs, gaps, tfs = map(
+            _read_column, repeat(data), offsets, counts, widths, _COLUMNS)
+        if sum(dfs) != n_postings:
+            raise ValueError(f"the dfs add up to {sum(dfs)} postings, not {n_postings}")
+        ends = list(accumulate(rest_sizes, initial=_HEADER.size + sum(docid_sizes)))
+        if ends[-1] != strings_end:
+            raise ValueError(f"the docids and term rests take {strings_end - _HEADER.size} bytes, "
+                             f"not the {ends[-1] - _HEADER.size} that their sizes give")
+        docids = _read_strings(data, _HEADER.size, docid_sizes)[0]
         if " ".join(docids).split() != docids:  # each docid is a run line's column, as in validate._run_id
             bad = next(docid for docid in docids if docid.split() != [docid])
             raise ValueError(f"docid {bad!r} is empty or contains whitespace")
         if len(set(docids)) != doc_count:
             raise ValueError("a docid is repeated")
+        starts = list(accumulate(dfs, initial=0))
         postings: dict[str, Postings] = {}
         previous = b""
-        for start, end, prefix, df, width in zip(ends, ends[1:], shared, dfs, postings_widths):
-            gaps, pos = _read_column(data, pos, df, width & 15)
-            tfs, pos = _read_column(data, pos, df, width >> 4) if width >> 4 else (_ONE * df, pos)
+        for start, end, prefix, first, last in zip(ends, ends[1:], shared, starts, starts[1:]):
             suffix = data[start:end]
             # a longest shared prefix, a non-empty rest and sorted order in one test: the rest's
             # first byte is above the previous term's byte at that offset, or the previous term ends there
             if prefix > len(previous) or suffix[:1] <= previous[prefix:prefix + 1]:
                 raise ValueError(f"term {len(postings)} is not front-coded in sorted order after the term before it")
             previous = previous[:prefix] + suffix
-            term = previous.decode("utf-8")
-            postings[term] = Postings(gaps, tfs)
-            if df and (0 in gaps[1:] or sum(gaps) >= doc_count):
+            term, term_gaps = previous.decode("utf-8"), gaps[first:last]
+            postings[term] = Postings(term_gaps, tfs[first:last])
+            if sum(term_gaps) >= doc_count and term_gaps:  # the term's last ordinal, if it has postings
                 raise ValueError(f"d-gaps of term {term!r} do not give ascending ordinals below {doc_count}")
-            if 0 in tfs:
-                raise ValueError(f"term {term!r} has a term frequency of 0")
+        # a gap of 0 only where a term's postings start
+        gap_nonzero = _nonzero(data, offsets[5], n_postings, widths[5])
+        if gap_nonzero.count(0) > bytes(map(gap_nonzero.__getitem__, compress(starts, dfs))).count(0):
+            bad = next(term for term, plist in postings.items() if 0 in plist.gaps[1:])
+            raise ValueError(f"d-gaps of term {bad!r} do not give ascending ordinals below {doc_count}")
+        if (zero := _nonzero(data, offsets[6], n_postings, widths[6]).find(0)) >= 0:
+            bad = list(postings)[bisect_right(starts, zero) - 1]
+            raise ValueError(f"term {bad!r} has a term frequency of 0")
     except (EOFError, struct.error):  # unpack_from raises struct.error past the end
         raise FormatError("truncated index file", path=path) from None
     except UnicodeDecodeError:
         raise FormatError("a docid or term is not valid UTF-8", path=path) from None
     except (ValueError, zlib.error) as exc:  # a check above, or zlib, names what the file breaks
         raise FormatError(str(exc), path=path) from None
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} bytes after the last term", path=path)
     return InvertedIndex(postings, doc_lengths, docids)

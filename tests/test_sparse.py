@@ -3,6 +3,7 @@ import struct
 import tempfile
 import zlib
 from collections import Counter
+from os.path import commonprefix
 from pathlib import Path
 
 import numpy as np
@@ -38,59 +39,104 @@ def gaps(ordinals: list[int]) -> list[int]:
     return [b - a for a, b in zip([0, *ordinals], ordinals)]
 
 
-def file_widths(path) -> tuple[tuple[int, ...], dict[str, int]]:
-    """The payload header's four widths (doc lengths, docid sizes, term
-    sizes, dfs) and each term's postings-width byte, found by inflating the
-    file and walking the layout."""
-    data = zlib.decompress(path.read_bytes()[20:])  # after the magic, the tokenization name and the payload size
-    typecode = {1: "B", 2: "H", 4: "I"}
-    length_w, docid_w, term_w, df_w, doc_count = struct.unpack_from("<4BI", data)
-    docid_sizes = struct.unpack_from(f"<{doc_count}{typecode[docid_w]}", data, 8)
-    pos = 8 + doc_count * (docid_w + length_w) + sum(docid_sizes)
-    (n_terms,) = struct.unpack_from("<I", data, pos)
-    shared, suffix_sizes = (struct.unpack_from(f"<{n_terms}{typecode[term_w]}", data, pos + 4 + i * n_terms * term_w)
-                            for i in (0, 1))
-    pos += 4 + n_terms * (2 * term_w + df_w)
-    widths, pos = data[pos:pos + n_terms], pos + n_terms
-    terms, name = [], b""
-    for prefix, size in zip(shared, suffix_sizes):
-        name = name[:prefix] + data[pos:pos + size]
-        terms.append(name.decode("utf-8"))
-        pos += size
-    return (length_w, docid_w, term_w, df_w), dict(zip(terms, widths))
+COLUMNS = ("docid_sizes", "doc_lengths", "shared", "rest_sizes", "dfs", "gaps", "tfs")
 
 
-def index_file(payload: bytes, level: int = 1, size: int | None = None) -> bytes:
-    """An ``RPIDX005`` file: the uncompressed header, with ``size`` in place
+def fields(index: InvertedIndex) -> dict:
+    """The docid bytes, the term rests and the seven columns of ``index``'s
+    payload, found from its docids, terms and postings as the layout says."""
+    names = sorted(term.encode("utf-8") for term in index.postings)
+    shared = [len(commonprefix([previous, name])) for previous, name in zip([b"", *names], names)]
+    rests = [name[size:] for name, size in zip(names, shared)]
+    plists = [index.postings[name.decode("utf-8")] for name in names]
+    docids = [docid.encode("utf-8") for docid in index.docids]
+    return {"docids": b"".join(docids), "rests": b"".join(rests), "docid_sizes": [len(d) for d in docids],
+            "doc_lengths": list(index.doc_lengths), "shared": shared, "rest_sizes": [len(r) for r in rests],
+            "dfs": [len(p) for p in plists], "gaps": [g for p in plists for g in p.gaps],
+            "tfs": [tf for p in plists for tf in p.tfs]}
+
+
+def narrowest(values: list[int]) -> int:
+    top = max(values, default=0)
+    return 1 if top < 256 else 2 if top < 65_536 else 4
+
+
+def payload(index: InvertedIndex | None = None, widths: dict[str, int] | None = None,
+            counts: tuple[int, int, int] | None = None, **replaced) -> bytes:
+    """An ``RPIDX006`` payload of ``index`` (the tiny index if not given) with
+    the ``replaced`` fields in place of its own: seven width bytes (each
+    column's narrowest, or its entry in ``widths``), the u32 doc, term and
+    posting counts (``counts``, or the columns' lengths), the docid bytes,
+    the rests, and each column as byte planes at its width, each value cut
+    to that many low bytes."""
+    f = {**fields(TINY_INDEX if index is None else index), **replaced}
+    sizes = {name: narrowest(f[name]) for name in COLUMNS} | (widths or {})
+    counts = counts or (len(f["doc_lengths"]), len(f["dfs"]), len(f["gaps"]))
+    planes = []
+    for name in COLUMNS:
+        width = sizes[name]
+        column = b"".join((value % 256**width).to_bytes(width, "little") for value in f[name])
+        planes += [column[plane::width] for plane in range(width)]
+    return b"".join([bytes(sizes[name] for name in COLUMNS), struct.pack("<3I", *counts), f["docids"], f["rests"],
+                     *planes])
+
+
+def header_widths(path) -> dict[str, int]:
+    """The seven column widths at the start of the file's payload."""
+    return dict(zip(COLUMNS, zlib.decompress(path.read_bytes()[20:])[:7]))  # after magic, tokenization, size
+
+
+def index_file(payload: bytes, level: int = DEFLATE_LEVEL, size: int | None = None) -> bytes:
+    """An ``RPIDX006`` file: the uncompressed header, with ``size`` in place
     of the payload's size if given, and ``payload`` deflated at ``level``."""
     size = len(payload) if size is None else size
-    return b"".join([b"RPIDX005", struct.pack("<I", 4), b"auto", struct.pack("<I", size),
+    return b"".join([b"RPIDX006", struct.pack("<I", 4), b"auto", struct.pack("<I", size),
                      zlib.compress(payload, level)])
 
 
-# the payload of an index of Document("d1", "", "ab a ab") and Document("doc2", "", "ab b"),
-# with its term dictionary (terms a, ab, b) at offsets 22 to 37
-TINY_DICTIONARY = b"".join([
-    bytes([0, 1, 0]), bytes([1, 1, 1]),  # shared prefix sizes, suffix sizes: ab shares a's byte
-    bytes([1, 2, 1]), bytes([0x01, 0x11, 0x01]), b"a" b"b" b"b",  # dfs, postings widths, suffixes
-])
+TINY_INDEX = build_index([Document("d1", "", "ab a ab"), Document("doc2", "", "ab b")])
+# its payload: terms a, ab and b; ab shares a's byte
 TINY_PAYLOAD = b"".join([
-    bytes([1, 1, 1, 1]), struct.pack("<I", 2),  # widths: doc lengths, docid sizes, term sizes, dfs
-    bytes([2, 4]), b"d1doc2", bytes([3, 2]),  # docid sizes, docids, doc lengths
-    struct.pack("<I", 3), TINY_DICTIONARY,
-    bytes([0]), bytes([0, 1]), bytes([2, 1]), bytes([1]),  # a: gap; ab: gaps, tfs; b: gap
+    bytes([1, 1, 1, 1, 1, 1, 1]), struct.pack("<3I", 2, 3, 4),  # widths; doc, term and posting counts
+    b"d1doc2", b"a" b"b" b"b",  # docids, term rests
+    bytes([2, 4]), bytes([3, 2]),  # docid sizes, doc lengths
+    bytes([0, 1, 0]), bytes([1, 1, 1]), bytes([1, 2, 1]),  # shared prefix sizes, rest sizes, dfs
+    bytes([0, 0, 1, 1]), bytes([1, 2, 1, 1]),  # d-gaps (a: 0; ab: 0, 1; b: 1), tfs
 ])
 
 
-# 65,537 documents; (ordinals, tfs) per term: between them every gap width
-# (1, 2, 4) and every tf width (0 where every tf is 1, then 1, 2, 4)
+# 65,537 documents; (ordinals, tfs) per term: between them every gap and tf width (1, 2, 4)
 ALL_WIDTHS = {
     "a": ([0, 65_536], [1, 1]),
     "b": ([300, 301], [2, 256]),
     "c": ([5], [70_000]),
     "d": ([1, 2], [3, 1]),
 }
-ALL_WIDTHS_BYTES = {"a": 0x04, "b": 0x22, "c": 0x41, "d": 0x11}
+
+
+def edge_index(column: str, top: int) -> InvertedIndex:
+    """A small index whose ``column`` holds ``top`` as its largest value; the
+    other columns stay below 256, but for the rest sizes beside a shared
+    prefix of ``top`` bytes."""
+    docids, lengths = ["d0", "d1"], [1, 2]
+    postings = {"a": Postings([0], [1]), "b": Postings([0, 1], [1, 1])}
+    if column == "docid_sizes":
+        docids[0] = "d" * top
+    elif column == "doc_lengths":
+        lengths[0] = top
+    elif column in ("shared", "rest_sizes"):  # "x" * top: its rest; "x" * top + "y": a prefix of top bytes
+        postings = {"x" * top: Postings([0], [1]), "x" * top + "y": Postings([1], [1])}
+    elif column == "dfs":
+        docids, lengths = [f"d{i}" for i in range(top)], [1] * top
+        postings = {"a": Postings([0] + [1] * (top - 1), [1] * top)}
+    elif column == "gaps":
+        docids, lengths = [f"d{i}" for i in range(top + 1)], [1] * (top + 1)
+        postings = {"a": Postings([top], [1])}
+    else:
+        postings["a"] = Postings([0], [top])
+    return InvertedIndex(postings, lengths, docids)
+
+
 # shared prefixes that end inside a character (é and ê share the byte 0xC3) and after one (北京, 北海)
 _TERMS = st.text(alphabet="abéê", min_size=1, max_size=3) | st.sampled_from(["文", "字", "北", "北京", "北海"])
 # (ordinals, tfs) of terms that are prefixes of the next or share part of a character with it
@@ -271,54 +317,36 @@ class TestPersistence:
 
     def test_layout(self, tmp_path):
         path = tmp_path / "tiny.rpidx"
-        save_index(build_index([Document("d1", "", "ab a ab"), Document("doc2", "", "ab b")]), str(path))
-        assert zlib.decompress(path.read_bytes()[20:]) == TINY_PAYLOAD
+        save_index(TINY_INDEX, str(path))
+        assert zlib.decompress(path.read_bytes()[20:]) == TINY_PAYLOAD == payload()
         assert path.read_bytes() == index_file(TINY_PAYLOAD)
 
-    @pytest.mark.parametrize(
-        "texts,widths,postings_widths",
-        [
-            (["a"] * 255, (1, 1, 1, 1), {"a": 0x01}),
-            (["a"] * 256, (1, 1, 1, 2), {"a": 0x01}),
-            (["x"] * 256 + ["a"], (1, 1, 1, 2), {"a": 0x02, "x": 0x01}),
-            (["a " * 255, "b"], (1, 1, 1, 1), {"a": 0x11, "b": 0x01}),
-            (["a " * 256, "b"], (2, 1, 1, 1), {"a": 0x21, "b": 0x01}),
-            ([" ".join(f"t{i}" for i in range(256)), "t0"], (2, 1, 1, 1), {"t0": 0x01, "t255": 0x01}),
-            (["a " * 65_535, "a b"], (2, 1, 1, 1), {"a": 0x21, "b": 0x01}),
-            (["a " * 65_536, "a b"], (4, 1, 1, 1), {"a": 0x41, "b": 0x01}),
-            (["x" * 255], (1, 1, 1, 1), {"x" * 255: 0x01}),
-            (["x" * 256], (1, 1, 2, 1), {"x" * 256: 0x01}),
-        ],
-        ids=["255-docs", "256-docs", "257-docs", "tf-255", "tf-256", "doc-length-256", "tf-65535", "tf-65536",
-             "term-255-bytes", "term-256-bytes"],
-    )
-    def test_each_column_takes_the_narrowest_width_that_holds_it(self, tmp_path, texts, widths, postings_widths):
-        docs = [Document(f"d{i}", "", text) for i, text in enumerate(texts)]
-        index = build_index(docs)
-        path = tmp_path / "w.rpidx"
+    @pytest.mark.parametrize("column", COLUMNS)
+    @pytest.mark.parametrize("top, width", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)])
+    def test_each_column_takes_the_narrowest_width_that_holds_it(self, tmp_path, column, top, width):
+        index = edge_index(column, top)
+        path = tmp_path / "edge.rpidx"
         save_index(index, str(path))
-        header, per_term = file_widths(path)
-        assert header == widths
-        assert postings_widths.items() <= per_term.items()
+        assert header_widths(path)[column] == width
+        assert path.read_bytes() == index_file(payload(index))
         loaded = load_index(str(path))
-        assert pairs(loaded) == pairs(index) == oracle_postings(docs)
-        assert list(loaded.doc_lengths) == index.doc_lengths
-        for query in [*postings_widths, "a b t0 t255"]:
-            assert bm25_search(loaded, query, 300) == bm25_search(index, query, 300)
-
-    def test_docid_sizes_take_two_bytes_past_255(self, tmp_path):
-        path = tmp_path / "long.rpidx"
-        save_index(build_index([Document("d" * 256, "", "a"), Document("e", "", "a b")]), str(path))
-        assert file_widths(path)[0] == (1, 2, 1, 1)
-        assert load_index(str(path)).docids == ["d" * 256, "e"]
+        assert loaded.docids == index.docids and list(loaded.doc_lengths) == index.doc_lengths
+        assert pairs(loaded) == pairs(index)
+        for query in index.postings:
+            assert bm25_search(loaded, query, 10) == bm25_search(index, query, 10)
+        if width < 4:  # the same values one width wider: a second serialization, which the loader refuses
+            path.write_bytes(index_file(payload(index, widths={column: 2 * width})))
+            with pytest.raises(FormatError, match=f"column is stored at {2 * width} bytes, wider than") as exc:
+                load_index(str(path))
+            assert exc.value.path == str(path)
 
     def test_four_byte_ordinals(self, tmp_path):
-        # ordinals past 65,535 and the terms of ALL_WIDTHS: every gap and tf width
+        # ordinals past 65,535 and the terms of ALL_WIDTHS: the gaps and the tfs take 4 bytes
         n = 65_537
         postings = {term: Postings(gaps(ordinals), tfs) for term, (ordinals, tfs) in ALL_WIDTHS.items()}
         path = tmp_path / "big.rpidx"
         save_index(InvertedIndex(postings, [3] * n, [f"d{i}" for i in range(n)]), str(path))
-        assert file_widths(path) == ((1, 1, 1, 1), ALL_WIDTHS_BYTES)
+        assert header_widths(path) == {name: 4 if name in ("gaps", "tfs") else 1 for name in COLUMNS}
         assert pairs(load_index(str(path))) == {t: list(zip(*columns)) for t, columns in ALL_WIDTHS.items()}
 
     @settings(max_examples=60, deadline=None)
@@ -417,11 +445,55 @@ class TestCorruptIndex:
         assert flips["error"] > 0 and sum(flips.values()) == 5 * len(original)
         capsys.readouterr()
 
-    @pytest.mark.parametrize("level", [0, 6, 9])
+    def test_an_edited_payload_byte_is_a_format_error_or_the_one_serialization(self, tmp_path):
+        # every other value of every payload byte, deflated again behind the file's header as
+        # save_index deflates, so that the stream checks pass and only the payload's can fail
+        good, path, resaved = tmp_path / "good.rpidx", tmp_path / "edited.rpidx", tmp_path / "resaved.rpidx"
+        save_index(build_index([Document("d1", "", "a b b"), Document("d2", "", "b c")]), str(good))
+        data = good.read_bytes()
+        header, original = data[:20], zlib.decompress(data[20:])  # magic, tokenization, payload size
+        outcomes = Counter()
+        for i in range(len(original)):
+            for value in sorted(set(range(256)) - {original[i]}):
+                edited = original[:i] + bytes([value]) + original[i + 1:]
+                path.write_bytes(header + zlib.compress(edited, DEFLATE_LEVEL))
+                try:
+                    index = load_index(str(path))
+                except FormatError as exc:
+                    assert exc.path == str(path)
+                    outcomes["error"] += 1
+                    continue
+                save_index(index, str(resaved))
+                assert resaved.read_bytes() == path.read_bytes(), (i, value)
+                outcomes["loaded"] += 1
+        assert outcomes["error"] and outcomes["loaded"]
+
+    def test_an_rpidx005_index_asks_for_a_rebuild(self, tmp_path, capsys):
+        # the tiny index as RPIDX005 wrote it: four header widths and a doc count, the documents, a
+        # term count, a dictionary with one postings-width byte per term, then per term its postings
+        path, topics, out = tmp_path / "old.rpidx", tmp_path / "topics.tsv", tmp_path / "bm25.trec"
+        old = b"".join([bytes([1, 1, 1, 1]), struct.pack("<I", 2), bytes([2, 4]), b"d1doc2", bytes([3, 2]),
+                        struct.pack("<I", 3), bytes([0, 1, 0, 1, 1, 1, 1, 2, 1, 0x01, 0x11, 0x01]), b"abb",
+                        bytes([0, 0, 1, 2, 1, 1])])
+        path.write_bytes(b"RPIDX005" + struct.pack("<I", 4) + b"auto" + struct.pack("<I", len(old))
+                         + zlib.compress(old, 1))
+        with pytest.raises(FormatError, match="RPIDX005 index from an older layout; rebuild it with `rankpipe "
+                                              "index build`") as exc:
+            load_index(str(path))
+        assert exc.value.path == str(path)
+        topics.write_text("q1\tab\n", encoding="utf-8")
+        assert main(["retrieve", "bm25", "--index", str(path), "--topics", str(topics), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}:0: [index] {exc.value.message}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("level", [0, 1, 9])
     def test_a_stream_deflated_at_another_level_asks_for_a_rebuild(self, tmp_path, level):
         path = tmp_path / "other.rpidx"
         path.write_bytes(index_file(TINY_PAYLOAD, level))
-        with pytest.raises(FormatError, match="at level 1; rebuild it with `rankpipe index build`") as exc:
+        with pytest.raises(FormatError, match=f"at level {DEFLATE_LEVEL}; rebuild it with `rankpipe index build`") \
+                as exc:
             load_index(str(path))
         assert exc.value.path == str(path)
 
@@ -445,9 +517,9 @@ class TestCorruptIndex:
             with pytest.raises(FormatError, match="is not the one"):
                 load_index(str(path))
 
-    @pytest.mark.parametrize("size", [1032 * len(zlib.compress(TINY_PAYLOAD, 1)) + 1, 2**32 - 1])
+    @pytest.mark.parametrize("size", [1032 * len(zlib.compress(TINY_PAYLOAD, DEFLATE_LEVEL)) + 1, 2**32 - 1])
     def test_a_size_past_deflates_largest_ratio_is_rejected_before_inflating(self, tmp_path, size):
-        path, stream_size = tmp_path / "huge.rpidx", len(zlib.compress(TINY_PAYLOAD, 1))
+        path, stream_size = tmp_path / "huge.rpidx", len(zlib.compress(TINY_PAYLOAD, DEFLATE_LEVEL))
         path.write_bytes(index_file(TINY_PAYLOAD, size=size))
         with pytest.raises(FormatError, match=f"a payload of {size} bytes cannot inflate from {stream_size} bytes"):
             load_index(str(path))
@@ -469,47 +541,46 @@ class TestCorruptIndex:
             load_index(str(path))
 
     @pytest.mark.parametrize(
-        "shared, sizes, suffixes, message",
+        "shared, sizes, rests",
         [
-            ([0, 0, 0], [1, 2, 1], b"aabb", "term 1 is not front-coded in sorted order"),
-            ([0, 2, 0], [1, 1, 1], b"abb", "term 1 is not front-coded in sorted order"),
-            ([0, 1, 0], [1, 0, 1], b"ab", "term 1 is not front-coded in sorted order"),
-            ([0, 0, 0], [1, 1, 1], b"bab", "term 1 is not front-coded in sorted order"),
+            ([0, 0, 0], [1, 2, 1], b"aabb"),
+            ([0, 2, 0], [1, 1, 1], b"abb"),
+            ([0, 1, 0], [1, 0, 1], b"ab"),
+            ([0, 0, 0], [1, 1, 1], b"bab"),
         ],
         ids=["prefix-not-the-longest", "prefix-past-the-term-before", "empty-rest", "out-of-order"],
     )
-    def test_a_break_of_the_front_coding_is_a_format_error(self, tmp_path, shared, sizes, suffixes, message):
-        dictionary = bytes(shared) + bytes(sizes) + TINY_DICTIONARY[6:12] + suffixes  # dfs, postings widths kept
+    def test_a_break_of_the_front_coding_is_a_format_error(self, tmp_path, shared, sizes, rests):
         path = tmp_path / "front.rpidx"
-        path.write_bytes(index_file(TINY_PAYLOAD.replace(TINY_DICTIONARY, dictionary)))
-        with pytest.raises(FormatError, match=message) as exc:
+        path.write_bytes(index_file(payload(shared=shared, rest_sizes=sizes, rests=rests)))
+        with pytest.raises(FormatError, match="term 1 is not front-coded in sorted order") as exc:
             load_index(str(path))
         assert exc.value.path == str(path)
 
     @pytest.mark.parametrize(
-        "payload, message",
+        "replaced, message",
         [
-            (bytes([3]) + TINY_PAYLOAD[1:], "a column width of 3 bytes is not 1, 2 or 4"),
-            # in the dictionary, byte 9 is a's postings width and byte 8 is b's df
-            (TINY_PAYLOAD.replace(TINY_DICTIONARY, TINY_DICTIONARY[:9] + bytes([0x03]) + TINY_DICTIONARY[10:]),
-             "a column width of 3 bytes is not 1, 2 or 4"),
-            (TINY_PAYLOAD.replace(TINY_DICTIONARY, TINY_DICTIONARY[:8] + bytes([2]) + TINY_DICTIONARY[9:]),
-             "truncated index file"),
-            # the last 6 bytes are the postings: a: gap; ab: gaps, tfs; b: gap
-            (TINY_PAYLOAD[:-6] + bytes([0, 0, 0, 2, 1, 1]),
-             "d-gaps of term 'ab' do not give ascending ordinals below 2"),
-            (TINY_PAYLOAD[:-6] + bytes([2, 0, 1, 2, 1, 1]),
-             "d-gaps of term 'a' do not give ascending ordinals below 2"),
-            (TINY_PAYLOAD[:-6] + bytes([0, 0, 1, 0, 1, 1]), "term 'ab' has a term frequency of 0"),
-            (TINY_PAYLOAD + b"\0", "1 bytes after the last term"),
+            ({"widths": {"doc_lengths": 3}}, "a column width of 3 bytes is not 1, 2 or 4"),
+            ({"widths": {"tfs": 0}}, "a column width of 0 bytes is not 1, 2 or 4"),
+            ({"widths": {"gaps": 8}}, "a column width of 8 bytes is not 1, 2 or 4"),
+            ({"widths": {"tfs": 2}}, "the tf column is stored at 2 bytes, wider than its largest value needs"),
+            ({"counts": (2, 3, 40)}, "truncated index file"),
+            ({"dfs": [1, 2, 2]}, "the dfs add up to 5 postings, not 4"),
+            ({"docids": b"d1doc"}, "the docids and term rests take 8 bytes, not the 9 that their sizes give"),
+            ({"rests": b"abb\0"}, "the docids and term rests take 10 bytes, not the 9 that their sizes give"),
+            ({"docids": b"d1do\xff2"}, "a docid or term is not valid UTF-8"),
+            ({"gaps": [0, 0, 0, 1]}, "d-gaps of term 'ab' do not give ascending ordinals below 2"),
+            ({"gaps": [2, 0, 1, 1]}, "d-gaps of term 'a' do not give ascending ordinals below 2"),
+            ({"tfs": [1, 0, 1, 1]}, "term 'ab' has a term frequency of 0"),
         ],
-        ids=["doc-length-width-3", "gap-width-3", "postings-past-the-end", "gap-of-0", "ordinal-past-doc-count",
-             "tf-of-0", "byte-after-the-last-term"],
+        ids=["doc-length-width-3", "tf-width-0", "gap-width-8", "tf-column-too-wide", "columns-past-the-end",
+             "dfs-past-the-postings", "docids-short", "byte-after-the-rests", "docid-not-utf-8", "gap-of-0",
+             "ordinal-past-doc-count", "tf-of-0"],
     )
-    def test_a_payload_check_behind_a_valid_stream_is_a_format_error(self, tmp_path, capsys, payload, message):
+    def test_a_payload_check_behind_a_valid_stream_is_a_format_error(self, tmp_path, capsys, replaced, message):
         # each payload deflated as save_index deflates it, so that the stream checks pass and the payload's fail
         path = tmp_path / "payload.rpidx"
-        path.write_bytes(index_file(payload, DEFLATE_LEVEL))
+        path.write_bytes(index_file(payload(**replaced)))
         with pytest.raises(FormatError, match=message) as exc:
             load_index(str(path))
         assert exc.value.path == str(path)
