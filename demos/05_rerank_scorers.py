@@ -3,8 +3,8 @@
 A pair carries its query, title and body; an external scorer receives them
 in full as ``query [SEP] title [SEP] body``. The built-in lexical baseline
 caps the pair at a token budget (256 by default, query always kept whole).
-Scores can also come from a precomputed score file or any external process
-speaking the line protocol (see example_scorer.py).
+Scores can also come from a precomputed TREC run of probabilities or any
+external process speaking the line protocol (see example_scorer.py).
 """
 import sys
 import tempfile
@@ -19,6 +19,7 @@ from rankpipe import (
     cut_pool,
     lexical_score,
     score_pairs,
+    write_run,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -50,10 +51,10 @@ for pair in pairs:
 reranked = score_pairs(pairs, ScorerHandle.parse("lexical"))
 print("reranked order:", reranked.docids("q1"))
 
-# --- scorer 2: a score file (e.g. exported from a GPU job) -------------------
+# --- scorer 2: a run of probabilities (e.g. exported from a GPU job) ---------
 with tempfile.TemporaryDirectory(prefix="rankpipe-demo-") as tmp:
-    score_file = Path(tmp) / "scores.tsv"
-    score_file.write_text("q1 d1 0.91\nq1 d2 0.05\nq1 d3 0.64\n", encoding="utf-8")
+    score_file = Path(tmp) / "scores.trec"
+    write_run(Run.from_scores({"q1": {"d1": 0.91, "d2": 0.05, "d3": 0.64}}, tag="cross-encoder"), str(score_file))
     from_file = score_pairs(pairs, ScorerHandle.parse(f"file:{score_file}"))
     print("score-file order:", from_file.docids("q1"))
 

@@ -162,10 +162,10 @@ def _cmd_forge_q2q2d(args) -> int:
 def _cmd_forge_pseudo(args) -> int:
     from .corpus import load_topics
     from .forge import AugmentationParams, pseudo_label, write_pairs
-    from .runs import read_run
+    from .runs import Run, read_probabilities
 
     params = AugmentationParams(**_given(args, "seed", fraction="pseudo_fraction", scale="pseudo_scale"))
-    run = read_run(args.run)
+    run = Run.from_scores(read_probabilities(args.run))
     pairs = pseudo_label(run, load_topics(args.topics) if "topics" in args else None, params)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} pseudo-labeled pairs -> {args.out}")

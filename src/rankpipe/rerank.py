@@ -6,7 +6,7 @@ marker and of line breaks. Scoring is delegated to one of three scorer kinds:
 * ``lexical_baseline``: built-in unique-query-token overlap, a desk-scale
   stand-in for a neural cross-encoder; it alone applies the pair's token
   budget (query kept whole, separators counted, title before body);
-* ``score_file``: scores copied through from a precomputed TSV;
+* ``score_file``: probabilities copied from a TREC run, a reranked run included;
 * ``external_process``: child processes speaking the line protocol below
   over stdin/stdout; any model runtime can implement it in a dozen lines.
 
@@ -36,11 +36,10 @@ from typing import TYPE_CHECKING
 
 from . import available_cpus
 from .corpus import Document, load_corpus, load_topics
-from .errors import DataError, FormatError, ProtocolError
+from .errors import DataError, ProtocolError
 from .fusion import DEFAULT_POOL_K, cut_pool
-from .runs import Run, check_k
+from .runs import Run, check_k, read_probabilities
 from .tokenization import tokenize
-from .validate import data_lines
 
 if TYPE_CHECKING:
     import subprocess
@@ -191,22 +190,6 @@ def escape_text(text: str) -> str:
 
 def unescape_text(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPE.get(m.group(1), m.group(1)), text)
-
-
-def _read_score_file(path: str) -> dict[tuple[str, str], float]:
-    scores: dict[tuple[str, str], float] = {}
-    for lineno, line in data_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"expected 'qid docid score', got {len(parts)} columns", path=path, line=lineno)
-        qid, docid, score_str = parts
-        if (qid, docid) in scores:
-            raise FormatError(f"duplicate score for ({qid}, {docid})", path=path, line=lineno)
-        try:
-            scores[(qid, docid)] = float(score_str)
-        except ValueError:
-            raise FormatError(f"non-numeric score {score_str!r}", path=path, line=lineno) from None
-    return scores
 
 
 def _check_score(qid: str, docid: str, score: float) -> float:
@@ -364,12 +347,13 @@ def score_pairs(pairs: Iterable[PairInput], scorer: ScorerHandle, cpus: int | No
     if scorer.kind == LEXICAL_BASELINE:
         scores = _lexical_scores(pair_list)
     elif scorer.kind == SCORE_FILE:
-        table = _read_score_file(scorer.location)
+        table = read_probabilities(scorer.location)
         scores = []
         for pair in pair_list:
-            if (pair.qid, pair.docid) not in table:
+            score = table.get(pair.qid, {}).get(pair.docid)
+            if score is None:
                 raise ProtocolError(f"score file lacks an entry for ({pair.qid}, {pair.docid})")
-            scores.append(_check_score(pair.qid, pair.docid, table[(pair.qid, pair.docid)]))
+            scores.append(score)
     else:
         scores = _score_with_process(pair_list, scorer.location, available_cpus() if cpus is None else cpus)
     per_query: dict[str, dict[str, float]] = {}

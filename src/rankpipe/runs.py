@@ -11,7 +11,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from operator import gt, itemgetter, lt, neg
 
-from .errors import DataError
+from .errors import DataError, FormatError
 from .validate import parse_run
 
 
@@ -88,6 +88,17 @@ def read_run(path: str) -> Run:
     return Run.from_scores(per_query, tag=tag or "run")
 
 
+def read_probabilities(path: str) -> dict[str, dict[str, float]]:
+    """qid -> docid -> score of a TREC run of model probabilities; rank and
+    tag are not read, so a reranked run serves. A score outside [0, 1] is a
+    FormatError at its line."""
+    scores: dict[str, dict[str, float]] = {}
+    for lineno, (qid, docid, _, score, _) in parse_run(path, scores=scores):
+        if not 0.0 <= score <= 1.0:
+            raise FormatError(f"score {score} for ({qid}, {docid}) outside [0, 1]", path=path, line=lineno)
+    return scores
+
+
 def write_run(run: Run, path: str, header: str | None = None) -> Run:
     """Write a run file with queries in sorted order and entries in
     canonical order, so the bytes are stable and valid.
@@ -97,10 +108,13 @@ def write_run(run: Run, path: str, header: str | None = None) -> Run:
     when no line was written. That holds for runs whose ids are single
     whitespace-free tokens and whose scores are finite, which the loaders
     enforce where ids and scores enter. A docid listed twice for one query is
-    a DataError, as it is on read. Scores are converted with ``float()``, so
-    a numpy scalar prints as a Python float; a query's entries that are
-    (docid, float) tuples in canonical order already are written as given.
+    a DataError, as it is on read, and so is a tag that is not one token, before
+    the file is opened. Scores are converted with ``float()``, so a numpy
+    scalar prints as a Python float; a query's entries that are (docid,
+    float) tuples in canonical order already are written as given.
     """
+    if run.tag.split() != [run.tag]:
+        raise DataError(f"{path}: run tag {run.tag!r} is empty or contains whitespace")
     entries: dict[str, list[tuple[str, float]]] = {}
     tail = f" {run.tag}\n"
     ranks: list[str] = []  # the rank column " 1 ", " 2 ", ..., as deep as the deepest query so far

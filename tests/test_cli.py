@@ -513,6 +513,13 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pseudo_score_outside_the_unit_interval_exits_2_at_its_line(self, tmp_path, capsys):
+        run, out = tmp_path / "scored.trec", tmp_path / "p.pairs.tsv"
+        run.write_text("q1 Q0 d1 1 0.9 model\nq1 Q0 d2 2 1.5 model\n")
+        assert main(["forge", "pseudo", "--run", str(run), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {run}:2: score 1.5 for (q1, d2) outside [0, 1]\n"
+        assert not out.exists()
+
     def test_one_run_ensembles_with_all_the_weight(self, tmp_path, capsys):
         run = tmp_path / "a.trec"
         run.write_text("q1 Q0 d1 1 1.0 a\nq1 Q0 d2 2 0.5 a\n")

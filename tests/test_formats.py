@@ -288,8 +288,8 @@ def _utf8_case(root: Path, case: str) -> tuple[list[str], Path]:
     if case == "forge pseudo":
         return ["forge", "pseudo", "--run", str(run), "--out", str(root / "p.pairs.tsv")], run
     if case == "rerank --scorer file:":
-        scores = root / "scores.tsv"
-        scores.write_text("q1 d1 0.5\nq1 d2 0.25\nq2 d3 0.75\n")
+        scores = root / "scores.trec"
+        scores.write_text("q1 Q0 d1 1 0.5 m\nq1 Q0 d2 2 0.25 m\nq2 Q0 d3 1 0.75 m\n")
         return ["rerank", "--pool", str(run), "--topics", str(root / "topics.tsv"), "--corpus",
                 str(root / "corpus.jsonl"), "--scorer", f"file:{scores}", "--out", out], scores
     if case == "pipeline --config":

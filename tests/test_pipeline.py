@@ -467,16 +467,14 @@ def test_score_file_resolves_against_the_config_directory(tmp_path, monkeypatch,
     cfg = _desk(tmp_path)
     lines = cfg.read_text(encoding="utf-8").splitlines()
     line = next(i for i, text in enumerate(lines, 1) if text.startswith("rerank.scorer ="))
-    lines[line - 1] = "rerank.scorer = file:scores.tsv"
+    lines[line - 1] = "rerank.scorer = file:scores.trec"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     lexical = _desk(tmp_path / "lexical")
-    if present:  # the lexical scorer's scores, so the reranked runs match its runs
+    if present:  # the lexical scorer's runs, headers and all, so the reranked runs match them
         assert main(["pipeline", "--config", str(lexical)]) == 0
-        with open(cfg.parent / "scores.tsv", "w", encoding="utf-8") as fh:
-            for language in ("en", "sw", "zh"):
-                run = read_run(str(lexical.parent / "out" / language / "rerank.trec"))
-                for qid in run.entries:
-                    fh.writelines(f"{qid}\t{docid}\t{score!r}\n" for docid, score in run.entries[qid])
+        (cfg.parent / "scores.trec").write_text(
+            "".join((lexical.parent / "out" / language / "rerank.trec").read_text(encoding="utf-8")
+                    for language in ("en", "sw", "zh")), encoding="utf-8")
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
@@ -488,7 +486,7 @@ def test_score_file_resolves_against_the_config_directory(tmp_path, monkeypatch,
             assert reranked.entries == read_run(str(lexical.parent / "out" / language / "rerank.trec")).entries
     else:
         assert main(["pipeline", "--config", str(cfg)]) == 2
-        expected = f"{cfg}:{line}: bad value 'file:scores.tsv' for 'rerank.scorer': no file at {cfg.parent / 'scores.tsv'}"
+        expected = f"{cfg}:{line}: bad value 'file:scores.trec' for 'rerank.scorer': no file at {cfg.parent / 'scores.trec'}"
         assert expected in capsys.readouterr().err
         assert not (cfg.parent / "out").exists()
 

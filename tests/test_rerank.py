@@ -286,37 +286,49 @@ class TestRerankPoolCorpus:
         assert len(got) == 7 * len(topics)
 
 
+def _score_run(path, lines):
+    """A run of probabilities: one ``qid Q0 docid rank score tag`` line per
+    (qid, docid, score) of ``lines``, ranked as listed."""
+    path.write_text("".join(f"{q} Q0 {d} {r} {s} model\n" for r, (q, d, s) in enumerate(lines, 1)), encoding="utf-8")
+    return str(path)
+
+
 class TestScoreFileScorer:
+    """``file:`` names a TREC run of probabilities; its loader is the run parser."""
+
     def test_scores_copied_verbatim(self, tmp_path):
-        score_path = tmp_path / "scores.tsv"
-        score_path.write_text("q1 d1 0.25\nq1 d2 0.75\n")
+        score_path = _score_run(tmp_path / "scores.trec", [("q1", "d1", "0.25"), ("q1", "d2", "0.75")])
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
-        run = score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
+        run = score_pairs(pairs, ScorerHandle("score_file", score_path))
         assert run.scores("q1") == {"d1": 0.25, "d2": 0.75}
         assert run.docids("q1") == ["d2", "d1"]
+        assert run.tag == "rerank-file"
 
     def test_missing_entry_is_protocol_error(self, tmp_path):
-        score_path = tmp_path / "scores.tsv"
-        score_path.write_text("q1 d1 0.25\n")
+        score_path = _score_run(tmp_path / "scores.trec", [("q1", "d1", "0.25")])
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
         with pytest.raises(ProtocolError, match="d2"):
-            score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
+            score_pairs(pairs, ScorerHandle("score_file", score_path))
 
     def test_duplicate_entry_is_a_format_error_at_its_line(self, tmp_path):
-        score_path = tmp_path / "scores.tsv"
-        score_path.write_text("q1 d1 0.5\nq1 d2 0.75\nq1 d1 0.9\n")
+        score_path = _score_run(tmp_path / "scores.trec",
+                                [("q1", "d1", "0.5"), ("q1", "d2", "0.75"), ("q1", "d1", "0.9")])
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
-        with pytest.raises(FormatError, match=r"scores\.tsv:3: duplicate score for \(q1, d1\)"):
-            score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
+        with pytest.raises(FormatError, match=r"scores\.trec:3: duplicate document 'd1' for query 'q1'"):
+            score_pairs(pairs, ScorerHandle("score_file", score_path))
 
     @pytest.mark.parametrize(
         "lines, message",
-        [("q1 d1 0.5\nq1 d2\n", "2: expected 'qid docid score', got 2 columns"),
-         ("q1 d1 0.5\nq1 d2 high\n", "2: non-numeric score 'high'")],
-        ids=["two-columns", "non-numeric-score"],
+        [("q1 Q0 d1 1 0.5 m\nq1 d2\n", "2: expected 6 columns, got 2"),
+         ("q1 Q0 d1 1 0.5 m\nq1 Q0 d2 2 0.25\n", "2: expected 6 columns, got 5"),
+         ("q1 Q0 d1 1 0.5 m\nq1 Q0 d2 2 high m\n", "2: non-numeric score 'high'"),
+         ("q1 Q0 d1 1 0.5 m\nq1 Q0 d2 2 nan m\n", "2: non-finite score 'nan'"),
+         ("q1 Q0 d1 1 0.5 m\nq1 Q0 d2 2 1.25 m\n", "2: score 1.25 for (q1, d2) outside [0, 1]"),
+         ("q1 Q0 d1 1 0.5 m\nq1 Q0 d1 2 0.25 m\n", "2: duplicate document 'd1' for query 'q1'")],
+        ids=["two-columns", "five-columns", "non-numeric-score", "nan", "above-one", "repeated-pair"],
     )
     def test_bad_line_through_the_cli_exits_2_at_its_line(self, tmp_path, capsys, lines, message):
-        score_path = tmp_path / "scores.tsv"
+        score_path = tmp_path / "scores.trec"
         score_path.write_text(lines, encoding="utf-8")
         corpus, topics, pool, out = _rerank_inputs(tmp_path, ["d1", "d2"])
         code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
@@ -325,25 +337,66 @@ class TestScoreFileScorer:
         assert capsys.readouterr().err == f"error: {score_path}:{message}\n"
         assert not out.exists()
 
+    def test_missing_pair_through_the_cli_exits_3(self, tmp_path, capsys):
+        score_path = _score_run(tmp_path / "scores.trec", [("q1", "d1", "0.5")])
+        corpus, topics, pool, out = _rerank_inputs(tmp_path, ["d1", "d2"])
+        code = main(["rerank", "--pool", str(pool), "--topics", str(topics), "--corpus", str(corpus),
+                     "--scorer", f"file:{score_path}", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "protocol error: score file lacks an entry for (q1, d2)\n"
+        assert not out.exists()
+
     def test_out_of_range_score_rejected(self, tmp_path):
-        score_path = tmp_path / "scores.tsv"
-        score_path.write_text("q1 d1 1.25\nq1 d2 0.5\n")
+        score_path = _score_run(tmp_path / "scores.trec", [("q1", "d1", "1.25"), ("q1", "d2", "0.5")])
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
-        with pytest.raises(ProtocolError):
-            score_pairs(pairs, ScorerHandle("score_file", str(score_path)))
+        with pytest.raises(FormatError, match=r"scores\.trec:1: score 1\.25 for \(q1, d1\) outside \[0, 1\]"):
+            score_pairs(pairs, ScorerHandle("score_file", score_path))
 
     def test_rerun_through_file_is_idempotent(self, tmp_path):
-        from rankpipe.runs import read_run, write_run
-
-        score_path = tmp_path / "scores.tsv"
-        score_path.write_text("q1 d1 0.25\nq1 d2 0.75\n")
+        score_path = _score_run(tmp_path / "scores.trec", [("q1", "d1", "0.25"), ("q1", "d2", "0.75")])
         pairs = list(build_pairs(simple_pool(["d1", "d2"]), TOPICS, CORPUS))
-        handle = ScorerHandle("score_file", str(score_path))
+        handle = ScorerHandle("score_file", score_path)
         run1 = score_pairs(pairs, handle)
         out = tmp_path / "r.trec"
         write_run(run1, str(out))
         run2 = score_pairs(pairs, handle)
         assert read_run(str(out)).entries == run2.entries
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scores_are_the_table_lookup(self, tmp_path_factory, data):
+        """Each pooled pair gets its entry of a table of probabilities written
+        with ``write_run``, whatever pairs outside the pool the table holds."""
+        docids = st.lists(st.sampled_from(["d1", "d2", "d3", "d4"]), min_size=1, unique=True)
+        ranked = data.draw(st.dictionaries(st.sampled_from(["q1", "q2", "q3"]), docids, min_size=1))
+        pool = Run.from_scores({q: {d: float(-i) for i, d in enumerate(ds)} for q, ds in ranked.items()}, tag="pool")
+        probability = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 0.5])
+        unpooled = data.draw(st.lists(st.sampled_from([("q1", "d5"), ("q9", "d1")]), unique=True))
+        table: dict[str, dict[str, float]] = {}
+        for qid, docid in [(q, d) for q, ds in ranked.items() for d in ds] + unpooled:
+            table.setdefault(qid, {})[docid] = data.draw(probability)
+        path = str(tmp_path_factory.mktemp("probabilities") / "scores.trec")
+        write_run(Run.from_scores(table, tag="model"), path)
+        corpus = {d: Document(d, "", f"body {d}") for d in ("d1", "d2", "d3", "d4")}
+        topics = {q: f"text {q}" for q in ranked}
+        got = score_pairs(build_pairs(pool, topics, corpus), ScorerHandle("score_file", path))
+        assert {q: got.scores(q) for q in got.entries} == {q: {d: table[q][d] for d in ds} for q, ds in ranked.items()}
+
+    @settings(max_examples=25, deadline=None)
+    @given(ranked=st.dictionaries(st.sampled_from(["q1", "q2"]),
+                                  st.lists(st.sampled_from(["d1", "d2", "d3", "d4"]), min_size=1, unique=True),
+                                  min_size=1),
+           budget=st.integers(1, 12))
+    def test_a_written_lexical_run_scores_as_itself(self, tmp_path_factory, ranked, budget):
+        """A lexical run, written and fed back as ``file:``, reranks the same pool to the same entries."""
+        corpus = {d: Document(d, f"title {d}", f"body text {d} here") for d in ("d1", "d2", "d3", "d4")}
+        topics = {"q1": "body d1 d3 text", "q2": "title here"}
+        pool = Run.from_scores({q: {d: float(-i) for i, d in enumerate(ds)} for q, ds in ranked.items()}, tag="pool")
+        pairs = list(build_pairs(pool, topics, corpus, budget))
+        lexical = score_pairs(pairs, ScorerHandle())
+        path = str(tmp_path_factory.mktemp("lexical") / "rerank.trec")
+        write_run(lexical, path)
+        assert score_pairs(pairs, ScorerHandle.parse(f"file:{path}")).entries == lexical.entries
 
 
 ECHO_SCORER = """\

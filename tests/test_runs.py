@@ -4,6 +4,7 @@ same, whether the entries arrive in canonical order or not."""
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -73,6 +74,15 @@ def test_written_run_does_not_share_the_callers_lists(tmp_path):
     ranked = [("d1", 2.0), ("d2", 1.0)]
     written = write_run(Run(entries={"q": ranked}), str(tmp_path / "r.trec"))
     assert written.entries["q"] == ranked and written.entries["q"] is not ranked
+
+
+@pytest.mark.parametrize("tag", ["my run", "", "a\tb", "a b", "a\nb"])
+def test_a_tag_that_is_not_one_token_is_refused_before_the_file_is_opened(tmp_path, tag):
+    # such a tag would write lines of other than six columns, which read_run rejects
+    path = tmp_path / "r.trec"
+    with pytest.raises(DataError, match=re.escape(f"{path}: run tag {tag!r} is empty or contains whitespace")):
+        write_run(Run({"q1": [("d1", 1.0)]}, tag=tag), str(path))
+    assert not path.exists()
 
 
 @settings(max_examples=400, deadline=None)
