@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = index_sub.add_parser("build", help="build an inverted index from a corpus")
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True)
-    # accepts only auto, for perfbench/run.py's cli-tour, which passes it; ROADMAP item 1 frees it
+    # accepts only auto, for perfbench/run.py's cli-tour, which passes it; ROADMAP item 12 frees it
     p_build.add_argument("--script-policy", choices=(AUTO,))
     p_build.set_defaults(func=_cmd_index)
 
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--pool", required=True)
     p_rerank.add_argument("--topics", required=True)
     p_rerank.add_argument("--corpus", required=True)
-    p_rerank.add_argument("--scorer", type=_scorer, help='lexical (default) | file:scores.tsv | cmd:"..."')
+    p_rerank.add_argument("--scorer", type=_scorer, help='lexical (default) | file:run.trec | cmd:"..."')
     p_rerank.add_argument("--budget", type=int)
     p_rerank.add_argument("--pool-k", type=int)
     p_rerank.add_argument("--out", required=True)

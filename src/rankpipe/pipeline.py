@@ -8,12 +8,13 @@ each value the configured stages read, input files included, are checked
 before the first stage runs; a bad one names the config's ``path:line``.
 
 A stage is declared once, in ``STAGE_TABLE``: its name, the artifact it
-writes in each language directory, its per-language input keys and its
-body. Requested stages run in the table's order per language; every
-intermediate is written in the documented formats with a provenance header
-(config schema + seed, never timestamps), so rerunning the same config is
-byte-identical. Within one call a stage hands the run or index it wrote to
-the later stages of its language in memory; a stage whose upstream ran in an
+writes in each language directory, its per-language input keys, the value
+keys and the upstream stages it reads, and its body, which gets those alone.
+Requested stages run in the table's order per language; every intermediate
+is written in the documented formats with a provenance header (config
+schema + seed, never timestamps), so rerunning the same config is
+byte-identical. Within one call a stage's result is held in memory for the
+later stages of its language that read it; a stage whose upstream ran in an
 earlier call reads the artifact, and a missing one names the stage to run
 first. Each stage imports the modules it computes with, so a call that only
 evaluates or fuses starts without numpy. The languages run in parallel, one
@@ -38,6 +39,7 @@ if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
     from .metrics import MetricReport
+    from .rerank import ScorerHandle
     from .sparse import InvertedIndex
 
 SCHEMA = "rankpipe-exp-1"
@@ -163,23 +165,44 @@ def _header(config: ExperimentConfig, stage: str) -> str:
     return f"schema={SCHEMA} stage={stage} seed={config.seed}"
 
 
-# what one language's stages returned so far by stage name: runs as written, the index, eval reports
-Held = dict[str, Any]
-# the parsed config values the configured stages read, keyed by config key;
-# "bm25" holds the parameters bm25.k1 and bm25.b, "corpus.en" its file's path
+# the parsed config values of a stage's value keys, and its input paths by input name ("topics")
 Values = dict[str, Any]
 
 
-def _upstream(config: ExperimentConfig, language: str, stage: str) -> str:
-    """The artifact an earlier call's ``stage`` wrote, which must exist."""
-    path = config.out_path(language, stage)
-    if not path.exists():
-        raise DataError(f"missing artifact {path}; run stage {stage!r} first")
-    return str(path)
+class Reads(dict):
+    """The results of the stages that one stage reads, by stage name: those
+    its language holds, and any other read from its artifact, which must
+    exist. A stage it does not read has no path here, so asking for it is a
+    KeyError; ``stage in reads`` tells whether a result is held or on disk."""
+
+    def __init__(self, held: dict[str, Any], paths: dict[str, Path]) -> None:
+        super().__init__((stage, held[stage]) for stage in paths if stage in held)
+        self.paths = paths
+
+    def __missing__(self, stage: str) -> Any:
+        path = self.paths[stage]
+        if not path.exists():
+            raise DataError(f"missing artifact {path}; run stage {stage!r} first")
+        if stage == "index":
+            from . import sparse
+
+            return sparse.load_index(str(path))
+        return read_run(str(path))
+
+    def __contains__(self, stage: object) -> bool:
+        return super().__contains__(stage) or stage in self.paths and self.paths[stage].exists()
 
 
-def _load_run(config: ExperimentConfig, language: str, held: Held, stage: str) -> Run:
-    return held[stage] if stage in held else read_run(_upstream(config, language, stage))
+def _given(values: Values, **params: str) -> dict[str, Any]:
+    """Each parameter of ``params`` (name=key) whose key is set, so that the layer's defaults fill the others."""
+    return {param: values[key] for param, key in params.items() if values[key] is not None}
+
+
+def _bm25_param(name: str, raw: str) -> float:
+    """BM25 parameter ``name``, checked alone, so that an error names its line."""
+    from .sparse import Bm25Params
+
+    return getattr(Bm25Params(**{name: float(raw)}), name)
 
 
 def _fuse_weights(raw: str) -> list[float]:
@@ -189,9 +212,31 @@ def _fuse_weights(raw: str) -> list[float]:
     return weights
 
 
-# every value key, each read by _read_values alone; ExperimentConfig.get refuses any other
-VALUE_KEYS = ("bm25.k1", "bm25.b", "retrieve.k", "dense.metric", "fuse.weights", "pool.k", "rerank.scorer",
-              "rerank.budget", "eval.k", "eval.recall_k", "eval.targets")
+def _scorer(config: ExperimentConfig, raw: str) -> ScorerHandle:
+    from . import rerank
+
+    handle = rerank.ScorerHandle.parse(raw)
+    if handle.kind == rerank.SCORE_FILE:  # a score file resolves as the input paths do
+        handle = replace(handle, location=str(config.input_file(handle.location)))
+    return handle
+
+
+# each value key and the ExperimentConfig.get call that reads it, in the order in which their
+# errors are reported; get refuses any other key. A None default leaves the layer's own default.
+_KEYS: dict[str, Callable[[ExperimentConfig, str], Any]] = {
+    "bm25.k1": lambda config, key: config.get(key, None, lambda raw: _bm25_param("k1", raw)),
+    "bm25.b": lambda config, key: config.get(key, None, lambda raw: _bm25_param("b", raw)),
+    "retrieve.k": lambda config, key: config.get(key, DEFAULT_K, int, minimum=1),
+    "dense.metric": lambda config, key: config.get(key, DOT, choices=METRICS),
+    "fuse.weights": lambda config, key: config.get(key, [0.5, 0.5], _fuse_weights),
+    "pool.k": lambda config, key: config.get(key, fusion.DEFAULT_POOL_K, int, minimum=1),
+    "rerank.scorer": lambda config, key: config.get(key, None, lambda raw: _scorer(config, raw)),
+    "rerank.budget": lambda config, key: config.get(key, None, int, minimum=1),
+    "eval.k": lambda config, key: config.get(key, 10, int, minimum=1),
+    "eval.recall_k": lambda config, key: config.get(key, None, int, minimum=0),  # unset: pool.k
+    "eval.targets": lambda config, key: config.get(key, None, lambda raw: _names(raw, tuple(EVAL_RUNS))),
+}
+VALUE_KEYS = tuple(_KEYS)
 
 
 def _is_key(key: str) -> bool:
@@ -200,101 +245,70 @@ def _is_key(key: str) -> bool:
     return key in STRUCTURAL_KEYS or key in VALUE_KEYS or bool(name) and any(prefix in s.inputs for s in STAGE_TABLE)
 
 
-def _read_values(config: ExperimentConfig, stages: set[str]) -> Values:
+def _read_values(config: ExperimentConfig, stages: list[Stage]) -> Values:
     """Every config value that ``stages`` read, input paths included, parsed
     before the first of them runs, so a bad value stops the call before any
     artifact is written. An error names the value's line, as
     ``ExperimentConfig.get`` does."""
-    get = config.get
-    values: Values = {}
-    if "bm25" in stages:
-        from .sparse import Bm25Params
-
-        values["bm25"] = Bm25Params(  # each value is checked alone, so that an error names its line
-            k1=get("bm25.k1", Bm25Params.k1, lambda raw: Bm25Params(k1=float(raw)).k1),
-            b=get("bm25.b", Bm25Params.b, lambda raw: Bm25Params(b=float(raw)).b),
-        )
-    if {"bm25", "dense"} & stages:
-        values["retrieve.k"] = get("retrieve.k", DEFAULT_K, int, minimum=1)
-    if "dense" in stages:
-        values["dense.metric"] = get("dense.metric", DOT, choices=METRICS)
-    if "fuse" in stages:
-        values["fuse.weights"] = get("fuse.weights", [0.5, 0.5], _fuse_weights)
-    if {"pool", "rerank", "eval"} & stages:
-        values["pool.k"] = get("pool.k", fusion.DEFAULT_POOL_K, int, minimum=1)
-    if "rerank" in stages:
-        from . import rerank
-
-        def scorer(raw: str) -> rerank.ScorerHandle:
-            handle = rerank.ScorerHandle.parse(raw)
-            if handle.kind == rerank.SCORE_FILE:  # a score file resolves as the input paths do
-                handle = replace(handle, location=str(config.input_file(handle.location)))
-            return handle
-
-        values["rerank.scorer"] = get("rerank.scorer", rerank.ScorerHandle(), scorer)
-        values["rerank.budget"] = get("rerank.budget", rerank.DEFAULT_BUDGET, int, minimum=1)
-    if "eval" in stages:
-        values["eval.k"] = get("eval.k", 10, int, minimum=1)
-        values["eval.recall_k"] = get("eval.recall_k", values["pool.k"], int, minimum=0)
-        values["eval.targets"] = get("eval.targets", None, lambda raw: _names(raw, tuple(EVAL_RUNS)))
-    for key in dict.fromkeys(key for stage in STAGE_TABLE if stage.name in stages for key in stage.inputs):
+    read = {key for stage in stages for key in stage.keys}
+    values: Values = {key: get(config, key) for key, get in _KEYS.items() if key in read}
+    for name in dict.fromkeys(name for stage in stages for name in stage.inputs):
         for language in config.languages:
-            values[f"{key}.{language}"] = str(config.lang_path(key, language))
+            values[f"{name}.{language}"] = str(config.lang_path(name, language))
     return values
 
 
-def _index(config: ExperimentConfig, language: str, held: Held, values: Values) -> InvertedIndex:
+def _index(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> InvertedIndex:
     from . import sparse
 
-    return sparse.index_corpus(values[f"corpus.{language}"], str(config.out_path(language, "index")))
+    return sparse.index_corpus(values["corpus"], str(config.out_path(language, "index")))
 
 
-def _bm25(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
+def _bm25(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> Run:
     from . import sparse
 
-    # a built index scores as its saved file does; no later stage needs it
-    index = held.pop("index") if "index" in held else sparse.load_index(_upstream(config, language, "index"))
-    return sparse.retrieve_bm25(index, values[f"topics.{language}"], values["retrieve.k"], values["bm25"])
+    params = sparse.Bm25Params(**_given(values, k1="bm25.k1", b="bm25.b"))
+    return sparse.retrieve_bm25(reads["index"], values["topics"], values["retrieve.k"], params)
 
 
-def _dense(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
+def _dense(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> Run:
     from . import dense
 
-    vectors = values[f"query_vectors.{language}"], values[f"doc_vectors.{language}"]
+    vectors = values["query_vectors"], values["doc_vectors"]
     return dense.retrieve_dense(*vectors, values["retrieve.k"], values["dense.metric"])
 
 
-def _fuse(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
-    legs = [_load_run(config, language, held, leg) for leg in FUSE_LEGS]
+def _fuse(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> Run:
+    legs = [reads[leg] for leg in FUSE_LEGS]
     return fusion.fuse([fusion.normalize_run(leg) for leg in legs], values["fuse.weights"])
 
 
-def _pool(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
-    return fusion.cut_pool(_load_run(config, language, held, "fuse"), values["pool.k"])
+def _pool(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> Run:
+    return fusion.cut_pool(reads["fuse"], values["pool.k"])
 
 
-def _rerank(config: ExperimentConfig, language: str, held: Held, values: Values) -> Run:
+def _rerank(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> Run:
     from . import rerank
 
-    pool = _load_run(config, language, held, "pool")
-    texts = values[f"topics.{language}"], values[f"corpus.{language}"]
     # an external scorer's processes share the CPUs with the other language workers
     cpus = max(1, available_cpus() // _worker_count(len(config.languages)))
-    return rerank.rerank_pool(pool, *texts, values["rerank.scorer"], values["pool.k"], values["rerank.budget"], cpus)
+    return rerank.rerank_pool(reads["pool"], values["topics"], values["corpus"], pool_k=values["pool.k"], cpus=cpus,
+                              **_given(values, scorer="rerank.scorer", budget="rerank.budget"))
 
 
-def _eval(config: ExperimentConfig, language: str, held: Held, values: Values) -> dict[tuple, MetricReport]:
+def _eval(config: ExperimentConfig, language: str, reads: Reads, values: Values) -> dict[tuple, MetricReport]:
     from . import metrics
 
-    qrels = load_qrels(values[f"qrels.{language}"])
-    # eval.targets unset or empty: every run the language has
-    names = values["eval.targets"] or [n for n, stage in EVAL_RUNS.items() if config.out_path(language, stage).exists()]
+    qrels = load_qrels(values["qrels"])
+    # eval.targets unset or empty: every run the language holds or has on disk
+    names = values["eval.targets"] or [name for name, stage in EVAL_RUNS.items() if stage in reads]
     if not names:
         raise DataError(f"no runs to evaluate for {language!r}; run a retrieval stage first")
-    ndcg_k, recall_k = values["eval.k"], values["eval.recall_k"]
+    ndcg_k = values["eval.k"]
+    recall_k = values["pool.k"] if values["eval.recall_k"] is None else values["eval.recall_k"]
     reports: dict[tuple[str, str, int], MetricReport] = {}
     for name in names:
-        run = _load_run(config, language, held, EVAL_RUNS[name])
+        run = reads[EVAL_RUNS[name]]
         reports[(name, metrics.NDCG, ndcg_k)] = metrics.ndcg_at_k(run, qrels, ndcg_k)
         reports[(name, metrics.RECALL, recall_k)] = metrics.recall_at_k(run, qrels, recall_k)
     with open(config.out_path(language, "eval"), "w", encoding="utf-8") as fh:
@@ -308,24 +322,29 @@ def _eval(config: ExperimentConfig, language: str, held: Held, values: Values) -
 @dataclass(frozen=True)
 class Stage:
     """A stage: its artifact in each language directory, the key prefixes of
-    its per-language input files, and its body, which returns what later
-    stages use; the runner writes a returned Run, other bodies their own file."""
+    its per-language input files, the value keys it reads, the stages whose
+    results it reads, and its body, which returns what later stages use; the
+    runner writes a returned Run, other bodies their own file."""
 
     name: str
     artifact: str
     inputs: tuple[str, ...]
-    body: Callable[[ExperimentConfig, str, Held, Values], Any]
+    keys: tuple[str, ...]
+    reads: tuple[str, ...]
+    body: Callable[[ExperimentConfig, str, Reads, Values], Any]
 
 
 # every stage, in run order
 STAGE_TABLE = (
-    Stage("index", "index.rpidx", ("corpus",), _index),
-    Stage("bm25", "bm25.trec", ("topics",), _bm25),
-    Stage("dense", "dense.trec", ("query_vectors", "doc_vectors"), _dense),
-    Stage("fuse", "hybrid.trec", (), _fuse),
-    Stage("pool", "pool.trec", (), _pool),
-    Stage("rerank", "rerank.trec", ("topics", "corpus"), _rerank),
-    Stage("eval", "metrics.tsv", ("qrels",), _eval),
+    Stage("index", "index.rpidx", ("corpus",), (), (), _index),
+    Stage("bm25", "bm25.trec", ("topics",), ("bm25.k1", "bm25.b", "retrieve.k"), ("index",), _bm25),
+    Stage("dense", "dense.trec", ("query_vectors", "doc_vectors"), ("retrieve.k", "dense.metric"), (), _dense),
+    Stage("fuse", "hybrid.trec", (), ("fuse.weights",), FUSE_LEGS, _fuse),
+    Stage("pool", "pool.trec", (), ("pool.k",), ("fuse",), _pool),
+    Stage("rerank", "rerank.trec", ("topics", "corpus"), ("pool.k", "rerank.scorer", "rerank.budget"), ("pool",),
+          _rerank),
+    Stage("eval", "metrics.tsv", ("qrels",), ("pool.k", "eval.k", "eval.recall_k", "eval.targets"),
+          tuple(EVAL_RUNS.values()), _eval),
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 _ARTIFACTS = {stage.name: stage.artifact for stage in STAGE_TABLE}
@@ -334,13 +353,19 @@ _ARTIFACTS = {stage.name: stage.artifact for stage in STAGE_TABLE}
 def _run_language(config: ExperimentConfig, language: str, stages: list[Stage], values: Values) -> dict:
     """Run ``stages`` for one language; its eval reports, empty without an eval stage."""
     (config.output_dir / language).mkdir(parents=True, exist_ok=True)
-    held: Held = {}
-    for stage in stages:
-        result = stage.body(config, language, held, values)
+    held: dict[str, Any] = {}
+    for i, stage in enumerate(stages):
+        own = {key: values[key] for key in stage.keys} | {name: values[f"{name}.{language}"] for name in stage.inputs}
+        paths = {name: config.out_path(language, name) for name in stage.reads}
+        result = stage.body(config, language, Reads(held, paths), own)
+        # a result is held only while a later stage reads it
+        later = {name for later_stage in stages[i + 1:] for name in later_stage.reads}
+        held = {name: kept for name, kept in held.items() if name in later}
         if isinstance(result, Run):
             result = write_run(result, str(config.out_path(language, stage.name)), header=_header(config, stage.name))
-        held[stage.name] = result
-    return held.get("eval", {})
+        if stage.name in later:
+            held[stage.name] = result
+    return result if stages and stages[-1].name == "eval" else {}
 
 
 # per language, its eval reports or the error that stopped it
@@ -401,8 +426,7 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
     when none failed. The artifacts do not depend on W.
     """
     stages = [stage for stage in STAGE_TABLE if stage.name in config.stages]
-    names = {stage.name for stage in stages}
-    values = _read_values(config, names)
+    values = _read_values(config, stages)
     languages = config.languages
     count = _worker_count(len(languages))
     workers = []  # (process, read end of its pipe, its languages)
@@ -438,7 +462,7 @@ def run_pipeline(config: ExperimentConfig) -> dict[str, dict]:
             raise results[language]
     all_reports = {language: results[language] for language in languages}
 
-    if "eval" in names:
+    if "eval" in config.stages:
         from .metrics import macro_average
 
         keys = sorted({key for reports in all_reports.values() for key in reports})

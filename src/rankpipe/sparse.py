@@ -92,7 +92,7 @@ class InvertedIndex:
     the term's document frequency.
     """
 
-    # kept for the perfbench/spans.py bm25 hook, which reads it; ROADMAP item 1 frees it
+    # kept for the perfbench/spans.py bm25 hook, which reads it; ROADMAP item 12 frees it
     script_policy = AUTO
 
     def __init__(self, postings: dict[str, Postings], doc_lengths: Sequence[int], docids: list[str]):

@@ -40,7 +40,7 @@ _UNIGRAM_CHAR = rf"[{_U}](?<=[^\W_])"
 _SCRIPT_RUNS = rf"{_UNIGRAM_CHAR}|[^\W_{_U}]+"
 
 
-# kept for perfbench/spans.py:probe_tokenization, which times it; ROADMAP item 1 frees it
+# kept for perfbench/spans.py:probe_tokenization, which times it; ROADMAP item 12 frees it
 def detect_policy(text: str) -> str:
     """``"unigram"`` when unsegmented-script characters are the majority of the
     alphanumerics of ``text``, else ``"whitespace"`` (also for a text without any).
@@ -49,7 +49,7 @@ def detect_policy(text: str) -> str:
     return "unigram" if unigram > len(re.findall(r"[^\W_]", text)) - unigram else "whitespace"
 
 
-# script_policy is kept for perfbench/spans.py:probe_tokenization, which passes AUTO; ROADMAP item 1 frees it
+# script_policy is kept for perfbench/spans.py:probe_tokenization, which passes AUTO; ROADMAP item 12 frees it
 def tokenize(text: str, script_policy: str = AUTO) -> list[str]:
     """Case-fold ``text`` and segment it by script run.
 

@@ -7,6 +7,7 @@ artifacts back from disk.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
@@ -102,6 +104,76 @@ def test_stage_alone_reads_its_upstream_artifacts(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, pipeline, "read_run", tmp_path / "read_run.log")
     pipeline.run_pipeline(load_config(str(_set_stages(cfg, "fuse"))))
     assert calls() == ["xx/bm25.trec", "xx/dense.trec"]
+
+
+# the value keys each stage read before the stage table declared them, copied
+# from the chain of per-stage tests that read them, in the order it read them
+KEY_ORDER = ("bm25.k1", "bm25.b", "retrieve.k", "dense.metric", "fuse.weights", "pool.k", "rerank.scorer",
+             "rerank.budget", "eval.k", "eval.recall_k", "eval.targets")
+KEYS_READ = {
+    "index": set(),
+    "bm25": {"bm25.k1", "bm25.b", "retrieve.k"},
+    "dense": {"retrieve.k", "dense.metric"},
+    "fuse": {"fuse.weights"},
+    "pool": {"pool.k"},
+    "rerank": {"pool.k", "rerank.scorer", "rerank.budget"},
+    "eval": {"pool.k", "eval.k", "eval.recall_k", "eval.targets"},
+}
+
+
+def test_every_stage_set_reads_the_keys_of_its_stages_once_in_order(monkeypatch):
+    config = load_config(str(DESK / "desk.cfg"))
+    asked: list[str] = []
+    get = pipeline.ExperimentConfig.get
+
+    def recording(self, key, *args, **kwargs):
+        asked.append(key)
+        return get(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.ExperimentConfig, "get", recording)
+    subsets = [names for size in range(1, len(STAGES) + 1) for names in itertools.combinations(STAGES, size)]
+    assert len(subsets) == 127
+    for names in subsets:
+        asked.clear()
+        pipeline._read_values(config, [stage for stage in pipeline.STAGE_TABLE if stage.name in names])
+        value_keys = [key for key in asked if key.partition(".")[2] not in config.languages]
+        assert value_keys == [key for key in KEY_ORDER if any(key in KEYS_READ[name] for name in names)], names
+
+
+# what the pool stage does not declare, though the call reads the value and holds the run
+@pytest.mark.parametrize("ask", [lambda reads, values: values["retrieve.k"], lambda reads, values: reads["bm25"]],
+                         ids=["value", "run"])
+def test_a_body_asking_for_what_its_stage_does_not_declare_is_a_key_error(tmp_path, monkeypatch, ask):
+    pool = _body("pool")
+
+    def asking_pool(config, language, reads, values):
+        ask(reads, values)
+        return pool(config, language, reads, values)
+
+    _set_body(monkeypatch, "pool", asking_pool)
+    with pytest.raises(KeyError):
+        pipeline.run_pipeline(load_config(str(_set_stages(_desk(tmp_path), "index,bm25,dense,fuse,pool"))))
+
+
+def test_a_run_is_held_only_while_a_later_stage_reads_it(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 1)  # every language in this process
+    fuse, pool = _body("fuse"), _body("pool")
+    legs: list[weakref.ref] = []
+    alive: list[bool] = []
+
+    def noting_fuse(config, language, reads, values):
+        legs.append(weakref.ref(reads["bm25"]))
+        return fuse(config, language, reads, values)
+
+    def checking_pool(config, language, reads, values):
+        alive.append(legs[-1]() is not None)
+        return pool(config, language, reads, values)
+
+    _set_body(monkeypatch, "fuse", noting_fuse)
+    _set_body(monkeypatch, "pool", checking_pool)
+    # no eval stage, so no stage after fuse reads the bm25 run
+    pipeline.run_pipeline(load_config(str(_set_stages(_desk(tmp_path), "index,bm25,dense,fuse,pool,rerank"))))
+    assert alive == [False, False, False]
 
 
 def _body(name: str) -> Callable:

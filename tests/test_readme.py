@@ -48,7 +48,7 @@ def test_stage_table_lists_every_stage():
     section = experiment_configs()
     rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
     listed = [tuple(re.findall(r"`([^`]+)`", cell) for cell in row) for row in rows]
-    assert listed == [([stage.name], list(stage.inputs), [stage.artifact]) for stage in STAGE_TABLE]
+    assert listed == [([stage.name], list(stage.inputs), list(stage.reads), [stage.artifact]) for stage in STAGE_TABLE]
 
 
 def backticked_list(text: str, lead: str) -> list[str]:
