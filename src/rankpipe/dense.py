@@ -2,9 +2,10 @@
 
 Vectors come from any external bi-encoder as a TSV of
 ``id<TAB>v1,v2,...,vd`` records. Search is an exhaustive scan accumulated
-in double precision, so results are exact. The metric, dot product or
-cosine, is a search argument; ``similarities`` is the one routine that
-computes either, with the same checks for every caller.
+in double precision, so results are exact, and its top-k is every document
+at or above the k-th score, in canonical order, cut at k. The metric, dot
+product or cosine, is a search argument; ``similarities`` is the one
+routine that computes either, with the same checks for every caller.
 
 This is the one module of the package that imports numpy, and the others
 take it from here. Unless the caller has set ``OPENBLAS_NUM_THREADS``,
@@ -23,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import DataError, FormatError
-from .runs import DEFAULT_K, Run, check_k
+from .runs import DEFAULT_K, Run, check_k, sort_ranked
 from .validate import COSINE, DOT, METRICS, data_lines, parse_vectors
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -47,9 +48,6 @@ class EmbeddingStore:
         self.ids = list(ids)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._row = {vid: i for i, vid in enumerate(self.ids)}
-        # each id's position in sorted id order: ties in search break on it
-        self._id_rank = np.empty(len(self.ids), dtype=np.int64)
-        self._id_rank[np.argsort(np.array(self.ids), kind="stable")] = np.arange(len(self.ids))
         bad = np.flatnonzero(~np.isfinite(self.matrix).all(axis=1))
         if bad.size:
             raise DataError(f"non-finite components in vector {self.ids[int(bad[0])]!r}")
@@ -165,16 +163,18 @@ def dense_search(
     k: int,
     metric: str = DOT,
 ) -> list[tuple[str, float]]:
-    """Exact top-k document similarities for one query under ``metric``.
-
-    Ties break by ascending docid, and k beyond the store size returns the
+    """Exact top-k document similarities for one query under ``metric``:
+    every document at or above the k-th score, in canonical order
+    (``runs.sort_ranked``), cut at k. k beyond the store size returns the
     whole store.
     """
     check_k(k)
     scores = similarities(queries, docs, query_id, metric)
-    # primary key score descending, secondary key docid ascending
-    top = np.lexsort((docs._id_rank, -scores))[:k]
-    return list(zip(map(docs.ids.__getitem__, top.tolist()), scores[top].tolist()))
+    kept = np.arange(len(scores))
+    if k < len(scores):
+        # every document at or above the k-th highest score: sort_ranked breaks the ties at the cut
+        kept = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+    return sort_ranked(list(zip(map(docs.ids.__getitem__, kept.tolist()), scores[kept].tolist())))[:k]
 
 
 def retrieve_dense(queries_path: str, docs_path: str, k: int = DEFAULT_K, metric: str = DOT, tag: str = "dense") -> Run:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import positives
 from .errors import DataError
-from .runs import Run, check_k
+from .runs import Run, check_k, sort_ranked
 from .validate import COSINE, check_pair_label, parse_pairs
 
 if TYPE_CHECKING:  # numpy is only needed by q2q2d, which imports dense when it runs
@@ -164,11 +164,10 @@ def q2q2d_augment(
     for qid, text in test_queries.items():
         # clipped, since rounding can carry a cosine just past 1 or -1
         sims = np.clip(similarities(query_vectors, sources, qid, COSINE), -1.0, 1.0)
-        order = sorted(range(len(train_ids)), key=lambda i: (-sims[i], train_ids[i]))
-        matched = [i for i in order if sims[i] >= params.tau][: params.top_m]
-        for i in matched:
-            sim = float(sims[i])
-            for docid, grade in sorted(train_qrels.get(train_ids[i], {}).items()):
+        ranked = sort_ranked(list(zip(train_ids, sims.tolist())))
+        matched = [(source, sim) for source, sim in ranked if sim >= params.tau][: params.top_m]
+        for source, sim in matched:
+            for docid, grade in sorted(train_qrels.get(source, {}).items()):
                 # grades are binarized: the label algebra assumes {0, 1}
                 pairs.append(TrainingPair(qid=qid, query_text=text, docid=docid,
                                           label=max(0.0, sim) * min(grade, 1) * params.alpha, source="q2q2d"))

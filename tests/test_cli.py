@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import NUL_SIBLINGS, write_vectors
 from rankpipe import cli, dense, ensemble, forge, sparse, validate
 from rankpipe.cli import main
 from rankpipe.corpus import load_corpus, load_qrels, load_topics
@@ -115,6 +116,24 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert str(index_path) in err and "rebuild it with `rankpipe index build`" in err
             assert not (tmp_path / "bm25.trec").exists()
+
+    def test_retrieve_dense_top_k_is_a_prefix_of_the_whole_ranking(self, tmp_path, capsys):
+        # q2 reverses q1's order, so each NUL sibling pair is cut between its two ids once
+        queries = write_vectors(tmp_path / "q.vec.tsv", [("q1", [1.0]), ("q2", [-1.0])])
+        docs = write_vectors(tmp_path / "d.vec.tsv", [(docid, [value]) for docid, value in NUL_SIBLINGS])
+        n, runs = len(NUL_SIBLINGS), []
+        for k in range(1, n + 1):
+            runs.append(str(tmp_path / f"dense.{k}.trec"))
+            argv = ["retrieve", "dense", "--queries", queries, "--docs", docs, "-k", str(k), "--out", runs[-1]]
+            assert main(argv) == 0
+        lines = [Path(run).read_text(encoding="utf-8").splitlines() for run in runs]
+        for qid in ("q1", "q2"):
+            whole = [line for line in lines[-1] if line.split()[0] == qid]
+            assert len(whole) == n
+            for k in range(1, n):
+                assert [line for line in lines[k - 1] if line.split()[0] == qid] == whole[:k], (qid, k)
+        capsys.readouterr()
+        assert main(["validate", queries, docs, *runs]) == 0, capsys.readouterr().out
 
     def test_retrieve_dense_and_fuse(self, tmp_path):
         write_tiny_project(tmp_path)

@@ -309,8 +309,8 @@ def test_cosine_outputs_equal_the_per_query_formula_bit_for_bit(tmp_path):
     for qid in queries.ids:
         qvec = queries.vector(qid)
         scores = docs.matrix @ qvec / (np.linalg.norm(docs.matrix, axis=1) * np.linalg.norm(qvec))
-        order = np.lexsort((np.array(docs.ids), -scores))[:40]
-        assert repr(run.entries[qid]) == repr([(docs.ids[i], float(scores[i])) for i in order])
+        expected = sorted(zip(docs.ids, scores.tolist()), key=lambda pair: (-pair[1], pair[0]))[:40]
+        assert repr(run.entries[qid]) == repr(expected)
 
     (tmp_path / "test.tsv").write_text("".join(f"q{i}\ttarget {i}\n" for i in range(8)), encoding="utf-8")
     (tmp_path / "train.tsv").write_text("".join(f"s{i}\tsource {i}\n" for i in range(40)), encoding="utf-8")

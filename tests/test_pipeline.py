@@ -26,8 +26,9 @@ import pytest
 from rankpipe import pipeline, sparse
 from rankpipe.cli import main
 from rankpipe.pipeline import STAGES, load_config
-from rankpipe.runs import read_run
+from rankpipe.runs import read_run, sort_ranked
 
+from helpers import NUL_SIBLINGS, write_vectors
 from test_cli import DESK, tree_digest, write_tiny_project
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,6 +105,41 @@ def test_stage_alone_reads_its_upstream_artifacts(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, pipeline, "read_run", tmp_path / "read_run.log")
     pipeline.run_pipeline(load_config(str(_set_stages(cfg, "fuse"))))
     assert calls() == ["xx/bm25.trec", "xx/dense.trec"]
+
+
+def _nul_siblings_project(root: Path) -> Path:
+    """The tiny one-language project with the NUL_SIBLINGS documents: their
+    texts share terms with the two topics, their vectors tie in sibling pairs,
+    and q2's vector reverses q1's dense order."""
+    cfg = write_tiny_project(root)
+    texts = ["albatross zephyr", "albatross", "quasar obsidian", "quasar", "zephyr obsidian"]
+    docs = [{"docid": docid, "title": "", "text": text} for (docid, _), text in zip(NUL_SIBLINGS, texts)]
+    (root / "corpus.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    (root / "qrels.txt").write_text("q1 Q0 a 1\nq2 Q0 b\x00\x00 1\n", encoding="utf-8")
+    write_vectors(root / "queries.vec.tsv", [("q1", [1.0]), ("q2", [-1.0])])
+    write_vectors(root / "docs.vec.tsv", [(docid, [value]) for docid, value in NUL_SIBLINGS])
+    return cfg
+
+
+@pytest.mark.parametrize("project", [_desk, _nul_siblings_project], ids=["desk", "nul-siblings"])
+def test_every_run_a_stage_hands_to_write_run_is_in_canonical_order(tmp_path, monkeypatch, project):
+    config = load_config(str(project(tmp_path)))
+    _cpus(monkeypatch, 1)  # one process, so that every call is seen here
+    handed, write_run = [], pipeline.write_run
+
+    def recording(run, path, *args, **kwargs):
+        entries = {qid: list(ranked) for qid, ranked in run.entries.items()}
+        handed.append((f"{Path(path).parent.name}/{Path(path).name}", entries))
+        return write_run(run, path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "write_run", recording)
+    pipeline.run_pipeline(config)
+    stages = ("bm25", "dense", "hybrid", "pool", "rerank")
+    assert sorted(name for name, _ in handed) == sorted(
+        f"{language}/{stage}.trec" for language in config.languages for stage in stages)
+    for name, entries in handed:
+        for qid, ranked in entries.items():
+            assert ranked == sort_ranked(ranked[:]), (name, qid)
 
 
 # the value keys each stage read before the stage table declared them, copied

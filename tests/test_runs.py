@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_dense_search, oracle_fuse, oracle_write_run
+from helpers import NUL_SIBLINGS, oracle_dense_search, oracle_fuse, oracle_write_run
 from rankpipe.dense import EmbeddingStore, dense_search
 from rankpipe.errors import DataError
 from rankpipe.fusion import check_weights, fuse
-from rankpipe.runs import Run, rank_sorted, write_run
+from rankpipe.runs import Run, rank_sorted, sort_ranked, write_run
 from rankpipe.validate import METRICS
 
 # ids with characters that mean something to %-formatting and str.format
@@ -141,16 +141,20 @@ def test_a_candidates_sum_is_fsum_bit_for_bit(parts):
 
 
 _COMPONENT = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+# ids with up to two trailing NULs, so that siblings such as "a" and "a\x00"
+# tie where a numpy string array, which drops trailing NULs, compares them
+_SIBLING_ID = st.tuples(st.text(st.sampled_from("ab9Z%{}é_"), min_size=1, max_size=2), st.integers(0, 2)).map(
+    lambda t: t[0] + "\x00" * t[1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), metric=st.sampled_from(METRICS))
-def test_dense_search_is_the_full_string_lexsort(data, metric):
+def test_dense_search_is_the_full_python_sort(data, metric):
     dim = data.draw(st.integers(1, 3))
     rows = data.draw(st.lists(st.lists(_COMPONENT, min_size=dim, max_size=dim), min_size=1, max_size=4))
     # doc vectors repeat rows, so scores tie and the docid decides
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=9))
-    ids = data.draw(st.lists(_ID, min_size=len(picks), max_size=len(picks), unique=True))
+    ids = data.draw(st.lists(_SIBLING_ID, min_size=len(picks), max_size=len(picks), unique=True))
     docs = EmbeddingStore(ids, np.array([rows[i] for i in picks]))
     queries = EmbeddingStore(["q"], np.array([data.draw(st.lists(_COMPONENT, min_size=dim, max_size=dim))]))
     for k in (1, len(docs), len(docs) + 3, data.draw(st.integers(1, 12))):
@@ -161,3 +165,11 @@ def test_dense_search_is_the_full_string_lexsort(data, metric):
             except DataError as exc:  # a zero vector under cosine
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], k
+
+
+def test_dense_search_ranks_nul_siblings_as_sort_ranked_does():
+    docs = EmbeddingStore([docid for docid, _ in NUL_SIBLINGS], np.array([[value] for _, value in NUL_SIBLINGS]))
+    queries = EmbeddingStore(["q"], np.array([[1.0]]))
+    ranked = sort_ranked(list(NUL_SIBLINGS))
+    for k in range(1, len(docs) + 2):
+        assert dense_search(queries, docs, "q", k) == ranked[:k], k
