@@ -25,7 +25,7 @@ _SUBMODULE_EXPORTS = {
     "rerank": ("PairInput", "ScorerHandle", "build_pairs", "lexical_score", "score_pairs"),
     "runs": ("Run", "read_run", "write_run"),
     "sparse": ("Bm25Params", "InvertedIndex", "bm25_search", "build_index", "load_index", "save_index"),
-    "tokenization": ("detect_policy", "tokenize"),
+    "tokenization": ("tokenize",),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 

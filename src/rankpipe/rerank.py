@@ -18,7 +18,7 @@ length limit), with backslash, tab, and newline escaped as ``\\\\``,
 in [0, 1], answered in request order.
 
 The command runs as up to one scorer per available CPU, at most one per
-query, each with a contiguous run of whole queries balanced by pair count.
+query, each with a contiguous run of whole queries balanced by query count.
 Requests are streamed, written whenever a scorer's input pipe has room, and
 each score goes back to its pair's place, so the run does not depend on the
 number of scorers. A scorer that owes a line, READY included, and sends none
@@ -192,12 +192,6 @@ def unescape_text(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPE.get(m.group(1), m.group(1)), text)
 
 
-def _check_score(qid: str, docid: str, score: float) -> float:
-    if not 0.0 <= score <= 1.0:
-        raise ProtocolError(f"score {score} for ({qid}, {docid}) outside [0, 1]")
-    return score
-
-
 @dataclass(eq=False)
 class _Scorer:
     """One scorer process and its share of the pairs, a contiguous run of whole queries."""
@@ -253,21 +247,19 @@ class _Scorer:
                 score = float(score_str)
             except ValueError:
                 raise ProtocolError(f"non-numeric score in response {line.strip()!r}") from None
-            self.scores.append(_check_score(qid, docid, score))
+            if not 0.0 <= score <= 1.0:
+                raise ProtocolError(f"score {score} for ({qid}, {docid}) outside [0, 1]")
+            self.scores.append(score)
         if not chunk and len(self.scores) < len(self.pairs):
             raise ProtocolError(f"scorer closed the stream after {len(self.scores)} of {len(self.pairs)} responses")
 
 
 def _shares(pairs: list[PairInput], cpus: int) -> list[list[PairInput]]:
     """At most ``cpus`` contiguous runs of whole queries that cover ``pairs``,
-    balanced by pair count; one empty run when there are no pairs."""
+    balanced by query count; one empty run when there are no pairs."""
     starts = [i for i, pair in enumerate(pairs) if not i or pair.qid != pairs[i - 1].qid] or [0]
     count = max(1, min(cpus, len(starts)))
-    cuts = [0]  # indices into starts
-    for j in range(1, count):
-        target = len(pairs) * j / count
-        cuts.append(min(range(cuts[-1] + 1, len(starts) - count + j + 1), key=lambda k: abs(starts[k] - target)))
-    edges = [starts[k] for k in cuts] + [len(pairs)]
+    edges = [starts[len(starts) * j // count] for j in range(count)] + [len(pairs)]
     return [pairs[start:stop] for start, stop in zip(edges, edges[1:])]
 
 

@@ -38,11 +38,7 @@ from .runs import DEFAULT_K, Run, check_k, sort_ranked
 from .tokenization import AUTO, tokenize
 
 _MAGIC = b"RPIDX006"
-# RPIDX001 segmented auto text by majority script; RPIDX002 spent a u32 on every ordinal and tf;
-# RPIDX003 stored ordinals, not d-gaps, at one width per file; RPIDX004 stored whole terms, uncompressed;
-# RPIDX005 stored each term's postings at widths of its own, and no tfs where every one was 1
-_OLD_MAGICS = {b"RPIDX001": "an older auto tokenization", b"RPIDX002": "an older layout",
-               b"RPIDX003": "an older layout", b"RPIDX004": "an older layout", b"RPIDX005": "an older layout"}
+_REBUILD = "rebuild it with `rankpipe index build`"  # the advice for an index that this build cannot read
 # each load compresses again to check. On this layout level 4 deflates the three seed-1 retrieval payloads of
 # perfbench to 130,174 bytes in 8.8 ms, level 1 to 137,870 in 6.3 ms; a 20,000-passage payload takes 1,018,284
 # bytes in 60 ms against 1,071,376 in 42 ms (zlib 1.2.13, one core of a shared 2-CPU x86-64 box)
@@ -291,7 +287,7 @@ def _inflate(stream: bytes, size: int) -> bytes:
         raise ValueError(f"the deflate stream does not end at the end of the file with a payload of {size} bytes")
     if zlib.compress(payload, DEFLATE_LEVEL) != stream:  # also a padding bit flipped in the last deflate byte
         raise ValueError(f"the deflate stream is not the one this zlib ({zlib.ZLIB_RUNTIME_VERSION}) writes "
-                         f"at level {DEFLATE_LEVEL}; rebuild it with `rankpipe index build`")
+                         f"at level {DEFLATE_LEVEL}; {_REBUILD}")
     return payload
 
 
@@ -299,22 +295,20 @@ def load_index(path: str) -> InvertedIndex:
     """Read an ``RPIDX006`` file; a break of its layout, of its front coding
     or of the invariants of ``Postings``, a column wider than its largest
     value needs, a deflate stream other than the one ``save_index`` writes
-    for its payload, or a docid that is empty, holds whitespace or repeats,
-    is a ``FormatError`` naming ``path``. So an accepted file is the one
-    serialization of what it loads."""
+    for its payload, or a docid that is empty, holds whitespace, begins with
+    ``#`` or repeats, is a ``FormatError`` naming ``path``. So an accepted
+    file is the one serialization of what it loads."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:len(_MAGIC)]
-    if magic in _OLD_MAGICS:
-        raise FormatError(f"{magic.decode()} index from {_OLD_MAGICS[magic]}; "
-                          "rebuild it with `rankpipe index build`", path=path)
     if magic != _MAGIC:
+        if len(magic) == len(_MAGIC) and magic[:5] == _MAGIC[:5] and magic[5:].isdigit():  # RPIDX and 3 digits
+            raise FormatError(f"{magic.decode()} index from another rankpipe version; {_REBUILD}", path=path)
         raise FormatError(f"not a {_MAGIC.decode()} index file", path=path)
     try:
         (policy,), pos = _read_strings(data, len(_MAGIC) + 4, _U32.unpack_from(data, len(_MAGIC)))
         if policy != AUTO:
-            raise FormatError(f"index tokenized by {policy!r}, not {AUTO!r}; "
-                              "rebuild it with `rankpipe index build`", path=path)
+            raise FormatError(f"index tokenized by {policy!r}, not {AUTO!r}; {_REBUILD}", path=path)
         data = _inflate(data[pos + 4:], *_U32.unpack_from(data, pos))
         *widths, doc_count, n_terms, n_postings = _HEADER.unpack_from(data)
         if bad := {*widths} - _TYPECODES.keys():
@@ -334,9 +328,10 @@ def load_index(path: str) -> InvertedIndex:
             raise ValueError(f"the docids and term rests take {strings_end - _HEADER.size} bytes, "
                              f"not the {ends[-1] - _HEADER.size} that their sizes give")
         docids = _read_strings(data, _HEADER.size, docid_sizes)[0]
-        if " ".join(docids).split() != docids:  # each docid is a run line's column, as in validate._run_id
-            bad = next(docid for docid in docids if docid.split() != [docid])
-            raise ValueError(f"docid {bad!r} is empty or contains whitespace")
+        joined = " " + " ".join(docids)  # each docid is a run line's column, as in validate._run_id
+        if joined.split() != docids or " #" in joined:
+            bad = next(docid for docid in docids if docid.split() != [docid] or docid.startswith("#"))
+            raise ValueError(f"docid {bad!r} is empty or contains whitespace, or begins with '#'")
         if len(set(docids)) != doc_count:
             raise ValueError("a docid is repeated")
         starts = list(accumulate(dfs, initial=0))

@@ -110,10 +110,10 @@ def _number(convert: Callable[[str], T], text: str, rule: str, what: str) -> T:
 
 
 def _run_id(value: str, rule: str, what: str) -> None:
-    """Ids become columns of a TREC run line, so they are one token: not
-    empty and without whitespace as ``str.split`` defines it."""
-    if value.split() != [value]:
-        raise RecordError(rule, f"{what} {value!r} is empty or contains whitespace")
+    """Ids become columns of a TREC run line, so each is one token (not empty, no whitespace
+    as ``str.split`` defines it) that does not begin with ``#``, as a comment line does."""
+    if value.split() != [value] or value.startswith("#"):
+        raise RecordError(rule, f"{what} {value!r} is empty or contains whitespace, or begins with '#'")
 
 
 def _first_use(seen: set, key: object, rule: str, message: str) -> None:

@@ -117,6 +117,39 @@ class TestSubcommands:
             assert str(index_path) in err and "rebuild it with `rankpipe index build`" in err
             assert not (tmp_path / "bm25.trec").exists()
 
+    def test_a_tag_flag_is_the_tag_of_every_line_of_the_run(self, tmp_path, capsys):
+        write_tiny_project(tmp_path)
+        index, bm25, dense = tmp_path / "idx.rpidx", tmp_path / "bm25.trec", tmp_path / "dense.trec"
+        assert main(["index", "build", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(index)]) == 0
+        assert main(["retrieve", "bm25", "--index", str(index), "--topics", str(tmp_path / "topics.tsv"),
+                     "--tag", "t1", "--out", str(bm25)]) == 0
+        assert main(["retrieve", "dense", "--queries", str(tmp_path / "queries.vec.tsv"),
+                     "--docs", str(tmp_path / "docs.vec.tsv"), "--tag", "t2", "--out", str(dense)]) == 0
+        for path, tag in ((bm25, "t1"), (dense, "t2")):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines and [line.split()[5] for line in lines] == [tag] * len(lines)
+            assert read_run(str(path)).tag == tag
+        capsys.readouterr()
+        assert main(["validate", str(bm25), str(dense)]) == 0
+        assert capsys.readouterr().out == "2 file(s) clean\n"
+
+    def test_a_docid_that_begins_with_a_comment_mark_is_a_data_error_at_its_line(self, tmp_path, capsys):
+        # "#d1" would begin a comment line in a doc-vector file; a "#" inside an id, as in
+        # MIRACL's article#passage docids, is not at a line's start in any file
+        corpus, index = tmp_path / "corpus.jsonl", tmp_path / "idx.rpidx"
+        docs = [{"docid": "#d1", "title": "", "text": "a"}, {"docid": "12#0", "title": "", "text": "a"}]
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        assert main(["index", "build", "--corpus", str(corpus), "--out", str(index)]) == 2
+        assert f"{corpus}:1: docid '#d1'" in capsys.readouterr().err
+        assert not index.exists()
+        assert main(["validate", str(corpus)]) == 2
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"{corpus}:1: [corpus.docid] docid '#d1' is empty or contains whitespace, or begins with '#'")
+        corpus.write_text(json.dumps(docs[1]) + "\n", encoding="utf-8")
+        assert main(["validate", str(corpus)]) == 0
+        assert main(["index", "build", "--corpus", str(corpus), "--out", str(index)]) == 0
+        assert sparse.load_index(str(index)).docids == ["12#0"]
+
     def test_retrieve_dense_top_k_is_a_prefix_of_the_whole_ranking(self, tmp_path, capsys):
         # q2 reverses q1's order, so each NUL sibling pair is cut between its two ids once
         queries = write_vectors(tmp_path / "q.vec.tsv", [("q1", [1.0]), ("q2", [-1.0])])

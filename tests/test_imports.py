@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     "EnsembleConfig", "FormatError", "InvertedIndex", "MetricReport", "PairInput",
     "ProtocolError", "Run", "ScorerHandle", "StatsRow", "TrainingPair", "adjust_weights",
     "bm25_search", "build_index", "build_pairs", "correlation_matrix", "corpus_stats", "cut_pool",
-    "dense_search", "detect_policy", "ensemble_runs", "fuse", "lexical_score", "load_corpus",
+    "dense_search", "ensemble_runs", "fuse", "lexical_score", "load_corpus",
     "load_embeddings", "load_index", "load_qrels", "load_topics", "macro_average", "ndcg_at_k",
     "normalize_run", "pseudo_label", "q2q2d_augment", "read_pairs", "read_run", "recall_at_k",
     "sample_negatives", "save_index", "score_pairs", "tokenize", "write_pairs", "write_qrels",
@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46
     assert set(rankpipe.__all__) == PUBLIC_NAMES
 
 

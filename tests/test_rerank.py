@@ -677,6 +677,17 @@ class TestScorerPerCpu:
             texts.add(out.read_bytes())
         assert len(texts) == 1
 
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(1, 5))
+    def test_shares_are_runs_of_whole_queries_balanced_by_query_count(self, sizes, cpus):
+        pairs = [PairInput(f"q{q}", f"d{d}", "a", "", "b") for q, size in enumerate(sizes) for d in range(size)]
+        shares = rerank._shares(pairs, cpus)
+        assert len(shares) == min(cpus, len(sizes)) and all(shares)
+        assert [pair for share in shares for pair in share] == pairs
+        queries = [[*dict.fromkeys(pair.qid for pair in share)] for share in shares]
+        assert sum(map(len, queries)) == len(sizes)  # no query is split between two shares
+        assert max(map(len, queries)) - min(map(len, queries)) <= 1
+        assert rerank._shares([], cpus) == [[]]
+
     def test_no_scorer_outlives_a_failed_call(self, tmp_path):
         pids = tmp_path / "pids"
         script = tmp_path / "scorer.py"

@@ -477,7 +477,7 @@ class TestCorruptIndex:
                         bytes([0, 0, 1, 2, 1, 1])])
         path.write_bytes(b"RPIDX005" + struct.pack("<I", 4) + b"auto" + struct.pack("<I", len(old))
                          + zlib.compress(old, 1))
-        with pytest.raises(FormatError, match="RPIDX005 index from an older layout; rebuild it with `rankpipe "
+        with pytest.raises(FormatError, match="RPIDX005 index from another rankpipe version; rebuild it with `rankpipe "
                                               "index build`") as exc:
             load_index(str(path))
         assert exc.value.path == str(path)
@@ -487,6 +487,48 @@ class TestCorruptIndex:
         assert not out.exists()
         assert main(["validate", str(path)]) == 2
         assert f"{path}:0: [index] {exc.value.message}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "magic, message",
+        [
+            (b"RPIDX001", "RPIDX001 index from another rankpipe version; rebuild it with `rankpipe index build`"),
+            (b"RPIDX005", "RPIDX005 index from another rankpipe version; rebuild it with `rankpipe index build`"),
+            (b"RPIDX007", "RPIDX007 index from another rankpipe version; rebuild it with `rankpipe index build`"),
+            (b"XPIDX006", "not a RPIDX006 index file"),
+            (b"RPIDX00", "not a RPIDX006 index file"),
+            (b"RPIDX", "not a RPIDX006 index file"),
+        ],
+        ids=["RPIDX001", "RPIDX005", "RPIDX007", "XPIDX006", "RPIDX00-only", "RPIDX-only"],
+    )
+    def test_another_versions_magic_asks_for_a_rebuild_and_any_other_is_not_an_index(
+        self, tmp_path, capsys, magic, message
+    ):
+        # the current file under another magic, or only the magic where it is shorter than RPIDX006
+        path, topics, out = tmp_path / "other.rpidx", tmp_path / "topics.tsv", tmp_path / "bm25.trec"
+        save_index(build_index([Document("d1", "", "a")]), str(path))
+        path.write_bytes(magic + path.read_bytes()[8:] if len(magic) == 8 else magic)
+        with pytest.raises(FormatError) as exc:
+            load_index(str(path))
+        assert (exc.value.message, exc.value.path) == (message, str(path))
+        topics.write_text("q1\ta\n", encoding="utf-8")
+        assert main(["retrieve", "bm25", "--index", str(path), "--topics", str(topics), "--out", str(out)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}:0: [index] {message}" in capsys.readouterr().out
+
+    def test_a_docid_that_begins_with_a_comment_mark_is_a_format_error(self, tmp_path, capsys):
+        # an index that a build before the corpus refused such docids could write; a "#" inside an id is valid
+        path = tmp_path / "comment.rpidx"
+        save_index(InvertedIndex({"a": Postings([0, 1], [1, 1])}, [1, 1, 1], ["d1", "12#0", "#d3"]), str(path))
+        message = "docid '#d3' is empty or contains whitespace, or begins with '#'"
+        with pytest.raises(FormatError) as exc:
+            load_index(str(path))
+        assert (exc.value.message, exc.value.path) == (message, str(path))
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}:0: [index] {message}" in capsys.readouterr().out
+        save_index(InvertedIndex({"a": Postings([0, 1], [1, 1])}, [1, 1], ["d1", "12#0"]), str(path))
+        assert load_index(str(path)).docids == ["d1", "12#0"]
 
     @pytest.mark.parametrize("level", [0, 1, 9])
     def test_a_stream_deflated_at_another_level_asks_for_a_rebuild(self, tmp_path, level):
