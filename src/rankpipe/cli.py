@@ -43,24 +43,6 @@ def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
     return {param: getattr(args, dest) for dest, param in pairs if dest in args}
 
 
-def _weights(raw: str) -> list[float]:
-    from .fusion import parse_weights
-
-    try:
-        return parse_weights(raw)
-    except ValueError as exc:  # argparse reports a ValueError without its message
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _scorer(spec: str):
-    from .rerank import ScorerHandle
-
-    try:
-        return ScorerHandle.parse(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _tag(raw: str) -> str:
     if raw.split() != [raw]:
         raise argparse.ArgumentTypeError(f"tag {raw!r} must be one token without whitespace")
@@ -103,7 +85,7 @@ def _cmd_fuse(args) -> int:
     from .runs import check_k, read_run, write_run
 
     # usage errors before data errors: the weights and k are checked before any run is read
-    weights = args.weights if "weights" in args else [1.0 / len(args.runs)] * len(args.runs)
+    weights = fusion.parse_weights(args.weights) if "weights" in args else [1.0 / len(args.runs)] * len(args.runs)
     fusion.check_legs(len(args.runs), weights)
     if "k" in args:
         check_k(args.k)
@@ -181,7 +163,7 @@ def _cmd_rerank(args) -> int:
         check_k(args.budget, name="budget")
     if "pool_k" in args:
         check_k(args.pool_k)
-    scorer = args.scorer if "scorer" in args else rerank.ScorerHandle()
+    scorer = rerank.ScorerHandle.parse(args.scorer) if "scorer" in args else rerank.ScorerHandle()
     run = rerank.rerank_pool(
         read_run(args.pool), args.topics, args.corpus, scorer, **_given(args, "pool_k", "budget")
     )
@@ -191,11 +173,11 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    from . import ensemble
+    from . import ensemble, fusion
     from .runs import read_run, write_run
 
     # usage errors before data errors: the config is checked before any run is read
-    config = ensemble.EnsembleConfig(args.base_weights, **_given(args, "lam"))
+    config = ensemble.EnsembleConfig(fusion.parse_weights(args.base_weights), **_given(args, "lam"))
     config.check_run_count(len(args.runs))
     runs = [read_run(path) for path in args.runs]
     weights = ensemble.adjust_weights(config, ensemble.correlation_matrix(runs))
@@ -318,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuse = sub.add_parser("fuse", help="normalize and combine runs into a hybrid run")
     p_fuse.add_argument("--runs", nargs="+", required=True)
-    p_fuse.add_argument("--weights", type=_weights, help="comma-separated, e.g. 0.5,0.5")
+    p_fuse.add_argument("--weights", help="comma-separated, e.g. 0.5,0.5")
     p_fuse.add_argument("--normalize", default="minmax", choices=["minmax", "none"])
     p_fuse.add_argument("-k", type=int, help="cut the fused run to top-k per query")
     p_fuse.add_argument("--out", required=True)
@@ -361,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--pool", required=True)
     p_rerank.add_argument("--topics", required=True)
     p_rerank.add_argument("--corpus", required=True)
-    p_rerank.add_argument("--scorer", type=_scorer, help='lexical (default) | file:run.trec | cmd:"..."')
+    p_rerank.add_argument("--scorer", help='lexical (default) | file:run.trec | cmd:"..."')
     p_rerank.add_argument("--budget", type=int)
     p_rerank.add_argument("--pool-k", type=int)
     p_rerank.add_argument("--out", required=True)
@@ -369,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="correlation-aware weighted run combination")
     p_ens.add_argument("--runs", nargs="+", required=True)
-    p_ens.add_argument("--base-weights", type=_weights, required=True)
+    p_ens.add_argument("--base-weights", required=True)
     p_ens.add_argument("--lambda", dest="lam", type=float)
     p_ens.add_argument("--out", required=True)
     p_ens.set_defaults(func=_cmd_ensemble)

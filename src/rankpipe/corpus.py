@@ -9,9 +9,10 @@ Three on-disk formats live here:
 * qrels: whitespace-delimited ``qid Q0 docid grade``, no header.
 
 ``load_topics`` returns qid -> query text and ``load_qrels`` qid -> docid ->
-grade, each in file order; ``positives`` holds the one relevance rule,
-grade >= 1. The loaders build these from the records of the shared line
-parsers in ``validate``, which also define the UTF-8 and comment rules.
+grade (an integer in [0, 2**53]), each in file order; ``positives`` holds
+the one relevance rule, grade >= 1. The loaders build these from the records
+of the shared line parsers in ``validate``, which also define the UTF-8 and
+comment rules.
 """
 from __future__ import annotations
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 from . import available_cpus, fusion
 from .corpus import load_qrels
 from .errors import DataError, FormatError
-from .runs import DEFAULT_K, Run, read_run, write_run
+from .runs import DEFAULT_K, Run, check_k, read_run, write_run
 from .validate import DOT, METRICS, data_lines
 
 if TYPE_CHECKING:
@@ -97,12 +97,11 @@ class ExperimentConfig:
         default: Any = None,
         parse: Callable[[str], Any] = str,
         choices: tuple = (),
-        minimum: float | None = None,
     ) -> Any:
         """The value of ``key`` through ``parse``, ``default`` when unset; an unset key
         whose default is REQUIRED is a FormatError naming the config's path. A value
-        outside ``choices`` (when given), one that ``parse`` rejects with a ValueError,
-        or one below ``minimum`` (when given) is a FormatError at its line. An unknown ``key`` is a KeyError."""
+        outside ``choices`` (when given), or one that ``parse`` rejects with a ValueError,
+        is a FormatError at its line. An unknown ``key`` is a KeyError."""
         if not _is_key(key):
             raise KeyError(f"{key!r} is not a config key")
         raw = self.values.get(key)
@@ -113,10 +112,7 @@ class ExperimentConfig:
         try:
             if choices and raw not in choices:
                 raise ValueError(f"expected one of {', '.join(choices)}")
-            value = parse(raw)
-            if minimum is not None and value < minimum:
-                raise ValueError(f"must be >= {minimum}")
-            return value
+            return parse(raw)
         except ValueError as exc:
             raise FormatError(f"bad value {raw!r} for {key!r}: {exc}", path=self.path, line=self.lines.get(key)) from None
 
@@ -226,14 +222,14 @@ def _scorer(config: ExperimentConfig, raw: str) -> ScorerHandle:
 _KEYS: dict[str, Callable[[ExperimentConfig, str], Any]] = {
     "bm25.k1": lambda config, key: config.get(key, None, lambda raw: _bm25_param("k1", raw)),
     "bm25.b": lambda config, key: config.get(key, None, lambda raw: _bm25_param("b", raw)),
-    "retrieve.k": lambda config, key: config.get(key, DEFAULT_K, int, minimum=1),
+    "retrieve.k": lambda config, key: config.get(key, DEFAULT_K, lambda raw: check_k(int(raw))),
     "dense.metric": lambda config, key: config.get(key, DOT, choices=METRICS),
     "fuse.weights": lambda config, key: config.get(key, [0.5, 0.5], _fuse_weights),
-    "pool.k": lambda config, key: config.get(key, fusion.DEFAULT_POOL_K, int, minimum=1),
+    "pool.k": lambda config, key: config.get(key, fusion.DEFAULT_POOL_K, lambda raw: check_k(int(raw))),
     "rerank.scorer": lambda config, key: config.get(key, None, lambda raw: _scorer(config, raw)),
-    "rerank.budget": lambda config, key: config.get(key, None, int, minimum=1),
-    "eval.k": lambda config, key: config.get(key, 10, int, minimum=1),
-    "eval.recall_k": lambda config, key: config.get(key, None, int, minimum=0),  # unset: pool.k
+    "rerank.budget": lambda config, key: config.get(key, None, lambda raw: check_k(int(raw), name="budget")),
+    "eval.k": lambda config, key: config.get(key, 10, lambda raw: check_k(int(raw))),
+    "eval.recall_k": lambda config, key: config.get(key, None, lambda raw: check_k(int(raw), 0)),  # unset: pool.k
     "eval.targets": lambda config, key: config.get(key, None, lambda raw: _names(raw, tuple(EVAL_RUNS))),
 }
 VALUE_KEYS = tuple(_KEYS)

@@ -32,6 +32,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import islice
+from sys import intern
 from typing import TYPE_CHECKING
 
 from . import available_cpus
@@ -176,7 +177,8 @@ def _lexical_scores(pairs: list[PairInput]) -> list[float]:
         key = (pair.title, pair.body, budget)
         document = documents.get(key)
         if document is None:  # room never passes the budget, so the cut keeps every token scored
-            document = documents[key] = (tokenize(pair.title)[:budget], tokenize(pair.body)[:budget])
+            # interned: the cache holds every pooled document's tokens, and documents share most of them
+            document = documents[key] = tuple(list(map(intern, tokenize(t)[:budget])) for t in (pair.title, pair.body))
         title, body = document
         room = max(budget - count - separators, 0)
         title = title[:room]

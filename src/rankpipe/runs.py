@@ -18,10 +18,11 @@ from .validate import parse_run
 DEFAULT_K = 1000  # results per query a retrieval run keeps
 
 
-def check_k(k: int, minimum: int = 1, name: str = "k") -> None:
-    """A cut-off, or the count ``name``, below ``minimum`` is a ValueError."""
+def check_k(k: int, minimum: int = 1, name: str = "k") -> int:
+    """``k``; a cut-off, or the count ``name``, below ``minimum`` is a ValueError."""
     if k < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    return k
 
 
 def _canonical(pairs: list) -> bool:

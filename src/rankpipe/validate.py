@@ -81,7 +81,8 @@ def data_lines(
     path: str, report: Report = raise_diagnostic, parse: Callable[[str], T] = str
 ) -> Iterator[tuple[int, T]]:
     """Yield (line number, ``parse(line)``) for each data line of a UTF-8
-    text file.
+    text file without a byte order mark; a mark is reported at line 1, and
+    the line is read without it.
 
     Lines end at ``\\n`` and are decoded one at a time, so invalid UTF-8 is
     reported with its line number; the ``\\n`` or ``\\r\\n`` ending is
@@ -90,6 +91,9 @@ def data_lines(
     line skipped.
     """
     with open(path, "rb") as fh:
+        if fh.peek(3).startswith(b"\xef\xbb\xbf"):  # once per file, not per line: run files are the largest inputs
+            report(Diagnostic(path, 1, "encoding", "UTF-8 byte order mark"))
+            fh.read(3)
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.rstrip(b"\r\n").decode("utf-8")
@@ -145,6 +149,8 @@ def parse_corpus(path: str, report: Report = raise_diagnostic) -> Records:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError("corpus.json", f"malformed JSON: {exc.msg}") from None
+        except RecursionError:
+            raise RecordError("corpus.json", "malformed JSON: nested too deep") from None
         if not isinstance(record, dict):
             raise RecordError("corpus.json", "record is not an object")
         docid = record.get("docid")
@@ -179,7 +185,7 @@ def parse_topics(path: str, report: Report = raise_diagnostic) -> Records:
 
 
 def parse_qrels(path: str, report: Report = raise_diagnostic) -> Records:
-    """Qrels ``qid Q0 docid grade`` -> (qid, docid, grade), grades >= 0."""
+    """Qrels ``qid Q0 docid grade`` -> (qid, docid, grade), grades in [0, 2**53], which floats hold exactly."""
     seen: set[tuple[str, str]] = set()
 
     def parse(line: str) -> tuple:
@@ -188,8 +194,8 @@ def parse_qrels(path: str, report: Report = raise_diagnostic) -> Records:
             raise RecordError("qrels.columns", f"expected 4 columns, got {len(parts)}")
         qid, _, docid, grade_str = parts
         grade = _number(int, grade_str, "qrels.grade", "non-integer grade")
-        if grade < 0:
-            raise RecordError("qrels.grade", f"negative grade {grade} for ({qid}, {docid})")
+        if not 0 <= grade <= 2**53:
+            raise RecordError("qrels.grade", f"grade {grade_str} for ({qid}, {docid}) outside [0, 2**53]")
         _first_use(seen, (qid, docid), "qrels.duplicate", f"duplicate judgment for ({qid}, {docid})")
         return qid, docid, grade
 

@@ -11,14 +11,16 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import NUL_SIBLINGS, write_vectors
 from rankpipe import cli, dense, ensemble, forge, sparse, validate
 from rankpipe.cli import main
 from rankpipe.corpus import load_corpus, load_qrels, load_topics
-from rankpipe.errors import DataError
+from rankpipe.errors import DataError, FormatError
 from rankpipe.fusion import cut_pool
-from rankpipe.pipeline import STAGES, load_config, run_pipeline
+from rankpipe.pipeline import _KEYS, STAGES, ExperimentConfig, load_config, run_pipeline
 from rankpipe.rerank import rerank_pool
 from rankpipe.runs import read_run, write_run
 
@@ -457,9 +459,7 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_weight_is_a_usage_error_naming_it(self, tmp_path, capsys, argv, bad):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--runs", "a.trec", "b.trec", "--out", str(tmp_path / "o.trec")])
-        assert exc.value.code == 1
+        assert exit_code(argv + ["--runs", "a.trec", "b.trec", "--out", str(tmp_path / "o.trec")]) == 1
         assert f"weight '{bad}' is not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -472,9 +472,7 @@ class TestExitCodes:
         ],
     )
     def test_weights_breaking_the_rule_are_a_usage_error_naming_them(self, tmp_path, capsys, argv, named):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--runs", "a.trec", "b.trec", "--out", str(tmp_path / "o.trec")])
-        assert exc.value.code == 1
+        assert exit_code(argv + ["--runs", "a.trec", "b.trec", "--out", str(tmp_path / "o.trec")]) == 1
         assert f"weights {named} must be finite and >= 0 with a positive sum" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -616,10 +614,8 @@ class TestExitCodes:
         assert str(run) in capsys.readouterr().err
 
     def test_unknown_scorer_spec_is_a_usage_error_naming_it(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["rerank", "--pool", "p.trec", "--topics", "t.tsv", "--corpus", "c.jsonl", "--scorer", "magic",
-                  "--out", str(tmp_path / "r.trec")])
-        assert exc.value.code == 1
+        assert exit_code(["rerank", "--pool", "p.trec", "--topics", "t.tsv", "--corpus", "c.jsonl", "--scorer", "magic",
+                          "--out", str(tmp_path / "r.trec")]) == 1
         assert "'magic'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -798,6 +794,60 @@ class TestConfig:
         cfg_path = write_tiny_project(tmp_path)
         config = load_config(str(cfg_path))
         assert config.lang_path("corpus", "xx") == tmp_path / "corpus.jsonl"
+
+
+# inputs that do not exist, so that a CLI call whose values all pass exits 2 on its first read
+_MISSING = str(DESK / "no-such-dir" / "missing")
+_BM25 = ["retrieve", "bm25", "--index", _MISSING, "--topics", _MISSING, "--out", _MISSING]
+_DENSE = ["retrieve", "dense", "--queries", _MISSING, "--docs", _MISSING, "--out", _MISSING]
+_RERANK = ["rerank", "--pool", _MISSING, "--topics", _MISSING, "--corpus", _MISSING, "--out", _MISSING]
+_EVAL = ["eval", "--run", _MISSING, "--qrels", _MISSING]
+# each value key and the CLI calls that take the same value, the drawn string going where {} stands
+_SHARED = [
+    ("retrieve.k", _BM25 + ["-k={}"]),
+    ("retrieve.k", _DENSE + ["-k={}"]),
+    ("pool.k", _RERANK + ["--pool-k={}"]),
+    ("rerank.budget", _RERANK + ["--budget={}"]),
+    ("eval.k", _EVAL + ["--metric", "ndcg", "-k={}"]),
+    ("eval.recall_k", _EVAL + ["--metric", "recall", "-k={}"]),
+    ("bm25.k1", _BM25 + ["--k1={}"]),
+    ("bm25.b", _BM25 + ["--b={}"]),
+    ("fuse.weights", ["fuse", "--runs", _MISSING, _MISSING, "--out", _MISSING, "--weights={}"]),
+    ("dense.metric", _DENSE + ["--metric={}"]),
+    ("rerank.scorer", _RERANK + ["--scorer={}"]),
+]
+_NUMBER = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309", "-1e309", "1e308", "1_0", "0x10", "1.0", "1e3", "+2",
+                     "\u0663", ""]),
+)
+_WORD = st.sampled_from(["dot", "cosine", "l2", "lexical", "cmd:python3 s.py", "cmd:", "magic", "file"])
+_ATOM = _NUMBER | _WORD | st.text(max_size=6)
+# what a config line can hold as a value: the reader strips it and ends the line at a newline
+_RAW = (_ATOM | st.lists(_ATOM, min_size=1, max_size=3).map(",".join)).filter(
+    lambda raw: raw == raw.strip() and "\n" not in raw and not raw.startswith("file:")
+)
+
+
+class TestOneRulePerValue:
+    """A value that a config key and a CLI flag share passes one rule: the library's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared=st.sampled_from(_SHARED), raw=_RAW)
+    def test_the_config_accepts_a_value_exactly_when_the_cli_does(self, shared, raw):
+        key, argv = shared
+        assert not Path(_MISSING).parent.exists()
+        structural = {"schema": "rankpipe-exp-1", "seed": "1", "languages": "xx", "stages": "eval", "output_dir": "o"}
+        config = ExperimentConfig(DESK, {**structural, key: raw})
+        try:
+            _KEYS[key](config, key)
+            accepted = True
+        except FormatError:
+            accepted = False
+        # exit 1 is a usage error reported before any read; exit 2 is the first missing input
+        assert exit_code([arg.replace("{}", raw) for arg in argv]) == (2 if accepted else 1)
 
 
 class TestPipeline:

@@ -337,3 +337,40 @@ def test_validate_reports_a_bad_line_at_its_number(tmp_path, capsys, name, text,
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().out == f"{path}:{diagnostic}\n1 problem(s) found\n"
+
+
+@pytest.mark.parametrize("grade", ["9" * 400, str(2**53 + 1)], ids=["400-digits", "2**53+1"])
+def test_qrels_grade_that_a_float_cannot_hold_is_a_data_error(tmp_path, capsys, grade):
+    qrels = tmp_path / "big.qrels"
+    qrels.write_text(f"q1 Q0 d1 {grade}\nq1 Q0 d2 {2**53}\n")
+    run = tmp_path / "r.trec"
+    run.write_text("q1 Q0 d1 1 1.0 t\n")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 2
+    assert f"{qrels}:1: grade {grade} for (q1, d1) outside [0, 2**53]" in capsys.readouterr().err
+    assert [(d.line, d.rule) for d in validate_artifacts([str(qrels)])] == [(1, "qrels.grade")]
+    qrels.write_text(f"q1 Q0 d2 {2**53}\n")
+    assert load_qrels(str(qrels)) == {"q1": {"d2": 2**53}}
+
+
+def test_corpus_line_nested_past_the_recursion_limit_is_malformed_json(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"docid": "d1", "text": "a"}\n' + "[" * 200_000 + "]" * 200_000 + "\n")
+    assert [(d.line, d.rule) for d in validate_artifacts([str(path)])] == [(2, "corpus.json")]
+    with pytest.raises(FormatError, match="malformed JSON") as exc:
+        list(load_corpus(str(path)))
+    assert exc.value.line == 2
+    assert main(["index", "build", "--corpus", str(path), "--out", str(tmp_path / "i.rpidx")]) == 2
+    assert f"{path}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", LINE_KINDS)
+def test_byte_order_mark_is_a_data_error_at_line_1(tmp_path, capsys, kind):
+    path = tmp_path / f"file.{kind}"
+    path.write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in VALID[kind]).encode("utf-8"))
+    mark = Diagnostic(str(path), 1, "encoding", "UTF-8 byte order mark")
+    assert validate_artifacts([str(path)], kind=kind) == [mark]
+    with pytest.raises(FormatError, match="byte order mark") as exc:
+        LOADERS[kind](str(path))
+    assert exc.value.line == 1
+    assert main(["validate", "--kind", kind, str(path)]) == 2
+    assert capsys.readouterr().out == f"{mark}\n1 problem(s) found\n"
